@@ -8,7 +8,7 @@ contains no timestamps or machine identifiers, so repeated runs with equal
 arguments are byte-identical.
 
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical
-failure (quadrature budget, profile blow-up, constraint violation).
+failure (quadrature budget, profile blow-up, constraint violation, overflow).
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Mapping, Sequence
+from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -37,6 +37,7 @@ from .criteria import (
 from .helicoid import (
     Helicoid,
     embed as helicoid_embed,
+    embed_grid as helicoid_embed_grid,
     first_fundamental,
     is_stable_by_pitch,
     norm_A_sq as helicoid_norm_A_sq,
@@ -48,7 +49,7 @@ from .hyperbolic_catenoid import (
     is_stable_by_window,
     stability_window_max_t,
 )
-from .lorentz import on_hyperboloid
+from .lorentz import on_hyperboloid, on_hyperboloid_rows
 from .quadrature import QuadratureError
 from .spectral import morse_index
 from .spherical_catenoid import (
@@ -57,7 +58,12 @@ from .spherical_catenoid import (
     SphericalCatenoid,
     _locate_c0,
     embed as catenoid_embed,
+    embed_grid as catenoid_embed_grid,
 )
+
+# The exports call the grid functions; the scalar embeddings and the
+# single-point check stay importable here because bench/tracing.py wraps
+# them by name.
 
 __all__ = [
     "EXIT_OK",
@@ -130,6 +136,13 @@ def _float_grid(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError(f"need hi >= lo, got [{lo}, {hi}]")
     count = int(math.floor((hi - lo) / step + 1e-9))
     return [lo + k * step for k in range(count + 1)]
+
+
+def _positive(params: Mapping[str, Any], key: str) -> float:
+    value = float(params[key])
+    if not (math.isfinite(value) and value > 0.0):
+        raise ValueError(f"{key} must be positive, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +239,10 @@ def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def _cmd_helicoid(params: Mapping[str, Any]) -> dict[str, Any]:
     h = Helicoid(float(params["alpha"]))
-    t_max = float(params["t_max"])
     t_grid = int(params["t_grid"])
     if t_grid < 2:
         raise ValueError(f"t_grid must be >= 2, got {t_grid}")
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    t_max = _positive(params, "t_max")
     rows = []
     for t in np.linspace(-t_max, t_max, t_grid):
         e_coef, _, _ = first_fundamental(h, float(t))
@@ -243,73 +254,73 @@ def _cmd_helicoid(params: Mapping[str, Any]) -> dict[str, Any]:
     }
 
 
-def _spherical_export(params: Mapping[str, Any]) -> dict[str, Any]:
+# Export families: params in, (grid, points) out, where grid holds the
+# parameter columns and points the coordinates of one row each.
+
+
+def _outer_grid(s: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """All (s, u) pairs as rows, s outer."""
+    return np.column_stack([np.repeat(s, u.size), np.tile(u, s.size)])
+
+
+def _spherical_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
     cat = SphericalCatenoid(float(params["a"]))
-    s_max = float(params["s_max"])
     s_grid = int(params["s_grid"])
     theta_grid = int(params["theta_grid"])
     if s_grid < 2 or theta_grid < 1:
         raise ValueError("need s_grid >= 2 and theta_grid >= 1")
-    if not (math.isfinite(s_max) and s_max > 0.0):
-        raise ValueError(f"s_max must be positive, got {s_max}")
-    rows = []
-    for s in np.linspace(-s_max, s_max, s_grid):
-        for theta in np.linspace(0.0, 2.0 * math.pi, theta_grid, endpoint=False):
-            point = catenoid_embed(cat, float(s), float(theta), DEFAULT_TOL)
-            if not on_hyperboloid(point, _EXPORT_TOL):
-                raise ExportError(
-                    f"embedded point at (s, theta) = ({s}, {theta}) leaves "
-                    f"the hyperboloid beyond {_EXPORT_TOL}"
-                )
-            rows.append([float(s), float(theta), *point.coords])
-    return {"columns": ["s", "theta", "x1", "x2", "x3", "x4"], "rows": rows}
+    s_max = _positive(params, "s_max")
+    s = np.linspace(-s_max, s_max, s_grid)
+    theta = np.linspace(0.0, 2.0 * math.pi, theta_grid, endpoint=False)
+    return _outer_grid(s, theta), catenoid_embed_grid(cat, s, theta, DEFAULT_TOL)
 
 
-def _helicoid_export(params: Mapping[str, Any]) -> dict[str, Any]:
+def _helicoid_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
     h = Helicoid(float(params["alpha"]))
-    s_max = float(params["s_max"])
-    t_max = float(params["t_max"])
     s_grid = int(params["s_grid"])
     t_grid = int(params["t_grid"])
     if s_grid < 2 or t_grid < 2:
         raise ValueError("need s_grid >= 2 and t_grid >= 2")
-    rows = []
-    for s in np.linspace(-s_max, s_max, s_grid):
-        for t in np.linspace(-t_max, t_max, t_grid):
-            point = helicoid_embed(h, float(s), float(t))
-            if not on_hyperboloid(point, _EXPORT_TOL):
-                raise ExportError(
-                    f"embedded point at (s, t) = ({s}, {t}) leaves the "
-                    f"hyperboloid beyond {_EXPORT_TOL}"
-                )
-            rows.append([float(s), float(t), *point.coords])
-    return {"columns": ["s", "t", "x1", "x2", "x3", "x4"], "rows": rows}
+    s_max = _positive(params, "s_max")
+    t_max = _positive(params, "t_max")
+    s = np.linspace(-s_max, s_max, s_grid)
+    t = np.linspace(-t_max, t_max, t_grid)
+    return _outer_grid(s, t), helicoid_embed_grid(h, s, t)
 
 
-def _hyperbolic_curve_export(params: Mapping[str, Any]) -> dict[str, Any]:
+def _hyperbolic_curve_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
     cat = HyperbolicCatenoid(int(params["n"]), float(params["t"]))
-    s_max = float(params["s_max"])
     samples = int(params["samples"])
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
-    if not (math.isfinite(s_max) and s_max > 0.0):
-        raise ValueError(f"s_max must be positive, got {s_max}")
-    targets = [float(s) for s in np.linspace(0.0, s_max, samples)]
-    rows = []
-    for s, point in generating_curve_points(cat, targets):
-        if not on_hyperboloid(point, _EXPORT_TOL):
-            raise ExportError(
-                f"generating-curve point at s = {s} leaves the hyperbolic "
-                f"plane beyond {_EXPORT_TOL}"
-            )
-        rows.append([s, *point.coords])
-    return {"columns": ["s", "x", "y", "z"], "rows": rows}
+    s_max = _positive(params, "s_max")
+    curve = generating_curve_points(cat, np.linspace(0.0, s_max, samples))
+    grid = np.array([[s] for s, _ in curve])
+    return grid, np.array([point.coords for _, point in curve])
 
 
-_EXPORT_FAMILIES: dict[str, Callable[[Mapping[str, Any]], dict[str, Any]]] = {
-    "spherical": _spherical_export,
-    "helicoid": _helicoid_export,
-    "hyperbolic-curve": _hyperbolic_curve_export,
+class _ExportFamily(NamedTuple):
+    points: Callable[[Mapping[str, Any]], tuple[np.ndarray, np.ndarray]]
+    columns: tuple[str, ...]
+    off_sheet: str  # message naming the first failing grid point
+
+
+_EXPORT_FAMILIES: dict[str, _ExportFamily] = {
+    "spherical": _ExportFamily(
+        _spherical_points,
+        ("s", "theta", "x1", "x2", "x3", "x4"),
+        "embedded point at (s, theta) = ({}, {}) leaves the hyperboloid beyond {}",
+    ),
+    "helicoid": _ExportFamily(
+        _helicoid_points,
+        ("s", "t", "x1", "x2", "x3", "x4"),
+        "embedded point at (s, t) = ({}, {}) leaves the hyperboloid beyond {}",
+    ),
+    "hyperbolic-curve": _ExportFamily(
+        _hyperbolic_curve_points,
+        ("s", "x", "y", "z"),
+        "generating-curve point at s = {} leaves the hyperbolic plane beyond {}",
+    ),
 }
 
 
@@ -317,7 +328,12 @@ def _cmd_embed_export(params: Mapping[str, Any]) -> dict[str, Any]:
     family = str(params["family"])
     if family not in _EXPORT_FAMILIES:
         raise ValueError(f"unknown export family {family!r}")
-    return _EXPORT_FAMILIES[family](params)
+    spec = _EXPORT_FAMILIES[family]
+    grid, points = spec.points(params)
+    bad = np.flatnonzero(~on_hyperboloid_rows(points, _EXPORT_TOL))
+    if bad.size:
+        raise ExportError(spec.off_sheet.format(*grid[bad[0]].tolist(), _EXPORT_TOL))
+    return {"columns": list(spec.columns), "rows": np.hstack([grid, points])}
 
 
 def _report_dict(report) -> dict[str, Any]:
@@ -391,9 +407,13 @@ def _render_csv(config: RunConfig, payload: dict[str, Any]) -> str:
         if key in ("columns", "rows"):
             continue
         lines.append(f"# {key}={_param_str(payload[key])}")
-    lines.append("# columns=" + ",".join(payload["columns"]))
-    for row in payload["rows"]:
-        lines.append(",".join(_fmt(v) for v in row))
+    columns = payload["columns"]
+    lines.append("# columns=" + ",".join(columns))
+    values = np.asarray(payload["rows"], dtype=float).ravel().tolist()
+    if values:
+        # '%.15g' % v is _fmt(v); one format call renders the whole table
+        row = ",".join(["%.15g"] * len(columns))
+        lines.append("\n".join([row] * (len(values) // len(columns))) % tuple(values))
     return "\n".join(lines) + "\n"
 
 
@@ -404,6 +424,8 @@ def _render_json(config: RunConfig, payload: dict[str, Any]) -> str:
         "parameters": {k: config.parameters[k] for k in sorted(config.parameters)},
     }
     document.update(payload)
+    if isinstance(document.get("rows"), np.ndarray):
+        document["rows"] = document["rows"].tolist()
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
@@ -430,7 +452,7 @@ def run(config: RunConfig) -> int:
     except ValueError as exc:
         print(f"hypstab {config.command}: invalid parameters: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (QuadratureError, ProfileError, ExportError) as exc:
+    except (QuadratureError, ProfileError, ExportError, OverflowError) as exc:
         print(f"hypstab {config.command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -25,6 +26,7 @@ __all__ = [
     "Helicoid",
     "STABLE_PITCH_SQ",
     "embed",
+    "embed_grid",
     "first_fundamental",
     "second_fundamental",
     "norm_A_sq",
@@ -66,6 +68,28 @@ def embed(h: Helicoid, s: float, t: float) -> LorentzVector:
             math.sin(al * s) * math.sinh(t),
         )
     )
+
+
+def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]) -> np.ndarray:
+    """`embed` over the grid s_values x t_values, s outer: an
+    (len(s_values) * len(t_values), 4) array whose rows equal the `embed`
+    coordinates bit for bit.
+
+    Every coordinate is a function of s times a function of t, so each
+    transcendental is evaluated once per axis value, with `math` as in
+    `embed`, and the grid is formed by outer products.
+    """
+    al = h.alpha
+    s_axis = [float(s) for s in s_values]
+    t_axis = [float(t) for t in t_values]
+    ch_t = [math.cosh(t) for t in t_axis]
+    sh_t = [math.sinh(t) for t in t_axis]
+    out = np.empty((len(s_axis), len(t_axis), 4))
+    out[:, :, 0] = np.multiply.outer([math.cosh(s) for s in s_axis], ch_t)
+    out[:, :, 1] = np.multiply.outer([math.sinh(s) for s in s_axis], ch_t)
+    out[:, :, 2] = np.multiply.outer([math.cos(al * s) for s in s_axis], sh_t)
+    out[:, :, 3] = np.multiply.outer([math.sin(al * s) for s in s_axis], sh_t)
+    return out.reshape(-1, 4)
 
 
 def first_fundamental(h: Helicoid, t: float) -> tuple[float, float, float]:

@@ -9,10 +9,25 @@ tuple itself; mixing dimensions is rejected, not broadcast.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Iterator, Sequence, Union
 
-__all__ = ["LorentzVector", "minkowski_inner", "on_hyperboloid"]
+import numpy as np
+
+__all__ = [
+    "LorentzVector",
+    "ROUNDING_SLACK",
+    "minkowski_inner",
+    "on_hyperboloid",
+    "on_hyperboloid_rows",
+]
+
+# Multiple of eps * sum(x_i^2) that the sheet check forgives in <x, x> + 1.
+# Rounding in the embeddings and in the square itself was measured at up to
+# 3.5 eps * sum(x_i^2) over the exported families (spherical a in [0.51, 3]
+# and |s| <= 20, helicoid |s|, |t| <= 12, hyperbolic curves to s = 20).
+ROUNDING_SLACK = 16.0
 
 CoordsLike = Union["LorentzVector", Sequence[float]]
 
@@ -65,12 +80,30 @@ def minkowski_inner(x: CoordsLike, y: CoordsLike) -> float:
     return acc
 
 
-def on_hyperboloid(x: CoordsLike, tol: float) -> bool:
-    """True iff x lies on the upper unit hyperboloid within tolerance tol.
+def on_hyperboloid_rows(points: np.ndarray, tol: float) -> np.ndarray:
+    """Row-wise membership of an (n, d) array of points in the upper unit
+    hyperboloid; returns n booleans.
 
-    Checks |<x, x> + 1| <= tol together with x1 >= 1 - tol.
+    A row passes when |<x, x> + 1| <= max(tol, ROUNDING_SLACK * eps *
+    sum(x_i^2)) and x1 >= 1 - tol.  The second bound is the rounding scale
+    of the Minkowski square, so correct points far out on the sheet pass
+    while their coordinates grow.  Non-finite rows fail.  The square is
+    summed in the order of `minkowski_inner`.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    xc = _coords(x)
-    return abs(minkowski_inner(xc, xc) + 1.0) <= tol and xc[0] >= 1.0 - tol
+    x = np.asarray(points, dtype=float)
+    if x.ndim != 2 or x.shape[1] < 2:
+        raise ValueError(f"points must be an (n, d) array with d >= 2, got shape {x.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        square = -x[:, 0] * x[:, 0]
+        for i in range(1, x.shape[1]):
+            square += x[:, i] * x[:, i]
+        bound = np.maximum(tol, ROUNDING_SLACK * sys.float_info.epsilon * (x * x).sum(axis=1))
+        return (np.abs(square + 1.0) <= bound) & (x[:, 0] >= 1.0 - tol)
+
+
+def on_hyperboloid(x: CoordsLike, tol: float) -> bool:
+    """True iff x lies on the upper unit hyperboloid within tolerance tol,
+    by the rule of `on_hyperboloid_rows`."""
+    return bool(on_hyperboloid_rows([_coords(x)], tol)[0])

@@ -16,6 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
+
+import numpy as np
 
 from .lorentz import LorentzVector, minkowski_inner
 from .quadrature import (
@@ -35,6 +38,7 @@ __all__ = [
     "sup_norm_A_sq",
     "phi",
     "embed",
+    "embed_grid",
     "metric_residual",
     "total_A_sq",
     "F",
@@ -170,6 +174,39 @@ def embed(
     )
 
 
+def embed_grid(
+    cat: SphericalCatenoid,
+    s_values: Sequence[float],
+    theta_values: Sequence[float],
+    tol: float = DEFAULT_TOL,
+) -> np.ndarray:
+    """`embed` over the grid s_values x theta_values, s outer: an
+    (len(s_values) * len(theta_values), 4) array whose rows equal the
+    `embed` coordinates bit for bit.
+
+    The first two coordinates depend on s alone and the last two are
+    rho(s) times cos or sin theta, so each transcendental is evaluated once
+    per axis value, with `math` as in `embed`.
+    """
+    s_axis = [float(s) for s in s_values]
+    cos_t = np.array([math.cos(float(t)) for t in theta_values])
+    sin_t = np.array([math.sin(float(t)) for t in theta_values])
+    x1, x2, rho = [], [], []
+    for s in s_axis:
+        w = _warp_sq(cat, s)
+        big = math.sqrt(w + 1.0)
+        p = phi(cat, s, tol)
+        x1.append(big * math.cosh(p))
+        x2.append(big * math.sinh(p))
+        rho.append(math.sqrt(w))
+    out = np.empty((len(s_axis), len(cos_t), 4))
+    out[:, :, 0] = np.array(x1)[:, None]
+    out[:, :, 1] = np.array(x2)[:, None]
+    out[:, :, 2] = np.multiply.outer(rho, cos_t)
+    out[:, :, 3] = np.multiply.outer(rho, sin_t)
+    return out.reshape(-1, 4)
+
+
 def metric_residual(
     cat: SphericalCatenoid, s: float, theta: float, h: float = 1e-5
 ) -> float:
@@ -235,7 +272,7 @@ def F(cat: SphericalCatenoid, tol: float = DEFAULT_TOL) -> QuadratureResult:
     """Curvature-versus-gradient functional along the catenoid family.
 
     F(a) = 32*pi*(a^2 - 1/4) * int_0^inf [w^{-3/2} - a^2 sinh^2(2s) w^{-7/2}] ds,
-    which equals 4*int |A|^2 dv - int |grad |A||^2 / |A|^2 dv.  Negative F
+    which equals 4*int |A|^2 dv - int |grad |A||^2 dv.  Negative F
     certifies an unstable member; F changes sign exactly once on the scan
     window, at the threshold located by find_c0.  The two terms share the
     exp(-3s) leading order but it cancels in the difference, so the stated

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+import hypstab.cli as cli
 from hypstab.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -156,6 +157,71 @@ def test_embed_export_families_stay_on_hyperboloid(tmp_path):
         assert len(columns) == len(rows[0])
         for row in rows:
             assert on_hyperboloid(row[-coord_count:], 1e-8)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--family", "spherical", "--s-max", "10"],
+        ["--family", "helicoid", "--s-max", "10", "--t-max", "10"],
+        ["--family", "hyperbolic-curve", "--samples", "2001", "--s-max", "20"],
+    ],
+    ids=["spherical", "helicoid", "hyperbolic-curve"],
+)
+def test_far_correct_points_pass_the_sheet_check(tmp_path, argv):
+    # coordinates near e^10-e^20: rounding alone puts <x,x> + 1 beyond 1e-8
+    code, out = invoke(tmp_path, "far.csv", ["embed-export", *argv])
+    assert code == EXIT_OK
+    _, _, rows = read_table(out)
+    assert max(row[-1] for row in rows) > 1e4
+
+
+@pytest.mark.parametrize(
+    "argv, grid_fn, message",
+    [
+        (["--family", "spherical", "--s-max", "2", "--s-grid", "3", "--theta-grid", "4"],
+         "catenoid_embed_grid",
+         "embedded point at (s, theta) = (0.0, 1.5707963267948966) leaves the hyperboloid"),
+        (["--family", "helicoid", "--s-max", "2", "--s-grid", "3", "--t-max", "1",
+          "--t-grid", "3"],
+         "helicoid_embed_grid",
+         "embedded point at (s, t) = (0.0, 1.0) leaves the hyperboloid"),
+    ],
+    ids=["spherical", "helicoid"],
+)
+def test_off_sheet_point_is_a_numerical_failure(tmp_path, monkeypatch, capsys,
+                                                argv, grid_fn, message):
+    original = getattr(cli, grid_fn)
+
+    def perturbed(*args, **kwargs):
+        points = original(*args, **kwargs).copy()
+        points[[5, 7], 0] += 1e-3  # the first bad row, s outer, is row 5
+        return points
+
+    monkeypatch.setattr(cli, grid_fn, perturbed)
+    code, out = invoke(tmp_path, "bad.csv", ["embed-export", *argv])
+    assert code == EXIT_NUMERICAL
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_overflow_is_a_numerical_failure(tmp_path, capsys):
+    code, _ = invoke(tmp_path, "o1.csv", ["embed-export", "--family", "helicoid",
+                                          "--s-max", "800", "--s-grid", "3",
+                                          "--t-grid", "3"])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+    code, _ = invoke(tmp_path, "o2.csv", ["helicoid", "--alpha", "1", "--t-max", "800"])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--s-max", "--t-max"])
+@pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
+def test_helicoid_export_spans_must_be_positive(tmp_path, flag, value):
+    code, _ = invoke(tmp_path, "span.csv", ["embed-export", "--family", "helicoid",
+                                            flag, value])
+    assert code == EXIT_USAGE
 
 
 def test_criteria_json_full(tmp_path):

@@ -10,6 +10,7 @@ from hypstab.helicoid import (
     STABLE_PITCH_SQ,
     Helicoid,
     embed,
+    embed_grid,
     first_fundamental,
     first_fundamental_fd,
     is_stable_by_pitch,
@@ -151,3 +152,21 @@ def test_curvature_bounded_by_sup(alpha, s, t):
     val = norm_A_sq(h, t)
     assert 0.0 <= val <= sup_norm_A_sq(h) + 1e-12
     assert on_hyperboloid(embed(h, s, t), 1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.floats(0.0, 2.0),
+    st.floats(0.01, 6.0),
+    st.floats(0.01, 6.0),
+    st.integers(2, 7),
+    st.integers(2, 7),
+)
+def test_embed_grid_rows_equal_embed_bit_for_bit(alpha, s_max, t_max, s_grid, t_grid):
+    h = Helicoid(alpha)
+    s_values = np.linspace(-s_max, s_max, s_grid)
+    t_values = np.linspace(-t_max, t_max, t_grid)
+    expected = np.array(
+        [embed(h, float(s), float(t)).coords for s in s_values for t in t_values]
+    )
+    assert embed_grid(h, s_values, t_values).tobytes() == expected.tobytes()

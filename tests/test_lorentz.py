@@ -1,11 +1,19 @@
 """Minkowski product and hyperboloid membership."""
 
 import math
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from hypstab.lorentz import LorentzVector, minkowski_inner, on_hyperboloid
+from hypstab.lorentz import (
+    ROUNDING_SLACK,
+    LorentzVector,
+    minkowski_inner,
+    on_hyperboloid,
+    on_hyperboloid_rows,
+)
 
 
 def test_inner_signature():
@@ -54,6 +62,35 @@ def test_on_hyperboloid_tolerance_semantics():
         on_hyperboloid(x, 0.0)
     with pytest.raises(ValueError):
         on_hyperboloid(x, -1e-9)
+
+
+def test_sheet_bound_scales_with_the_coordinates():
+    u = 12.0
+    far = (math.cosh(u), math.sinh(u), 0.0)
+    scale = ROUNDING_SLACK * sys.float_info.epsilon * (far[0] ** 2 + far[1] ** 2)
+    assert scale > 1e-8
+    assert on_hyperboloid(far, 1e-8)
+    # a relative error of 1e-6 in x1 moves <x,x> by ~2e-6 * x1^2, far past the bound
+    assert not on_hyperboloid((far[0] * (1.0 + 1e-6), far[1], 0.0), 1e-8)
+
+
+def test_rows_check_agrees_with_single_points():
+    points = np.array([
+        [1.0, 0.0, 0.0],
+        [-1.0, 0.0, 0.0],          # lower sheet
+        [math.cosh(2.0), math.sinh(2.0), 0.0],
+        [2.0, 1.0, 1.0],           # <x,x> = -2
+        [math.nan, 0.0, 0.0],
+        [math.inf, math.inf, 0.0],
+    ])
+    mask = on_hyperboloid_rows(points, 1e-9)
+    assert mask.tolist() == [True, False, True, False, False, False]
+    assert mask.tolist() == [on_hyperboloid(row, 1e-9) for row in points]
+    assert on_hyperboloid_rows(np.empty((0, 4)), 1e-9).shape == (0,)
+    with pytest.raises(ValueError):
+        on_hyperboloid_rows(points, 0.0)
+    with pytest.raises(ValueError):
+        on_hyperboloid_rows(np.ones(3), 1e-9)
 
 
 @given(st.floats(-5.0, 5.0), st.floats(0.0, 2 * math.pi))

@@ -6,6 +6,7 @@ oracles in oracles.py, evaluated once and pasted here verbatim.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,6 +16,7 @@ from hypstab.spherical_catenoid import (
     F,
     SphericalCatenoid,
     embed,
+    embed_grid,
     find_c0,
     grad_norm_A,
     metric_residual,
@@ -217,3 +219,20 @@ def test_curvature_bounded_by_neck_value(a):
 @given(st.floats(0.55, 2.5), st.floats(-3.0, 3.0), st.floats(0.0, 2 * math.pi))
 def test_embedding_always_on_sheet(a, s, theta):
     assert on_hyperboloid(embed(SphericalCatenoid(a), s, theta), 1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.floats(0.5 + 1e-6, 3.0),  # phi exhausts its budget within ~1e-9 of 1/2
+    st.floats(0.01, 6.0),
+    st.integers(2, 7),
+    st.integers(1, 7),
+)
+def test_embed_grid_rows_equal_embed_bit_for_bit(a, s_max, s_grid, theta_grid):
+    cat = SphericalCatenoid(a)
+    s_values = np.linspace(-s_max, s_max, s_grid)
+    theta_values = np.linspace(0.0, 2.0 * math.pi, theta_grid, endpoint=False)
+    expected = np.array(
+        [embed(cat, float(s), float(t)).coords for s in s_values for t in theta_values]
+    )
+    assert embed_grid(cat, s_values, theta_values).tobytes() == expected.tobytes()
