@@ -16,9 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
@@ -72,7 +70,6 @@ __all__ = [
     "ExportError",
     "RunConfig",
     "run",
-    "embed_export",
     "read_table",
     "main",
 ]
@@ -98,33 +95,12 @@ class RunConfig:
     fmt: str = "json"
 
 
-def _fmt(x: float) -> str:
-    """15 significant digits, plain decimal point; enough to round-trip any
-    double that the toolkit emits."""
-    return f"{float(x):.15g}"
-
-
 def _param_str(value: Any) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
-        return _fmt(value)
+        return "%.15g" % value
     return str(value)
-
-
-def _worker_count(n_jobs: int) -> int:
-    """Thread count for sweeps, capped by the HYPSTAB_THREADS variable."""
-    raw = os.environ.get("HYPSTAB_THREADS")
-    if raw is None:
-        cap = os.cpu_count() or 1
-    else:
-        try:
-            cap = int(raw)
-        except ValueError:
-            raise ValueError(f"HYPSTAB_THREADS must be an integer, got {raw!r}")
-        if cap < 1:
-            raise ValueError(f"HYPSTAB_THREADS must be >= 1, got {cap}")
-    return max(1, min(n_jobs, cap))
 
 
 def _float_grid(lo: float, hi: float, step: float) -> list[float]:
@@ -157,18 +133,10 @@ def _cmd_sweep_f(params: Mapping[str, Any]) -> dict[str, Any]:
     tol = float(params["tol"])
     if a_min <= 0.5:
         raise ValueError(f"a_min must exceed 1/2, got {a_min}")
-    grid = _float_grid(a_min, a_max, step)
-
-    def one(a: float) -> list[float]:
+    rows = []
+    for a in _float_grid(a_min, a_max, step):
         res = F(SphericalCatenoid(a), tol)
-        return [a, res.value, res.error_estimate]
-
-    workers = _worker_count(len(grid))
-    if workers == 1:
-        rows = [one(a) for a in grid]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, grid))  # map preserves parameter order
+        rows.append([a, res.value, res.error_estimate])
     return {"columns": ["a", "F", "err"], "rows": rows}
 
 
@@ -411,7 +379,6 @@ def _render_csv(config: RunConfig, payload: dict[str, Any]) -> str:
     lines.append("# columns=" + ",".join(columns))
     values = np.asarray(payload["rows"], dtype=float).ravel().tolist()
     if values:
-        # '%.15g' % v is _fmt(v); one format call renders the whole table
         row = ",".join(["%.15g"] * len(columns))
         lines.append("\n".join([row] * (len(values) // len(columns))) % tuple(values))
     return "\n".join(lines) + "\n"
@@ -455,13 +422,6 @@ def run(config: RunConfig) -> int:
     except (QuadratureError, ProfileError, ExportError, OverflowError) as exc:
         print(f"hypstab {config.command}: numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-
-
-def embed_export(config: RunConfig) -> int:
-    """Entry point for surface exports; config.command must be embed-export."""
-    if config.command != "embed-export":
-        raise ValueError(f"embed_export got command {config.command!r}")
-    return run(config)
 
 
 def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[float]]]:

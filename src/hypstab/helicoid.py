@@ -20,6 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import lorentz
 from .lorentz import LorentzVector, minkowski_inner
 
 __all__ = [
@@ -187,22 +188,7 @@ def first_fundamental_fd(
 ) -> tuple[float, float, float]:
     """(E, F, G) from central differences of the embedding; agreement with
     the closed form certifies the embedding against the metric."""
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    inv = 0.5 / step
-    d_s = tuple(
-        (p - m) * inv
-        for p, m in zip(embed(h, s + step, t).coords, embed(h, s - step, t).coords)
-    )
-    d_t = tuple(
-        (p - m) * inv
-        for p, m in zip(embed(h, s, t + step).coords, embed(h, s, t - step).coords)
-    )
-    return (
-        minkowski_inner(d_s, d_s),
-        minkowski_inner(d_s, d_t),
-        minkowski_inner(d_t, d_t),
-    )
+    return lorentz.first_fundamental_fd(lambda u, v: embed(h, u, v), s, t, step)
 
 
 def second_fundamental_fd(

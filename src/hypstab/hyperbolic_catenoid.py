@@ -334,18 +334,6 @@ def is_stable_by_window(cat: HyperbolicCatenoid) -> bool:
     return cat.t < stability_window_max_t(cat.n)
 
 
-def _reintegrate_to(
-    cat: HyperbolicCatenoid, s_target: float, step_tol: float
-) -> tuple[float, float, float]:
-    if s_target == 0.0:
-        return cat.t, 0.0, 0.0
-    s0 = min(_LAUNCH, 0.5 * s_target)
-    y = _launch_state(cat, s0)
-    if s_target > s0:
-        y = _advance(cat, y, s0, s_target, step_tol)
-    return y
-
-
 def generating_curve(
     cat: HyperbolicCatenoid, sample: ProfileSample, tol: float = 1e-9
 ) -> LorentzVector:
@@ -354,26 +342,23 @@ def generating_curve(
 
     The curve is (x, sqrt(x^2 - 1) sin phi, sqrt(x^2 - 1) cos phi) with phi
     the accumulated rotation angle; the Minkowski square is -1 identically.
-    The angle is recovered by re-integrating the profile, and the sample's
-    height is cross-checked against the re-integration so samples from a
-    different catenoid are rejected.
+    The point at |s| comes from `generating_curve_points`, mirrored for
+    negative s, and the sample's height is cross-checked against it so
+    samples from a different catenoid are rejected.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError(f"tol must be positive, got {tol}")
     s = sample.s
     if not (math.isfinite(s) and abs(s) <= S_MAX_CAP):
         raise ValueError(f"sample arclength must lie in [-{S_MAX_CAP}, {S_MAX_CAP}]")
-    step_tol = min(tol, DEFAULT_STEP_TOL)
-    x, _, p = _reintegrate_to(cat, abs(s), step_tol)
+    [(_, point)] = generating_curve_points(cat, [abs(s)], min(tol, DEFAULT_STEP_TOL))
+    x, y, z = point.coords
     if abs(x - sample.x) > 1e-6 * max(1.0, abs(sample.x)):
         raise ValueError(
             f"sample height {sample.x} does not match this catenoid's profile "
             f"height {x} at s = {s}"
         )
-    p = math.copysign(p, s) if s != 0.0 else 0.0
-    r = math.sqrt(x * x - 1.0)
-    point = LorentzVector((x, r * math.sin(p), r * math.cos(p)))
-    return point
+    return LorentzVector((x, -y, z)) if s < 0.0 else point
 
 
 def generating_curve_points(

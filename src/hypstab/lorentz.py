@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Callable, Iterator, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "LorentzVector",
     "ROUNDING_SLACK",
+    "first_fundamental_fd",
     "minkowski_inner",
     "on_hyperboloid",
     "on_hyperboloid_rows",
@@ -78,6 +79,27 @@ def minkowski_inner(x: CoordsLike, y: CoordsLike) -> float:
     for xi, yi in zip(xc[1:], yc[1:]):
         acc += xi * yi
     return acc
+
+
+def first_fundamental_fd(
+    embed: Callable[[float, float], CoordsLike], u: float, v: float, step: float
+) -> tuple[float, float, float]:
+    """(E, F, G) of the metric induced by the Minkowski product on the
+    surface embed(u, v), from central differences with the given step.
+
+    Comparing the result with a family's closed form certifies its embedding
+    against its metric; the O(step^2) truncation sets the agreement floor.
+    """
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    inv = 0.5 / step
+
+    def central(plus: CoordsLike, minus: CoordsLike) -> tuple[float, ...]:
+        return tuple((p - m) * inv for p, m in zip(_coords(plus), _coords(minus)))
+
+    d_u = central(embed(u + step, v), embed(u - step, v))
+    d_v = central(embed(u, v + step), embed(u, v - step))
+    return minkowski_inner(d_u, d_u), minkowski_inner(d_u, d_v), minkowski_inner(d_v, d_v)
 
 
 def on_hyperboloid_rows(points: np.ndarray, tol: float) -> np.ndarray:

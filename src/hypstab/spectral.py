@@ -328,14 +328,6 @@ class IndexReport:
     converged: bool
     notes: tuple[str, ...] = field(default=())
 
-    @property
-    def R(self) -> float:
-        return self.radius
-
-    @property
-    def N(self) -> int:
-        return self.nodes
-
 
 def _mode_counts(
     cat: SphericalCatenoid,

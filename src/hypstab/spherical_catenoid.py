@@ -7,8 +7,8 @@ and the rotation angle of the generating curve is a convergent quadrature.
 
 Two global quantities drive the stability analysis: the total squared
 curvature mass (finite for every member) and a curvature-versus-gradient
-functional F whose sign change along the family marks the onset of
-instability.  find_c0 locates that sign change.
+functional F whose negative values certify instability.  find_c0 locates
+its sign change; members just past it can still be unstable.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lorentz import LorentzVector, minkowski_inner
+from .lorentz import LorentzVector, first_fundamental_fd
 from .quadrature import (
     DEFAULT_TOL,
     QuadratureError,
@@ -218,21 +218,10 @@ def metric_residual(
     error of the differences.  Small values certify that the embedding, the
     profile radius, and the rotation angle are mutually consistent.
     """
-    if not h > 0.0:
-        raise ValueError(f"step h must be positive, got {h}")
-    f_sp = embed(cat, s + h, theta, _PHI_FD_TOL)
-    f_sm = embed(cat, s - h, theta, _PHI_FD_TOL)
-    f_tp = embed(cat, s, theta + h, _PHI_FD_TOL)
-    f_tm = embed(cat, s, theta - h, _PHI_FD_TOL)
-    inv = 0.5 / h
-    d_s = tuple((p - m) * inv for p, m in zip(f_sp.coords, f_sm.coords))
-    d_t = tuple((p - m) * inv for p, m in zip(f_tp.coords, f_tm.coords))
-    rho_sq = _warp_sq(cat, s)
-    return max(
-        abs(minkowski_inner(d_s, d_s) - 1.0),
-        abs(minkowski_inner(d_s, d_t)),
-        abs(minkowski_inner(d_t, d_t) - rho_sq),
+    e_fd, f_fd, g_fd = first_fundamental_fd(
+        lambda u, v: embed(cat, u, v, _PHI_FD_TOL), s, theta, h
     )
+    return max(abs(e_fd - 1.0), abs(f_fd), abs(g_fd - _warp_sq(cat, s)))
 
 
 def _mass_integrand(a: float, s: float) -> float:

@@ -12,7 +12,6 @@ from hypstab.cli import (
     EXIT_OK,
     EXIT_USAGE,
     RunConfig,
-    embed_export,
     main,
     read_table,
     run,
@@ -266,23 +265,6 @@ def test_runs_are_deterministic(tmp_path):
         assert text_one == second.read_text(), argv[0]
 
 
-def test_thread_cap_does_not_change_output(tmp_path, monkeypatch):
-    argv = ["sweep-f", "--a-min", "0.6", "--a-max", "1.0", "--step", "0.1"]
-    monkeypatch.setenv("HYPSTAB_THREADS", "1")
-    _, serial = invoke(tmp_path, "serial.csv", argv)
-    serial_text = serial.read_text()
-    monkeypatch.setenv("HYPSTAB_THREADS", "4")
-    _, parallel = invoke(tmp_path, "parallel.csv", argv)
-    assert serial_text == parallel.read_text()
-
-
-def test_bad_thread_cap_is_usage_error(tmp_path, monkeypatch):
-    monkeypatch.setenv("HYPSTAB_THREADS", "abc")
-    code, _ = invoke(tmp_path, "x.csv", ["sweep-f", "--a-min", "0.6",
-                                         "--a-max", "0.7", "--step", "0.1"])
-    assert code == EXIT_USAGE
-
-
 def test_usage_errors(tmp_path):
     # neck parameter below the spherical family range
     code, _ = invoke(tmp_path, "u1.csv", ["sweep-f", "--a-min", "0.4"])
@@ -318,23 +300,6 @@ def test_run_with_unknown_command():
     assert run(RunConfig(command="bogus")) == EXIT_USAGE
     assert run(RunConfig(command="find-c0", parameters={"tol": 1e-4,
                "quad_tol": 1e-9}, fmt="csv")) == EXIT_USAGE
-
-
-def test_embed_export_entry_point(tmp_path):
-    out = tmp_path / "entry.csv"
-    config = RunConfig(
-        command="embed-export",
-        parameters={"family": "helicoid", "alpha": 0.9, "s_max": 2.0,
-                    "t_max": 1.5, "s_grid": 4, "t_grid": 4},
-        output=str(out),
-        fmt="csv",
-    )
-    assert embed_export(config) == EXIT_OK
-    _, columns, rows = read_table(out)
-    assert columns == ["s", "t", "x1", "x2", "x3", "x4"]
-    assert len(rows) == 16
-    with pytest.raises(ValueError):
-        embed_export(RunConfig(command="sweep-f"))
 
 
 def test_stdout_output(capsys):

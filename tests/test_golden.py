@@ -1,9 +1,11 @@
 """Golden CLI outputs: SHA-256 digests of whole documents.
 
-The digests were recorded from the per-point export loops that preceded
-the array exports, so any change in a rendered digit, a row's order or a
-header line shows here.  The exports of all three families, a JSON export
-and the other commands that share the CSV renderer are covered.
+Each digest was recorded before the code change it guards (the export
+digests from the per-point loops that preceded the array exports), so any
+change in a rendered digit, a row's order or a header line shows here.
+The exports of all three families, a JSON export, the other commands that
+share the CSV renderer, and the JSON-only commands (find-c0, index,
+criteria with every certificate) are covered.
 """
 
 import hashlib
@@ -56,6 +58,20 @@ GOLDEN = {
     "sweep-f": (
         ["sweep-f", "--a-min", "0.6", "--a-max", "0.9", "--step", "0.1"],
         "542800af287551d5611e3365eff02be955707eb459a9aca8a299563215c84739",
+    ),
+    "find-c0": (
+        ["find-c0"],
+        "a127570267430eb133f24c6c773a4d3b2be6fc3373c34e7e834b24964ca63535",
+    ),
+    "index": (
+        ["index", "--a", "0.6", "--radius", "8", "--nodes", "600", "--m-max", "1"],
+        "62ac362f3804b70a1311fbd8d00aacab20dae43d5a59cc200ea82aa6f570b563",
+    ),
+    "criteria-all": (
+        ["criteria", "--n", "3", "--sup-a-sq", "2.5", "--pinch-a", "0.5",
+         "--pinch-b", "1.5", "--sobolev-constant", "0.3", "--a-n-mass", "0.8",
+         "--mass-a-sq", "1.2", "--mass-grad-a-sq", "2.0"],
+        "01629b462525f01e556c0b83b39c135400f6827b6c413ef5154f616c9877a3b1",
     ),
 }
 

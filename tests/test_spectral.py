@@ -216,6 +216,6 @@ def test_morse_index_validation():
 
 def test_report_aliases():
     rep = morse_index(SphericalCatenoid(1.0), R=6.0, N=600, m_max=0)
-    assert rep.R == rep.radius == 6.0
-    assert rep.N == rep.nodes == 600
+    assert rep.radius == 6.0
+    assert rep.nodes == 600
     assert rep.a == 1.0
