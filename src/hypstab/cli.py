@@ -366,8 +366,6 @@ _JSON_ONLY = frozenset({"find-c0", "index", "criteria"})
 
 
 def _render_csv(config: RunConfig, payload: dict[str, Any]) -> str:
-    if "columns" not in payload:
-        raise ValueError(f"command {config.command} does not produce CSV tables")
     lines = [f"# hypstab {__version__}", f"# command={config.command}"]
     for key in sorted(config.parameters):
         lines.append(f"# {key}={_param_str(config.parameters[key])}")

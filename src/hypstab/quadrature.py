@@ -29,6 +29,7 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 PANEL_BUDGET = 1_000_000  # integrand evaluations per integral before giving up
+_ROOT_MAX_ITER = 200  # bracket refinements before the root finder gives up
 
 # Kronrod-15 abscissae on [0, 1] side of [-1, 1] (nodes are symmetric) and the
 # matching Kronrod weights; every other abscissa is a Gauss-7 node.
@@ -266,7 +267,6 @@ def _root_with_bracket(
     lo: float,
     hi: float,
     tol: float,
-    max_iter: int = 200,
 ) -> tuple[float, float, float]:
     """Shared refinement loop; returns (root, bracket_lo, bracket_hi)."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
@@ -286,7 +286,7 @@ def _root_with_bracket(
         )
 
     a, b = lo, hi
-    for it in range(max_iter):
+    for it in range(_ROOT_MAX_ITER):
         if b - a <= tol:
             break
         width = b - a
@@ -307,7 +307,7 @@ def _root_with_bracket(
     if b - a > tol:
         raise QuadratureError(
             f"bracket width {b - a:.3e} stalled above tol {tol:.3e} after "
-            f"{max_iter} iterations; tol is below floating resolution here"
+            f"{_ROOT_MAX_ITER} iterations; tol is below floating resolution here"
         )
     root = a if abs(fa) <= abs(fb) else b
     return root, a, b

@@ -39,10 +39,8 @@ __all__ = [
 
 _SCREEN_SPAN = 20.0  # beyond this the potential is within 2^-100 of its limit 2
 _SCREEN_POINTS = 4001
-
-
-class _ZeroPivotError(RuntimeError):
-    pass
+_REFINE_GROWTH = 5.0  # the refinement run counts on [-(R + 5), R + 5]
+_MAX_RADIUS = 300.0  # the profile weight overflows past this radius
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,8 +159,8 @@ def assemble_mode_operator(
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"mode must be a nonnegative integer, got {m!r}")
-    if not (math.isfinite(R) and 0.0 < R <= 300.0):
-        raise ValueError(f"radius must lie in (0, 300], got {R}")
+    if not (math.isfinite(R) and 0.0 < R <= _MAX_RADIUS):
+        raise ValueError(f"radius must lie in (0, {_MAX_RADIUS:g}], got {R}")
     if not isinstance(N, int) or isinstance(N, bool) or N < 100:
         raise ValueError(f"cell count must be an integer >= 100, got {N!r}")
     rho, q = _catenoid_profiles(cat, m)
@@ -206,45 +204,36 @@ def default_count_margin(disc: SturmLiouvilleDisc) -> float:
     return h * h * q_scale * q_scale / 6.0
 
 
-def _ldl_negative_count(
-    t_diag: np.ndarray, t_off: np.ndarray, replace_zero: bool = False
-) -> int:
-    """Negative pivots of the LDL factorization of the tridiagonal matrix,
-    which by Sylvester inertia equals the number of negative eigenvalues."""
-    count = 0
-    pivot = float(t_diag[0])
-    if pivot == 0.0:
-        if not replace_zero:
-            raise _ZeroPivotError
-        pivot = 1e-300
-    if pivot < 0.0:
-        count += 1
-    for i in range(1, t_diag.size):
-        off = float(t_off[i - 1])
-        pivot = float(t_diag[i]) - off * off / pivot
-        if pivot == 0.0:
-            if not replace_zero:
-                raise _ZeroPivotError
-            pivot = 1e-300
-        if pivot < 0.0:
-            count += 1
-    return count
+def _inertia(disc: SturmLiouvilleDisc, margin: float) -> tuple[int, bool]:
+    """Count eigenvalues below -margin; returns (count, perturbed).
 
-
-def _count_with_retry(
-    disc: SturmLiouvilleDisc, margin: float
-) -> tuple[int, bool]:
-    """Count eigenvalues below -margin; returns (count, perturbed)."""
+    By Sylvester inertia the count is the number of negative pivots in the
+    LDL factorization of the tridiagonal K + margin M.  An exactly zero pivot
+    abandons that count for a second one with the shift margin + 1e-12, in
+    which a zero pivot is taken as +1e-300; perturbed records that the
+    second count ran.
+    """
     k_diag, k_off, m_diag = _tridiagonal_system(disc)
-    for extra in (0.0, 1e-12):
-        shifted = k_diag + (margin + extra) * m_diag
-        try:
-            return _ldl_negative_count(shifted, k_off), extra != 0.0
-        except _ZeroPivotError:
-            continue
-    # Zero pivots twice in a row; treat the pivot as +tiny and carry on.
-    shifted = k_diag + (margin + 1e-12) * m_diag
-    return _ldl_negative_count(shifted, k_off, replace_zero=True), True
+    # A zero off-diagonal against an infinite pivot ahead of the first row
+    # makes the first pivot the first diagonal entry, bit for bit.  The
+    # memoryviews yield Python floats without copying the arrays into lists.
+    off = memoryview(np.concatenate(([0.0], k_off)))
+    perturbed = False
+    while True:
+        shift = margin + 1e-12 if perturbed else margin
+        count = 0
+        pivot = math.inf
+        for d, o in zip(memoryview(k_diag + shift * m_diag), off):
+            pivot = d - o * o / pivot
+            if pivot == 0.0:
+                if not perturbed:
+                    break
+                pivot = 1e-300
+            if pivot < 0.0:
+                count += 1
+        else:
+            return count, perturbed
+        perturbed = True
 
 
 def count_negative_eigenvalues(
@@ -253,15 +242,17 @@ def count_negative_eigenvalues(
     """Number of eigenvalues of the discretized form below -margin.
 
     margin defaults to default_count_margin(disc); pass margin = 0.0 for the
-    raw discrete count.  An exactly zero LDL pivot triggers one retry with
-    the shift perturbed by 1e-12.
+    raw discrete count.  The count is the number of negative LDL pivots of
+    K + margin M.  If a pivot is exactly zero, the count is redone once with
+    the shift margin + 1e-12, and any zero pivot in that second count is
+    taken as +1e-300.
     """
     if margin is None:
         margin = default_count_margin(disc)
     margin = float(margin)
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and >= 0, got {margin}")
-    count, _ = _count_with_retry(disc, margin)
+    count, _ = _inertia(disc, margin)
     return count
 
 
@@ -329,29 +320,6 @@ class IndexReport:
     notes: tuple[str, ...] = field(default=())
 
 
-def _mode_counts(
-    cat: SphericalCatenoid,
-    R: float,
-    N: int,
-    m_max: int,
-    k_eigs: int,
-    with_eigs: bool,
-) -> tuple[list[ModeSpectrum], list[str]]:
-    modes: list[ModeSpectrum] = []
-    notes: list[str] = []
-    for m in range(m_max + 1):
-        if mode_is_positive_by_bound(cat, m):
-            modes.append(ModeSpectrum(m, 0, ()))
-            continue
-        disc = assemble_mode_operator(cat, m, R, N)
-        count, perturbed = _count_with_retry(disc, default_count_margin(disc))
-        if perturbed:
-            notes.append(f"mode {m}: zero pivot, shift perturbed by 1e-12")
-        eigs = lowest_eigenvalues(disc, k_eigs) if with_eigs else ()
-        modes.append(ModeSpectrum(m, count, eigs))
-    return modes, notes
-
-
 def morse_index(
     cat: SphericalCatenoid,
     R: float = 10.0,
@@ -361,36 +329,51 @@ def morse_index(
 ) -> IndexReport:
     """Morse index of the catenoid from modes 0..m_max.
 
-    Modes certified positive by the potential bound are skipped; the rest
-    are discretized on [-R, R] with N cells and counted with the default
-    margin.  Every count is then recomputed with N doubled and R enlarged
-    by 5; converged means the two passes agree mode by mode.  The index
-    weights m >= 1 twice for the two angular phases.
+    Each mode is screened once by the potential bound; modes certified
+    positive are skipped.  The rest are discretized on [-R, R] with N cells
+    and counted with the default margin, and the count is repeated with N
+    doubled and R enlarged by 5; converged means the two counts agree for
+    every mode.  The refinement run needs R + 5 <= 300, so R must lie in
+    (0, 295].  The index weights m >= 1 twice for the two angular phases.
     """
     if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 0:
         raise ValueError(f"m_max must be a nonnegative integer, got {m_max!r}")
-    base, notes = _mode_counts(cat, R, N, m_max, k_eigs, with_eigs=True)
-    refined, refine_notes = _mode_counts(
-        cat, R + 5.0, 2 * N, m_max, k_eigs, with_eigs=False
-    )
-    notes.extend(refine_notes)
-    converged = True
-    for b, r in zip(base, refined):
-        if b.negative_count != r.negative_count:
-            converged = False
-            notes.append(
-                f"mode {b.mode}: count {b.negative_count} -> {r.negative_count} "
-                f"under refinement"
+    max_radius = _MAX_RADIUS - _REFINE_GROWTH
+    if not (math.isfinite(R) and 0.0 < R <= max_radius):
+        raise ValueError(
+            f"radius must lie in (0, {max_radius:g}] because the refinement "
+            f"run uses R + {_REFINE_GROWTH:g} <= {_MAX_RADIUS:g}, got {R}"
+        )
+    modes: list[ModeSpectrum] = []
+    coarse_notes: list[str] = []
+    fine_notes: list[str] = []
+    disagreements: list[str] = []
+    for m in range(m_max + 1):
+        if mode_is_positive_by_bound(cat, m):
+            modes.append(ModeSpectrum(m, 0, ()))
+            continue
+        disc = assemble_mode_operator(cat, m, R, N)
+        count, perturbed = _inertia(disc, default_count_margin(disc))
+        if perturbed:
+            coarse_notes.append(f"mode {m}: zero pivot, shift perturbed by 1e-12")
+        modes.append(ModeSpectrum(m, count, lowest_eigenvalues(disc, k_eigs)))
+        fine = assemble_mode_operator(cat, m, R + _REFINE_GROWTH, 2 * N)
+        fine_count, perturbed = _inertia(fine, default_count_margin(fine))
+        if perturbed:
+            fine_notes.append(f"mode {m}: zero pivot, shift perturbed by 1e-12")
+        if fine_count != count:
+            disagreements.append(
+                f"mode {m}: count {count} -> {fine_count} under refinement"
             )
     total = sum(
-        (1 if spec.mode == 0 else 2) * spec.negative_count for spec in base
+        (1 if spec.mode == 0 else 2) * spec.negative_count for spec in modes
     )
     return IndexReport(
         a=cat.a,
         radius=float(R),
         nodes=int(N),
-        modes=tuple(base),
+        modes=tuple(modes),
         total_index=total,
-        converged=converged,
-        notes=tuple(notes),
+        converged=not disagreements,
+        notes=tuple(coarse_notes + fine_notes + disagreements),
     )

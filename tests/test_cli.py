@@ -278,6 +278,14 @@ def test_usage_errors(tmp_path):
     assert code == EXIT_USAGE
 
 
+def test_index_radius_error_names_the_given_radius(tmp_path, capsys):
+    code, _ = invoke(tmp_path, "r.json", ["index", "--a", "0.6", "--radius", "299"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "got 299.0" in err
+    assert "R + 5 <= 300" in err
+
+
 def test_argparse_rejections():
     with pytest.raises(SystemExit) as exc:
         main(["index"])  # --a is required

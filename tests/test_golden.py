@@ -5,7 +5,9 @@ digests from the per-point loops that preceded the array exports), so any
 change in a rendered digit, a row's order or a header line shows here.
 The exports of all three families, a JSON export, the other commands that
 share the CSV renderer, and the JSON-only commands (find-c0, index,
-criteria with every certificate) are covered.
+criteria with every certificate) are covered.  The index digests include a
+run whose refinement count disagrees (converged false) and one where some
+modes are certified positive by the potential bound and others are counted.
 """
 
 import hashlib
@@ -66,6 +68,15 @@ GOLDEN = {
     "index": (
         ["index", "--a", "0.6", "--radius", "8", "--nodes", "600", "--m-max", "1"],
         "62ac362f3804b70a1311fbd8d00aacab20dae43d5a59cc200ea82aa6f570b563",
+    ),
+    "index-unconverged": (
+        ["index", "--a", "0.76", "--radius", "3", "--nodes", "100", "--m-max", "2"],
+        "9c7cab46447919781d8b4a2c7cad071e6a85e4fee523c395e2714bb56bb0d7a4",
+    ),
+    "index-screened": (
+        ["index", "--a", "0.51", "--radius", "6", "--nodes", "400", "--m-max", "6",
+         "--k-eigs", "4"],
+        "1ee5e0cebd154a8fcc96c8d9859f604aa76277b206f854c5fcc6ce7807b58660",
     ),
     "criteria-all": (
         ["criteria", "--n", "3", "--sup-a-sq", "2.5", "--pinch-a", "0.5",

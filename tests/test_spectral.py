@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import hypstab.spectral as spectral
 from hypstab.spectral import (
     IndexReport,
     SturmLiouvilleDisc,
@@ -212,6 +213,29 @@ def test_morse_index_validation():
         morse_index(cat, m_max=-1)
     with pytest.raises(ValueError):
         morse_index(cat, k_eigs=0)
+
+
+def test_morse_index_screens_each_mode_once(monkeypatch):
+    calls = []
+
+    def counting_screen(cat, m):
+        calls.append(m)
+        return mode_is_positive_by_bound(cat, m)
+
+    monkeypatch.setattr(spectral, "mode_is_positive_by_bound", counting_screen)
+    morse_index(SphericalCatenoid(0.6), R=6.0, N=600, m_max=3)
+    assert calls == [0, 1, 2, 3]
+
+
+def test_morse_index_radius_leaves_room_for_refinement():
+    cat = SphericalCatenoid(0.6)
+    # the refinement run counts on [-(R + 5), R + 5], so R = 295 is the limit
+    rep = morse_index(cat, R=295.0, N=100, m_max=0)
+    assert rep.radius == 295.0
+    with pytest.raises(ValueError, match=r"got 299\.0") as exc:
+        morse_index(cat, R=299.0, N=100, m_max=0)
+    assert "R + 5 <= 300" in str(exc.value)
+    assert "304" not in str(exc.value)
 
 
 def test_report_aliases():
