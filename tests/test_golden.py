@@ -44,6 +44,21 @@ GOLDEN = {
          "--samples", "257", "--s-max", "4"],
         "c20e4a49902c35e1f357b42f752c055f6cc79d2d2e9a237c76cd8d76ca0d2f8a",
     ),
+    "curve-n6": (
+        ["embed-export", "--family", "hyperbolic-curve", "--n", "6", "--t", "3",
+         "--s-max", "7.5", "--samples", "1500"],
+        "01ad24de70ac15bc6ed71909b19db5f6bc172768470e058edab2e2397593914b",
+    ),
+    "curve-far": (
+        ["embed-export", "--family", "hyperbolic-curve", "--samples", "2001",
+         "--s-max", "20"],
+        "347d95914787f18bcdd70b8cb1ab7f246e3c9512d17085211a4f4b200ec8a2c5",
+    ),
+    "curve-near-neck-json": (
+        ["embed-export", "--family", "hyperbolic-curve", "--n", "4", "--t", "1.01",
+         "--s-max", "5", "--samples", "333", "--format", "json"],
+        "4641fc49f9af8ca32e842b95a6123b6b0937177f1a6f2c0b90c1905b9f8e8866",
+    ),
     "helicoid-json": (
         ["embed-export", "--family", "helicoid", "--alpha", "1.2", "--s-grid", "5",
          "--t-grid", "4", "--format", "json"],
