@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Iterator
 
 from .lorentz import LorentzVector
 
@@ -47,34 +47,23 @@ _LAUNCH = 1e-3  # offset of the Taylor launch from the degenerate start
 _MAX_STEPS = 200_000
 _MIN_STEP = 1e-13
 
-# Dormand-style embedded Runge-Kutta pair (Cash-Karp coefficients), orders
-# 5 and 4; the difference of the two weights rows estimates the local error.
-_CK_A = (
-    (),
-    (1.0 / 5.0,),
-    (3.0 / 40.0, 9.0 / 40.0),
-    (3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0),
-    (-11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0),
-    (
-        1631.0 / 55296.0,
-        175.0 / 512.0,
-        575.0 / 13824.0,
-        44275.0 / 110592.0,
-        253.0 / 4096.0,
-    ),
-)
-_CK_B5 = (37.0 / 378.0, 0.0, 250.0 / 621.0, 125.0 / 594.0, 0.0, 512.0 / 1771.0)
-_CK_B4 = (
-    2825.0 / 27648.0,
-    0.0,
-    18575.0 / 48384.0,
-    13525.0 / 55296.0,
-    277.0 / 14336.0,
-    1.0 / 4.0,
-)
+# Cash-Karp embedded Runge-Kutta pair, orders 5 and 4: _A are the stage
+# coefficients, _B the 5th-order and _BS the 4th-order weights, with the zero
+# weights of stages 2 and 5 left out.  The difference of the two solutions
+# estimates the local error.
+_A21 = 1.0 / 5.0
+_A31, _A32 = 3.0 / 40.0, 9.0 / 40.0
+_A41, _A42, _A43 = 3.0 / 10.0, -9.0 / 10.0, 6.0 / 5.0
+_A51, _A52, _A53, _A54 = -11.0 / 54.0, 5.0 / 2.0, -70.0 / 27.0, 35.0 / 27.0
+_A61, _A62, _A63 = 1631.0 / 55296.0, 175.0 / 512.0, 575.0 / 13824.0
+_A64, _A65 = 44275.0 / 110592.0, 253.0 / 4096.0
+_B1, _B3, _B4, _B6 = 37.0 / 378.0, 250.0 / 621.0, 125.0 / 594.0, 512.0 / 1771.0
+_BS1, _BS3, _BS4 = 2825.0 / 27648.0, 18575.0 / 48384.0, 13525.0 / 55296.0
+_BS5, _BS6 = 277.0 / 14336.0, 1.0 / 4.0
 _SAFETY = 0.9
 _GROW_EXP = -0.2
 _SHRINK_EXP = -0.25
+_State = tuple[float, float, float]  # (x, x', phi)
 
 
 class ProfileError(RuntimeError):
@@ -130,8 +119,9 @@ def _phi_rate(cat: HyperbolicCatenoid, x: float) -> float:
     return cat.a * x ** (1 - cat.n) / (x * x - 1.0)
 
 
-def _launch_state(cat: HyperbolicCatenoid, s0: float) -> tuple[float, float, float]:
-    """Quartic Taylor state (x, x', phi) at s = s0 about the degenerate start.
+def _launch(cat: HyperbolicCatenoid, s_end: float) -> tuple[float, _State]:
+    """Launch offset s0 = min(_LAUNCH, s_end / 2) and the quartic Taylor
+    state (x, x', phi) there, about the degenerate start.
 
     With c = x''(0) and G the acceleration as a function of x, the expansion
     is x = t + c s^2/2 + G'(t) c s^4/24, x' = c s + G'(t) c s^3/6, and the
@@ -139,6 +129,7 @@ def _launch_state(cat: HyperbolicCatenoid, s0: float) -> tuple[float, float, flo
     truncation error is O(s0^6), far below the step tolerance at s0 = 1e-3.
     """
     n, t, a = cat.n, cat.t, cat.a
+    s0 = min(_LAUNCH, 0.5 * s_end)
     a_sq = a * a
     c = _accel(cat, t)
     g_prime = 1.0 + (n - 1) * (1 - 2 * n) * a_sq * t ** (-2 * n)
@@ -147,37 +138,51 @@ def _launch_state(cat: HyperbolicCatenoid, s0: float) -> tuple[float, float, flo
     denom = t * t - 1.0
     h_prime = a * t ** (-n) * ((1 - n) * denom - 2.0 * t * t) / (denom * denom)
     p = _phi_rate(cat, t) * s0 + h_prime * c * s0**3 / 6.0
-    return x, v, p
+    return s0, (x, v, p)
 
 
-def _deriv(cat: HyperbolicCatenoid, y: tuple[float, float, float]) -> tuple[float, float, float]:
-    x, v, _ = y
+def _ck_step(cat: HyperbolicCatenoid, y: _State, h: float) -> tuple[_State, float]:
+    """One embedded Cash-Karp step of size h; returns (5th-order state,
+    scaled error).
+
+    The system is x' = v, v' = _accel(x), phi' = _phi_rate(x): each stage's
+    x-slope is its own v and phi feeds nothing back, so only x and v are
+    staged, and phi sums the six stage rates at the end.
+    """
+    x, v, p = y
     try:
-        return v, _accel(cat, x), _phi_rate(cat, x)
+        a1, r1 = _accel(cat, x), _phi_rate(cat, x)
+        x2 = x + h * (_A21 * v)
+        v2 = v + h * (_A21 * a1)
+        a2, r2 = _accel(cat, x2), _phi_rate(cat, x2)
+        x3 = x + h * (_A31 * v + _A32 * v2)
+        v3 = v + h * (_A31 * a1 + _A32 * a2)
+        a3, r3 = _accel(cat, x3), _phi_rate(cat, x3)
+        x4 = x + h * (_A41 * v + _A42 * v2 + _A43 * v3)
+        v4 = v + h * (_A41 * a1 + _A42 * a2 + _A43 * a3)
+        a4, r4 = _accel(cat, x4), _phi_rate(cat, x4)
+        x5 = x + h * (_A51 * v + _A52 * v2 + _A53 * v3 + _A54 * v4)
+        v5 = v + h * (_A51 * a1 + _A52 * a2 + _A53 * a3 + _A54 * a4)
+        a5, r5 = _accel(cat, x5), _phi_rate(cat, x5)
+        x6 = x + h * (_A61 * v + _A62 * v2 + _A63 * v3 + _A64 * v4 + _A65 * v5)
+        v6 = v + h * (_A61 * a1 + _A62 * a2 + _A63 * a3 + _A64 * a4 + _A65 * a5)
+        a6, r6 = _accel(cat, x6), _phi_rate(cat, x6)
     except OverflowError as exc:
-        raise ProfileError(f"profile state overflowed at x = {x!r}") from exc
-
-
-def _ck_step(
-    cat: HyperbolicCatenoid, y: tuple[float, float, float], h: float
-) -> tuple[tuple[float, float, float], float]:
-    """One embedded step of size h; returns (5th-order state, scaled error)."""
-    k = [_deriv(cat, y)]
-    for stage in range(1, 6):
-        coeffs = _CK_A[stage]
-        yi = tuple(
-            y[j] + h * sum(coeffs[m] * k[m][j] for m in range(stage))
-            for j in range(3)
-        )
-        k.append(_deriv(cat, yi))
-    y5 = tuple(
-        y[j] + h * sum(_CK_B5[m] * k[m][j] for m in range(6)) for j in range(3)
+        raise ProfileError(
+            f"profile state overflowed in the step from x = {x!r}"
+        ) from exc
+    x_hi = x + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B6 * v6)
+    v_hi = v + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B6 * a6)
+    p_hi = p + h * (_B1 * r1 + _B3 * r3 + _B4 * r4 + _B6 * r6)
+    x_lo = x + h * (_BS1 * v + _BS3 * v3 + _BS4 * v4 + _BS5 * v5 + _BS6 * v6)
+    v_lo = v + h * (_BS1 * a1 + _BS3 * a3 + _BS4 * a4 + _BS5 * a5 + _BS6 * a6)
+    p_lo = p + h * (_BS1 * r1 + _BS3 * r3 + _BS4 * r4 + _BS5 * r5 + _BS6 * r6)
+    err = max(
+        abs(x_hi - x_lo) / max(1.0, abs(x_hi)),
+        abs(v_hi - v_lo) / max(1.0, abs(v_hi)),
+        abs(p_hi - p_lo) / max(1.0, abs(p_hi)),
     )
-    y4 = tuple(
-        y[j] + h * sum(_CK_B4[m] * k[m][j] for m in range(6)) for j in range(3)
-    )
-    err = max(abs(y5[j] - y4[j]) / max(1.0, abs(y5[j])) for j in range(3))
-    return y5, err
+    return (x_hi, v_hi, p_hi), err
 
 
 def _check_state(cat: HyperbolicCatenoid, s: float, x: float, v: float) -> None:
@@ -206,18 +211,18 @@ def _check_state(cat: HyperbolicCatenoid, s: float, x: float, v: float) -> None:
         raise ProfileError(f"lower slope bracket violated at s = {s}")
 
 
+def _require_step_tol(step_tol: float) -> None:
+    if not (math.isfinite(step_tol) and step_tol > 0.0):
+        raise ValueError(f"step_tol must be positive, got {step_tol}")
+
+
 def _advance(
-    cat: HyperbolicCatenoid,
-    y: tuple[float, float, float],
-    s_from: float,
-    s_to: float,
-    step_tol: float,
-    on_accept: Optional[Callable[[float, tuple[float, float, float]], None]] = None,
-) -> tuple[float, float, float]:
-    """Adaptive integration from s_from to s_to > s_from, clipping the final
-    step so the last accepted state lands exactly on s_to."""
-    s = s_from
-    h = min(0.1, s_to - s_from)
+    cat: HyperbolicCatenoid, y: _State, s: float, s_to: float, step_tol: float
+) -> Iterator[tuple[float, _State]]:
+    """Adaptive integration from s to s_to > s, yielding each accepted
+    (s, state) once it passes `_check_state`; the final step is clipped so
+    the last accepted state lands exactly on s_to."""
+    h = min(0.1, s_to - s)
     steps = 0
     while s < s_to:
         steps += 1
@@ -231,8 +236,7 @@ def _advance(
             s = s_to if s + h >= s_to else s + h
             y = y_trial
             _check_state(cat, s, y[0], y[1])
-            if on_accept is not None:
-                on_accept(s, y)
+            yield s, y
             if err > 0.0:
                 h *= min(5.0, _SAFETY * (err / step_tol) ** _GROW_EXP)
             else:
@@ -241,7 +245,6 @@ def _advance(
             h *= max(0.1, _SAFETY * (err / step_tol) ** _SHRINK_EXP)
             if h < _MIN_STEP:
                 raise ProfileError(f"step size underflow at s = {s}")
-    return y
 
 
 def integrate_profile(
@@ -259,20 +262,14 @@ def integrate_profile(
     s_max = float(s_max)
     if not (math.isfinite(s_max) and 0.0 < s_max <= S_MAX_CAP):
         raise ValueError(f"s_max must lie in (0, {S_MAX_CAP}], got {s_max}")
-    if not (math.isfinite(step_tol) and step_tol > 0.0):
-        raise ValueError(f"step_tol must be positive, got {step_tol}")
+    _require_step_tol(step_tol)
 
-    samples = [ProfileSample(0.0, cat.t, 0.0)]
-    s0 = min(_LAUNCH, 0.5 * s_max)
-    x0, v0, p0 = _launch_state(cat, s0)
-    samples.append(ProfileSample(s0, x0, v0))
-
-    def accept(s: float, y: tuple[float, float, float]) -> None:
-        if y[0] <= samples[-1].x:
+    s0, y = _launch(cat, s_max)
+    samples = [ProfileSample(0.0, cat.t, 0.0), ProfileSample(s0, y[0], y[1])]
+    for s, (x, v, _) in _advance(cat, y, s0, s_max, step_tol):
+        if x <= samples[-1].x:
             raise ProfileError(f"profile height failed to increase at s = {s}")
-        samples.append(ProfileSample(s, y[0], y[1]))
-
-    _advance(cat, (x0, v0, p0), s0, s_max, step_tol, on_accept=accept)
+        samples.append(ProfileSample(s, x, v))
     return samples
 
 
@@ -379,21 +376,17 @@ def generating_curve_points(
         raise ValueError("arclength targets must be sorted ascending")
     if targets and targets[-1] > S_MAX_CAP:
         raise ValueError(f"arclength targets must not exceed {S_MAX_CAP}")
+    _require_step_tol(step_tol)
 
     out: list[tuple[float, LorentzVector]] = []
     s_cur = 0.0
-    y: tuple[float, float, float] = (cat.t, 0.0, 0.0)
-    launched = False
+    y: _State = (cat.t, 0.0, 0.0)
     for s in targets:
         if s > s_cur:
-            if not launched:
-                s0 = min(_LAUNCH, 0.5 * s)
-                y = _launch_state(cat, s0)
-                s_cur = s0
-                launched = True
-            if s > s_cur:
-                y = _advance(cat, y, s_cur, s, step_tol)
-                s_cur = s
+            if s_cur == 0.0:
+                s_cur, y = _launch(cat, s)
+            for s_cur, y in _advance(cat, y, s_cur, s, step_tol):
+                pass  # only the state on the target is kept
         x, _, p = y
         r = math.sqrt(x * x - 1.0)
         out.append((s, LorentzVector((x, r * math.sin(p), r * math.cos(p)))))

@@ -6,6 +6,8 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypstab.hyperbolic_catenoid as hyperbolic_catenoid
+from hypstab.cli import EXIT_NUMERICAL, main
 from hypstab.hyperbolic_catenoid import (
     HyperbolicCatenoid,
     ProfileError,
@@ -237,6 +239,33 @@ def test_generating_curve_points_validation():
     with pytest.raises(ValueError):
         generating_curve_points(cat, [-1.0])
     assert generating_curve_points(cat, []) == []
+
+
+@pytest.mark.parametrize("step_tol", [-1.0, 0.0, math.inf, math.nan])
+def test_both_sweeps_reject_a_bad_step_tol(step_tol):
+    cat = HyperbolicCatenoid(2, 1.5)
+    with pytest.raises(ValueError, match="step_tol"):
+        generating_curve_points(cat, [1.0], step_tol=step_tol)
+    with pytest.raises(ValueError, match="step_tol"):
+        integrate_profile(cat, 1.0, step_tol=step_tol)
+
+
+def test_overflow_in_a_step_is_a_profile_error(monkeypatch, tmp_path, capsys):
+    phi_rate = hyperbolic_catenoid._phi_rate
+
+    def overflowing(cat, x):
+        if x > 2.0:  # the launch at the neck and the first steps still pass
+            raise OverflowError("math range error")
+        return phi_rate(cat, x)
+
+    monkeypatch.setattr(hyperbolic_catenoid, "_phi_rate", overflowing)
+    with pytest.raises(ProfileError, match="profile state overflowed"):
+        generating_curve_points(HyperbolicCatenoid(2, 1.5), [0.5, 1.0, 2.0])
+    out = tmp_path / "curve.csv"
+    code = main(["embed-export", "--family", "hyperbolic-curve", "--output", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "profile state overflowed" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @settings(max_examples=20, deadline=None)

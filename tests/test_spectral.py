@@ -19,7 +19,7 @@ from hypstab.spectral import (
     mode_is_positive_by_bound,
     morse_index,
 )
-from hypstab.spherical_catenoid import SphericalCatenoid, norm_A_sq
+from hypstab.spherical_catenoid import F, SphericalCatenoid, find_c0, norm_A_sq
 
 
 def flat_disc(q_val, R, N):
@@ -189,6 +189,18 @@ def test_morse_index_transition_brackets_critical_neck():
     assert len(changes) == 1
     crossing = 0.5 * (values[changes[0] - 1] + values[changes[0]])
     assert abs(crossing - 0.7341) < 0.05
+
+
+def test_positive_F_with_index_one_past_c0():
+    """The README's converse counterexample: just past c0, F is positive
+    while the converged index is still 1, so c0 is not the index threshold."""
+    for a in (0.74, 0.75):
+        cat = SphericalCatenoid(a)
+        assert F(cat).value > 0.0, a
+        rep = morse_index(cat)
+        assert rep.total_index == 1, a
+        assert rep.converged, a
+    assert find_c0() < 0.74
 
 
 def test_morse_index_converges_across_necks():
