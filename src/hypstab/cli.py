@@ -110,7 +110,10 @@ def _float_grid(lo: float, hi: float, step: float) -> list[float]:
         raise ValueError(f"step must be positive, got {step}")
     if hi < lo:
         raise ValueError(f"need hi >= lo, got [{lo}, {hi}]")
-    count = int(math.floor((hi - lo) / step + 1e-9))
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ValueError(f"step {step} gives no finite grid count on [{lo}, {hi}]")
+    count = int(math.floor(span + 1e-9))
     return [lo + k * step for k in range(count + 1)]
 
 

@@ -9,7 +9,14 @@ which rules the surface by hyperbolic translations along a geodesic axis
 combined with rotation at rate alpha.  The first fundamental form is
 diagonal, E = cosh^2 t + alpha^2 sinh^2 t, G = 1, and the second
 fundamental form has a single off-diagonal entry, so the surface is minimal
-for every pitch.  Stability holds exactly for alpha^2 <= 9/8.
+for every pitch.
+
+The only stability test here is pointwise: |A|^2 <= 2 alpha^2 <= 9/4, that
+is alpha^2 <= 9/8, certifies stability.  It is sufficient, not necessary.
+The screw-invariant functions f(t) give the one-dimensional form
+int (f'^2 + (2 - |A|^2) f^2) sqrt(E) dt, whose lowest eigenvalue under
+`spectral.discretize` changes sign near alpha = 2.18; no verdict in this
+module uses that.
 """
 
 from __future__ import annotations
@@ -39,8 +46,6 @@ __all__ = [
 ]
 
 STABLE_PITCH_SQ = 9.0 / 8.0
-
-_ETA = np.diag([-1.0, 1.0, 1.0, 1.0])
 
 
 @dataclass(frozen=True)
@@ -96,10 +101,14 @@ def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]
 def first_fundamental(h: Helicoid, t: float) -> tuple[float, float, float]:
     """Coefficients (E, F, G) of the induced metric; independent of s.
 
-    E = cosh^2 t + alpha^2 sinh^2 t, F = 0, G = 1.
+    E = cosh^2 t + alpha^2 sinh^2 t, F = 0, G = 1.  Raises OverflowError
+    when E is not a finite float.
     """
     ch, sh = math.cosh(t), math.sinh(t)
-    return ch * ch + h.alpha * h.alpha * sh * sh, 0.0, 1.0
+    e_coef = ch * ch + h.alpha * h.alpha * sh * sh
+    if not math.isfinite(e_coef):
+        raise OverflowError(f"helicoid metric E overflows at alpha = {h.alpha}, t = {t}")
+    return e_coef, 0.0, 1.0
 
 
 def second_fundamental(h: Helicoid, t: float) -> tuple[float, float, float]:
@@ -114,12 +123,17 @@ def second_fundamental(h: Helicoid, t: float) -> tuple[float, float, float]:
 def norm_A_sq(h: Helicoid, t: float) -> float:
     """Squared norm of the second fundamental form at ruling parameter t.
 
-    alpha^2/E + alpha^2/E^3 with E = cosh^2 t + alpha^2 sinh^2 t; even in t,
-    maximal on the axis t = 0, and bounded by 2 alpha^2.
+    The trace of S^2 for the shape operator S = I^-1 II of the closed forms
+    (E, 0, 1) and (0, -alpha/sqrt(E), 0): 2 (alpha/E)^2.  Even in t, maximal
+    on the axis t = 0, and bounded by 2 alpha^2.  Raises OverflowError when
+    the value is not a finite float.
     """
     e_coef, _, _ = first_fundamental(h, t)
-    al_sq = h.alpha * h.alpha
-    return al_sq / e_coef + al_sq / e_coef**3
+    ratio = h.alpha / e_coef
+    value = 2.0 * ratio * ratio
+    if not math.isfinite(value):
+        raise OverflowError(f"helicoid |A|^2 overflows at alpha = {h.alpha}, t = {t}")
+    return value
 
 
 def sup_norm_A_sq(h: Helicoid) -> float:
@@ -128,59 +142,33 @@ def sup_norm_A_sq(h: Helicoid) -> float:
 
 
 def is_stable_by_pitch(h: Helicoid) -> bool:
-    """True iff alpha^2 <= 9/8, the exact stability threshold for the
-    helicoid family."""
+    """True iff alpha^2 <= 9/8, where the pointwise test sup |A|^2 =
+    2 alpha^2 <= 9/4 certifies stability.  False does not mean unstable:
+    the test is sufficient, not necessary."""
     return h.alpha * h.alpha <= STABLE_PITCH_SQ
-
-
-def _partials(h: Helicoid, s: float, t: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    al = h.alpha
-    ch_s, sh_s = math.cosh(s), math.sinh(s)
-    ch_t, sh_t = math.cosh(t), math.sinh(t)
-    cos_a, sin_a = math.cos(al * s), math.sin(al * s)
-    x = np.array([ch_s * ch_t, sh_s * ch_t, cos_a * sh_t, sin_a * sh_t])
-    x_s = np.array(
-        [sh_s * ch_t, ch_s * ch_t, -al * sin_a * sh_t, al * cos_a * sh_t]
-    )
-    x_t = np.array([ch_s * sh_t, sh_s * sh_t, cos_a * ch_t, sin_a * ch_t])
-    return x, x_s, x_t
 
 
 def normal(h: Helicoid, s: float, t: float) -> LorentzVector:
     """Unit spacelike normal to the surface inside hyperbolic space.
 
-    Built by Minkowski Gram-Schmidt: a seed basis vector is orthogonalized
-    against the position (timelike, square -1) and both tangents, then
-    normalized.  The orientation is fixed by det[X, X_s, X_t, N] < 0, which
-    matches the sign convention of `second_fundamental`.
+    The closed form (alpha sinh t sinh s, alpha sinh t cosh s,
+    cosh t sin(alpha s), -cosh t cos(alpha s)) / sqrt(E), orthogonal to X,
+    X_s and X_t with det[X, X_s, X_t, N] < 0, the orientation of
+    `second_fundamental`'s sign.  Raises OverflowError when E does.
     """
-    x, x_s, x_t = _partials(h, s, t)
-    span = (x, x_s, x_t)  # Minkowski squares: position -1, tangents positive
-
-    cand = None
-    for seed_idx in (3, 2, 1, 0):
-        seed = np.zeros(4)
-        seed[seed_idx] = 1.0
-        v = seed.copy()
-        ok = True
-        for u in span:
-            uu = float(u @ _ETA @ u)
-            if abs(uu) < 1e-12:
-                ok = False
-                break
-            v = v - (float(v @ _ETA @ u) / uu) * u
-        if not ok:
-            continue
-        vv = float(v @ _ETA @ v)
-        if vv > 1e-10:
-            cand = v / math.sqrt(vv)
-            break
-    if cand is None:
-        raise RuntimeError(f"normal construction degenerated at (s, t) = ({s}, {t})")
-
-    if np.linalg.det(np.column_stack([x, x_s, x_t, cand])) > 0.0:
-        cand = -cand
-    return LorentzVector(tuple(float(c) for c in cand))
+    e_coef, _, _ = first_fundamental(h, t)
+    inv = 1.0 / math.sqrt(e_coef)
+    al_sh_t = h.alpha * inv * math.sinh(t)
+    ch_t = inv * math.cosh(t)
+    al_s = h.alpha * s
+    return LorentzVector(
+        (
+            al_sh_t * math.sinh(s),
+            al_sh_t * math.cosh(s),
+            ch_t * math.sin(al_s),
+            -ch_t * math.cos(al_s),
+        )
+    )
 
 
 def first_fundamental_fd(
@@ -194,8 +182,8 @@ def first_fundamental_fd(
 def second_fundamental_fd(
     h: Helicoid, s: float, t: float, step: float = 3e-4
 ) -> tuple[float, float, float]:
-    """(e, f, g) from second differences of the embedding paired with the
-    Gram-Schmidt normal; agreement with the closed form certifies the shape
+    """(e, f, g) from second differences of the embedding paired with
+    `normal`; agreement with the closed form certifies the shape
     operator sign convention.
 
     The default step balances the O(step^2) truncation of the stencil

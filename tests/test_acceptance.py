@@ -223,8 +223,9 @@ def test_criterion_07_window_against_pointwise_certificate():
 
 
 def test_criterion_08_helicoid_pitch_criterion():
-    """Stability exactly for pitch^2 <= 9/8, and the curvature supremum is
-    2 pitch^2, attained on the axis."""
+    """The pointwise certificate holds exactly for pitch^2 <= 9/8 (a
+    sufficient condition for stability, not a threshold), and the curvature
+    supremum is 2 pitch^2, attained on the axis."""
     table = {0.0: True, 0.5: True, 1.0: True, 1.06: True, 1.061: False, 1.5: False}
     for alpha, expected in table.items():
         assert is_stable_by_pitch(Helicoid(alpha)) is expected, alpha

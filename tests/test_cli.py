@@ -215,6 +215,25 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
     assert "numerical failure" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "alpha, t_max", [("1e154", "3"), ("1e155", "3"), ("1e200", "3"), ("1", "400")]
+)
+def test_helicoid_metric_overflow_is_a_numerical_failure(tmp_path, capsys, alpha, t_max):
+    # at t_max = 400, cosh t is finite but E = cosh^2 t + alpha^2 sinh^2 t is not
+    code, out = invoke(tmp_path, "big.csv", ["helicoid", "--alpha", alpha, "--t-max", t_max,
+                                             "--t-grid", "3"])
+    assert code == EXIT_NUMERICAL
+    assert f"alpha = {float(alpha)}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_sweep_step_without_finite_grid_count_is_a_usage_error(tmp_path, capsys):
+    code, out = invoke(tmp_path, "tiny.csv", ["sweep-f", "--step", "1e-320"])
+    assert code == EXIT_USAGE
+    assert "step 1e-320" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--s-max", "--t-max"])
 @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
 def test_helicoid_export_spans_must_be_positive(tmp_path, flag, value):

@@ -66,7 +66,7 @@ GOLDEN = {
     ),
     "helicoid-profile": (
         ["helicoid", "--alpha", "1.0"],
-        "b33a01e0617a27c3a7f6dedc54aa0c34a0e47769da1bdac3b677c0b1423925e4",
+        "dac76e049d8d598c6088323f991d5a321bddfe42e40f82d55f91db31ccf91c92",
     ),
     "hyperbolic-window": (
         ["hyperbolic-window"],

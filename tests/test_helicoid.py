@@ -1,6 +1,8 @@
 """Helicoid fundamental forms, curvature profile, and the pitch criterion."""
 
+import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,14 +80,17 @@ def test_curvature_profile():
 
 
 def test_norm_A_sq_from_forms():
-    """|A|^2 recomputed from the forms: with F = 0 and G = 1 the shape
-    operator has entries e2/E and f2 couplings, giving f2^2/E + f2^2/(E G^2)
-    only through the stated closed form; cross-check against it."""
-    h = Helicoid(0.9)
-    for t in (0.0, 0.8, 1.7):
-        e1, _, _ = first_fundamental(h, t)
-        expected = 0.81 / e1 + 0.81 / e1**3
-        assert norm_A_sq(h, t) == pytest.approx(expected, rel=1e-14)
+    """|A|^2 equals tr(S^2) for the shape operator S = I^-1 II built from the
+    finite-difference forms of `embed` and `normal`, off the axis too."""
+    worst = 0.0
+    grid = itertools.product((0.0, 0.5, 1.0, 1.5), np.linspace(-2.0, 2.0, 9), (-0.7, 0.4))
+    for alpha, t, s in grid:
+        h = Helicoid(alpha)
+        e1, f1, g1 = first_fundamental_fd(h, s, t)
+        e2, f2, g2 = second_fundamental_fd(h, s, t)
+        shape = np.linalg.solve([[e1, f1], [f1, g1]], [[e2, f2], [f2, g2]])
+        worst = max(worst, abs(norm_A_sq(h, t) - np.trace(shape @ shape)))
+    assert worst <= 1e-6
 
 
 def test_pitch_criterion_table():
@@ -116,25 +121,45 @@ def test_second_fundamental_fd_matches():
                 assert abs(x - y) <= 1e-6
 
 
+def _fd_tangents(h, s, t, eps=1e-6):
+    """Central-difference tangents X_s, X_t of `embed`."""
+    xs = [(p - m) / (2.0 * eps) for p, m in zip(embed(h, s + eps, t), embed(h, s - eps, t))]
+    xt = [(p - m) / (2.0 * eps) for p, m in zip(embed(h, s, t + eps), embed(h, s, t - eps))]
+    return xs, xt
+
+
 def test_normal_is_unit_spacelike_and_orthogonal():
-    h = Helicoid(0.7)
-    eps = 1e-6
-    for s in (-1.0, 0.2, 2.5):
-        for t in (-1.2, 0.0, 0.9):
-            nu = normal(h, s, t)
-            x = embed(h, s, t)
-            assert minkowski_inner(nu, nu) == pytest.approx(1.0, abs=1e-9)
-            assert minkowski_inner(nu, x) == pytest.approx(0.0, abs=1e-9)
-            xs = [
-                (p - m) / (2.0 * eps)
-                for p, m in zip(embed(h, s + eps, t), embed(h, s - eps, t))
-            ]
-            xt = [
-                (p - m) / (2.0 * eps)
-                for p, m in zip(embed(h, s, t + eps), embed(h, s, t - eps))
-            ]
-            assert minkowski_inner(nu, xs) == pytest.approx(0.0, abs=1e-6)
-            assert minkowski_inner(nu, xt) == pytest.approx(0.0, abs=1e-6)
+    for alpha, s, t in itertools.product((0.0, 0.7, 2.5), (-1.0, 0.2, 2.5), (-1.2, 0.0, 0.9)):
+        h = Helicoid(alpha)
+        nu = normal(h, s, t)
+        x = embed(h, s, t)
+        assert minkowski_inner(nu, nu) == pytest.approx(1.0, abs=1e-9)
+        assert minkowski_inner(nu, x) == pytest.approx(0.0, abs=1e-9)
+        xs, xt = _fd_tangents(h, s, t)
+        assert minkowski_inner(nu, xs) == pytest.approx(0.0, abs=1e-6)
+        assert minkowski_inner(nu, xt) == pytest.approx(0.0, abs=1e-6)
+
+
+def test_normal_orientation():
+    """det[X, X_s, X_t, N] < 0, the orientation that `second_fundamental`'s
+    sign assumes, with FD tangents of `embed`; the plane alpha = 0 included."""
+    grid = itertools.product(
+        (0.0, 0.3, 1.3, 2.5), (-2.0, -0.4, 0.0, 1.1, 2.8), (-2.0, -0.6, 0.0, 0.5, 2.2)
+    )
+    for alpha, s, t in grid:
+        h = Helicoid(alpha)
+        xs, xt = _fd_tangents(h, s, t)
+        frame = np.column_stack([embed(h, s, t).coords, xs, xt, normal(h, s, t).coords])
+        assert np.linalg.det(frame) < 0.0, (alpha, s, t)
+
+
+def test_overflow_names_the_pitch():
+    for alpha in (1e160, 1e200):
+        with pytest.raises(OverflowError, match=re.escape(f"alpha = {alpha}")):
+            normal(Helicoid(alpha), 0.3, 1.0)
+    # E = 1 on the axis, so only |A|^2 = 2 alpha^2 leaves the float range
+    with pytest.raises(OverflowError, match=re.escape("alpha = 1e+154")):
+        norm_A_sq(Helicoid(1e154), 0.0)
 
 
 def test_fd_step_validation():
