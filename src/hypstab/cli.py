@@ -79,6 +79,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _EXPORT_TOL = 1e-8  # hyperboloid membership tolerance for every emitted point
+_MAX_GRID_POINTS = 10**6  # largest parameter grid a sweep may build
 
 
 class ExportError(RuntimeError):
@@ -114,6 +115,11 @@ def _float_grid(lo: float, hi: float, step: float) -> list[float]:
     if not math.isfinite(span):
         raise ValueError(f"step {step} gives no finite grid count on [{lo}, {hi}]")
     count = int(math.floor(span + 1e-9))
+    if count + 1 > _MAX_GRID_POINTS:
+        raise ValueError(
+            f"step {step} gives {count + 1:.15g} grid points on [{lo}, {hi}], "
+            f"more than {_MAX_GRID_POINTS}"
+        )
     return [lo + k * step for k in range(count + 1)]
 
 
@@ -369,6 +375,16 @@ _JSON_ONLY = frozenset({"find-c0", "index", "criteria"})
 
 
 def _render_csv(config: RunConfig, payload: dict[str, Any]) -> str:
+    """CSV document: header lines, then one row per table row with every
+    value printed by "%.15g".
+
+    Each column is printed once per distinct bit pattern, not per cell: a
+    column with at most half as many distinct patterns as rows has those
+    patterns formatted once and placed through its inverse index.  Bit
+    patterns, not float equality, decide what is distinct, so 0.0 and -0.0
+    stay "0" and "-0" and every NaN is formatted.  Tables with no such
+    column go through one "%.15g" template over the flat values.
+    """
     lines = [f"# hypstab {__version__}", f"# command={config.command}"]
     for key in sorted(config.parameters):
         lines.append(f"# {key}={_param_str(config.parameters[key])}")
@@ -378,11 +394,30 @@ def _render_csv(config: RunConfig, payload: dict[str, Any]) -> str:
         lines.append(f"# {key}={_param_str(payload[key])}")
     columns = payload["columns"]
     lines.append("# columns=" + ",".join(columns))
-    values = np.asarray(payload["rows"], dtype=float).ravel().tolist()
-    if values:
-        row = ",".join(["%.15g"] * len(columns))
-        lines.append("\n".join([row] * (len(values) // len(columns))) % tuple(values))
+    table = np.ascontiguousarray(payload["rows"], dtype=float).reshape(-1, len(columns))
+    if table.size:
+        lines.append(_render_rows(table))
     return "\n".join(lines) + "\n"
+
+
+def _render_rows(table: np.ndarray) -> str:
+    nrows = table.shape[0]
+    bits = table.view(np.int64)
+    ranked = np.sort(bits, axis=0)
+    distinct_counts = 1 + np.count_nonzero(ranked[1:] != ranked[:-1], axis=0)
+    del ranked
+    repeating = 2 * distinct_counts <= nrows
+    cells = table
+    if repeating.any():
+        cells = table.astype(object)
+        for j in np.flatnonzero(repeating):
+            distinct, inverse = np.unique(bits[:, j], return_inverse=True)
+            text = ["%.15g" % v for v in distinct.view(np.float64).tolist()]
+            cells[:, j] = np.array(text, dtype=object)[inverse]
+    values = cells.ravel().tolist()
+    del cells
+    row = ",".join(["%s" if r else "%.15g" for r in repeating])
+    return "\n".join([row] * nrows) % tuple(values)
 
 
 def _render_json(config: RunConfig, payload: dict[str, Any]) -> str:

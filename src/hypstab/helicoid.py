@@ -137,8 +137,12 @@ def norm_A_sq(h: Helicoid, t: float) -> float:
 
 
 def sup_norm_A_sq(h: Helicoid) -> float:
-    """Supremum 2 alpha^2 of |A|^2, attained on the axis t = 0."""
-    return 2.0 * h.alpha * h.alpha
+    """Supremum 2 alpha^2 of |A|^2, attained on the axis t = 0.  Raises
+    OverflowError when the value is not a finite float."""
+    value = 2.0 * h.alpha * h.alpha
+    if not math.isfinite(value):
+        raise OverflowError(f"helicoid |A|^2 overflows at alpha = {h.alpha}")
+    return value
 
 
 def is_stable_by_pitch(h: Helicoid) -> bool:

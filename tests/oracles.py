@@ -114,3 +114,13 @@ def rk4_profile_oracle(
         x += hh * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         v += hh * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
     return x, v
+
+
+def csv_rows_oracle(rows, ncols: int) -> str:
+    """The numeric body of a CSV table: every value through one "%.15g"
+    row template, rows joined by newlines, no trailing newline."""
+    values = [float(v) for row in rows for v in row]
+    if not values:
+        return ""
+    template = ",".join(["%.15g"] * ncols)
+    return "\n".join([template] * (len(values) // ncols)) % tuple(values)

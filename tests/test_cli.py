@@ -3,8 +3,11 @@ round trip through the table reader."""
 
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import hypstab.cli as cli
 from hypstab.cli import (
@@ -18,6 +21,8 @@ from hypstab.cli import (
 )
 from hypstab.lorentz import on_hyperboloid
 from hypstab.spherical_catenoid import F, SphericalCatenoid
+
+import oracles
 
 
 def invoke(tmp_path, name, argv):
@@ -234,6 +239,21 @@ def test_sweep_step_without_finite_grid_count_is_a_usage_error(tmp_path, capsys)
     assert not out.exists()
 
 
+def test_sweep_step_with_too_many_grid_points_is_a_usage_error(tmp_path, capsys):
+    code, out = invoke(tmp_path, "fine.csv", ["sweep-f", "--step", "1e-300"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "step 1e-300" in err and "9.5e+299 grid points" in err
+    assert not out.exists()
+
+
+def test_float_grid_point_bound(monkeypatch):
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 10)
+    assert len(cli._float_grid(0.0, 0.9, 0.1)) == 10
+    with pytest.raises(ValueError, match="step 0.1 gives 11 grid points"):
+        cli._float_grid(0.0, 1.0, 0.1)
+
+
 @pytest.mark.parametrize("flag", ["--s-max", "--t-max"])
 @pytest.mark.parametrize("value", ["0", "-1", "inf", "nan"])
 def test_helicoid_export_spans_must_be_positive(tmp_path, flag, value):
@@ -334,3 +354,51 @@ def test_stdout_output(capsys):
     assert code == EXIT_OK
     doc = json.loads(capsys.readouterr().out)
     assert doc["lambda1"] == [0.25, 4.0]
+
+
+# CSV rendering against the one-template oracle.  Columns draw from small
+# pools so that repeated values are common; the pools hold the values whose
+# bit patterns and printed forms differ from what float equality suggests.
+_SPECIAL = [
+    0.0, -0.0, math.nan, struct.unpack("<d", struct.pack("<Q", 0xFFF8000000000001))[0],
+    math.inf, -math.inf, 5e-324, -5e-324, 2.2250738585072014e-308 / 3.0,
+    1e308, -1e308, 1.0, 0.1, 1e-15, 123456789012345.67,
+]
+_CELL = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def _rows_body(columns, rows):
+    text = cli._render_csv(RunConfig("embed-export", {}), {"columns": columns, "rows": rows})
+    _, marker, body = text.partition("# columns=" + ",".join(columns) + "\n")
+    assert marker
+    return body
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 6),
+    st.integers(1, 400),
+    st.lists(st.none() | st.lists(_CELL, min_size=1, max_size=12), min_size=6, max_size=6),
+    st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6),
+)
+def test_render_csv_matches_oracle(ncols, nrows, pools, seeds):
+    # a pool of None is a column of fresh values, so most of its cells differ
+    table = np.empty((nrows, ncols))
+    for j in range(ncols):
+        rng = np.random.default_rng(seeds[j])
+        if pools[j] is None:
+            table[:, j] = rng.standard_normal(nrows) * 10.0 ** rng.integers(-300, 300)
+        else:
+            pool = np.array(pools[j])
+            table[:, j] = pool[rng.integers(0, pool.size, nrows)]
+    columns = [f"c{j}" for j in range(ncols)]
+    expected = oracles.csv_rows_oracle(table.tolist(), ncols) + "\n"
+    assert _rows_body(columns, table) == expected
+    assert _rows_body(columns, table.tolist()) == expected
+
+
+def test_render_csv_keeps_the_sign_of_zero():
+    rows = [[0.0, 1.0], [-0.0, 2.0], [0.0, 3.0], [-0.0, 4.0], [-0.0, 5.0]]
+    body = _rows_body(["z", "k"], rows)
+    assert body == "0,1\n-0,2\n0,3\n-0,4\n-0,5\n"
+    assert body == oracles.csv_rows_oracle(rows, 2) + "\n"

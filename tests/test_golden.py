@@ -59,6 +59,17 @@ GOLDEN = {
          "--s-max", "5", "--samples", "333", "--format", "json"],
         "4641fc49f9af8ca32e842b95a6123b6b0937177f1a6f2c0b90c1905b9f8e8866",
     ),
+    "spherical-bench": (
+        ["embed-export", "--family", "spherical", "--a", "0.9", "--s-max", "5",
+         "--s-grid", "60", "--theta-grid", "61"],
+        "43c14abcbd3a482b3232687d933c18ee941edf3d164e7e6e50a971c58dc43773",
+    ),
+    # its table holds both 0 and -0 cells, e.g. -1.7,0,2.82831545788997,...,-0,0
+    "helicoid-signed-zeros": (
+        ["embed-export", "--family", "helicoid", "--alpha", "2.5", "--s-max", "1.7",
+         "--t-max", "2", "--s-grid", "9", "--t-grid", "5"],
+        "eb348b0ef65b65082149333ac6da2903d130b9e392d1f1a4bfe9d4d4a48843c3",
+    ),
     "helicoid-json": (
         ["embed-export", "--family", "helicoid", "--alpha", "1.2", "--s-grid", "5",
          "--t-grid", "4", "--format", "json"],

@@ -160,6 +160,9 @@ def test_overflow_names_the_pitch():
     # E = 1 on the axis, so only |A|^2 = 2 alpha^2 leaves the float range
     with pytest.raises(OverflowError, match=re.escape("alpha = 1e+154")):
         norm_A_sq(Helicoid(1e154), 0.0)
+    for alpha in (1e154, 1e155, 1e200):
+        with pytest.raises(OverflowError, match=re.escape(f"|A|^2 overflows at alpha = {alpha}")):
+            sup_norm_A_sq(Helicoid(alpha))
 
 
 def test_fd_step_validation():
