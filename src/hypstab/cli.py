@@ -79,7 +79,7 @@ EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 
 _EXPORT_TOL = 1e-8  # hyperboloid membership tolerance for every emitted point
-_MAX_GRID_POINTS = 10**6  # largest parameter grid a sweep may build
+_MAX_GRID_POINTS = 10**6  # most rows a sweep, profile or export table may hold
 
 
 class ExportError(RuntimeError):
@@ -121,6 +121,12 @@ def _float_grid(lo: float, hi: float, step: float) -> list[float]:
             f"more than {_MAX_GRID_POINTS}"
         )
     return [lo + k * step for k in range(count + 1)]
+
+
+def _bounded_rows(rows: int, what: str) -> None:
+    """Reject a table of more than _MAX_GRID_POINTS rows before it is built."""
+    if rows > _MAX_GRID_POINTS:
+        raise ValueError(f"{what} gives {rows} table rows, more than {_MAX_GRID_POINTS}")
 
 
 def _positive(params: Mapping[str, Any], key: str) -> float:
@@ -194,6 +200,7 @@ def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
     steps = int(params["steps"])
     if steps < 2:
         raise ValueError(f"steps must be >= 2, got {steps}")
+    _bounded_rows(steps, f"steps {steps}")
     if not t_min > 1.0:
         raise ValueError(f"t_min must exceed 1, got {t_min}")
     if not t_max >= t_min:
@@ -219,6 +226,7 @@ def _cmd_helicoid(params: Mapping[str, Any]) -> dict[str, Any]:
     t_grid = int(params["t_grid"])
     if t_grid < 2:
         raise ValueError(f"t_grid must be >= 2, got {t_grid}")
+    _bounded_rows(t_grid, f"t_grid {t_grid}")
     t_max = _positive(params, "t_max")
     rows = []
     for t in np.linspace(-t_max, t_max, t_grid):
@@ -246,6 +254,7 @@ def _spherical_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray
     theta_grid = int(params["theta_grid"])
     if s_grid < 2 or theta_grid < 1:
         raise ValueError("need s_grid >= 2 and theta_grid >= 1")
+    _bounded_rows(s_grid * theta_grid, f"s_grid {s_grid} x theta_grid {theta_grid}")
     s_max = _positive(params, "s_max")
     s = np.linspace(-s_max, s_max, s_grid)
     theta = np.linspace(0.0, 2.0 * math.pi, theta_grid, endpoint=False)
@@ -258,6 +267,7 @@ def _helicoid_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]
     t_grid = int(params["t_grid"])
     if s_grid < 2 or t_grid < 2:
         raise ValueError("need s_grid >= 2 and t_grid >= 2")
+    _bounded_rows(s_grid * t_grid, f"s_grid {s_grid} x t_grid {t_grid}")
     s_max = _positive(params, "s_max")
     t_max = _positive(params, "t_max")
     s = np.linspace(-s_max, s_max, s_grid)
@@ -270,6 +280,7 @@ def _hyperbolic_curve_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.
     samples = int(params["samples"])
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
+    _bounded_rows(samples, f"samples {samples}")
     s_max = _positive(params, "s_max")
     curve = generating_curve_points(cat, np.linspace(0.0, s_max, samples))
     grid = np.array([[s] for s, _ in curve])

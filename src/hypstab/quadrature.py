@@ -60,6 +60,10 @@ _WG = (
     0.417959183673469387755102040816327,
 )
 
+_X0, _X1, _X2, _X3, _X4, _X5, _X6, _ = _XGK
+_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
+_G0, _G1, _G2, _G3 = _WG
+
 _EVALS_PER_PANEL = 15
 
 
@@ -95,8 +99,8 @@ class QuadratureResult:
     evaluations: int
 
     def __post_init__(self) -> None:
-        if self.error_estimate < 0.0:
-            raise ValueError("error_estimate must be nonnegative")
+        if not self.error_estimate >= 0.0:
+            raise ValueError("error_estimate must be nonnegative, not NaN")
         if self.evaluations < 0:
             raise ValueError("evaluations must be nonnegative")
 
@@ -119,35 +123,76 @@ def _kronrod_panel(
     Returns (kronrod_value, error_estimate).  The estimate follows the
     classical rescaling err = resasc * min(1, (200*|K - G|/resasc)^1.5),
     which sharpens the raw |K - G| difference on smooth panels.
+
+    The 15 abscissae are evaluated in the order mid, then mid - d_j,
+    mid + d_j for j = 0..6 (d_j = half-width * _XGK[j], outermost first).
+    All 15 values are computed before the one finiteness check, which
+    reports the first non-finite value in that order; an integrand that
+    raises after an earlier non-finite value therefore surfaces its own
+    exception.  A panel whose value or error estimate overflows raises
+    QuadratureError naming [lo, hi].
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
+    d0 = half * _X0
+    d1 = half * _X1
+    d2 = half * _X2
+    d3 = half * _X3
+    d4 = half * _X4
+    d5 = half * _X5
+    d6 = half * _X6
+    xs = (
+        mid,
+        mid - d0, mid + d0,
+        mid - d1, mid + d1,
+        mid - d2, mid + d2,
+        mid - d3, mid + d3,
+        mid - d4, mid + d4,
+        mid - d5, mid + d5,
+        mid - d6, mid + d6,
+    )
+    ys = list(map(f, xs))
+    if not math.isfinite(sum(ys)):
+        # the sum of finite values may overflow: only a non-finite value fails
+        for x, y in zip(xs, ys):
+            if not math.isfinite(y):
+                raise QuadratureError(
+                    f"integrand returned non-finite value {y!r} at abscissa {x!r}",
+                    abscissa=x,
+                )
+    fm, l0, h0, l1, h1, l2, h2, l3, h3, l4, h4, l5, h5, l6, h6 = ys
 
-    f_mid = _eval_checked(f, mid)
-    resg = _WG[3] * f_mid
-    resk = _WGK[7] * f_mid
-    fv = [f_mid] * 15
-    for j in range(7):
-        x_off = half * _XGK[j]
-        f_lo = _eval_checked(f, mid - x_off)
-        f_hi = _eval_checked(f, mid + x_off)
-        fv[j] = f_lo
-        fv[14 - j] = f_hi
-        resk += _WGK[j] * (f_lo + f_hi)
-        if j % 2 == 1:
-            resg += _WG[j // 2] * (f_lo + f_hi)
-
+    s1 = l1 + h1
+    s3 = l3 + h3
+    s5 = l5 + h5
+    resk = (
+        _K7 * fm + _K0 * (l0 + h0) + _K1 * s1 + _K2 * (l2 + h2) + _K3 * s3
+        + _K4 * (l4 + h4) + _K5 * s5 + _K6 * (l6 + h6)
+    )
+    resg = _G3 * fm + _G0 * s1 + _G1 * s3 + _G2 * s5
     reskh = 0.5 * resk
-    resasc = _WGK[7] * abs(f_mid - reskh)
-    for j in range(7):
-        resasc += _WGK[j] * (abs(fv[j] - reskh) + abs(fv[14 - j] - reskh))
+    resasc = (
+        _K7 * abs(fm - reskh)
+        + _K0 * (abs(l0 - reskh) + abs(h0 - reskh))
+        + _K1 * (abs(l1 - reskh) + abs(h1 - reskh))
+        + _K2 * (abs(l2 - reskh) + abs(h2 - reskh))
+        + _K3 * (abs(l3 - reskh) + abs(h3 - reskh))
+        + _K4 * (abs(l4 - reskh) + abs(h4 - reskh))
+        + _K5 * (abs(l5 - reskh) + abs(h5 - reskh))
+        + _K6 * (abs(l6 - reskh) + abs(h6 - reskh))
+    )
 
     value = resk * half
     resasc *= abs(half)
     err = abs((resk - resg) * half)
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
-    return value, err
+    if not (math.isfinite(value) and math.isfinite(err)):
+        raise QuadratureError(
+            f"panel [{lo!r}, {hi!r}] overflowed: value {value!r}, "
+            f"error estimate {err!r}"
+        )
+    return float(value), float(err)
 
 
 def integrate_adaptive(

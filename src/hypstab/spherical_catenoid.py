@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Sequence
 
 import numpy as np
@@ -242,7 +242,7 @@ def total_A_sq(cat: SphericalCatenoid, tol: float = DEFAULT_TOL) -> QuadratureRe
     a = cat.a
     pref = 8.0 * math.pi * (a * a - 0.25)
     res = integrate_semi_infinite(
-        lambda s: _mass_integrand(a, s), tol, decay_hint=DECAY_RATE
+        partial(_mass_integrand, a), tol, decay_hint=DECAY_RATE
     )
     return QuadratureResult(pref * res.value, pref * res.error_estimate, res.evaluations)
 
@@ -270,7 +270,7 @@ def F(cat: SphericalCatenoid, tol: float = DEFAULT_TOL) -> QuadratureResult:
     a = cat.a
     pref = 32.0 * math.pi * (a * a - 0.25)
     res = integrate_semi_infinite(
-        lambda s: _f_integrand(a, s), tol, decay_hint=DECAY_RATE
+        partial(_f_integrand, a), tol, decay_hint=DECAY_RATE
     )
     return QuadratureResult(pref * res.value, pref * res.error_estimate, res.evaluations)
 

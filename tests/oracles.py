@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own quadrature and ODE
 machinery: integrals use composite Simpson on a fixed truncated interval,
 profile integration uses classical fixed-step RK4.  Oracle values frozen
-into the tests were produced by exactly these routines.
+into the tests were produced by exactly these routines.  The one exception
+is kronrod_panel_oracle, a frozen copy of the loop-form G7/K15 panel that the
+straight-line panel must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +14,8 @@ import math
 from typing import Callable
 
 import numpy as np
+
+from hypstab.quadrature import _WG, _WGK, _XGK, QuadratureError
 
 
 def simpson(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, cells: int) -> float:
@@ -124,3 +128,48 @@ def csv_rows_oracle(rows, ncols: int) -> str:
         return ""
     template = ",".join(["%.15g"] * ncols)
     return "\n".join([template] * (len(values) // ncols)) % tuple(values)
+
+
+def _eval_checked(f: Callable[[float], float], x: float) -> float:
+    y = f(x)
+    if not math.isfinite(y):
+        raise QuadratureError(
+            f"integrand returned non-finite value {y!r} at abscissa {x!r}",
+            abscissa=x,
+        )
+    return float(y)
+
+
+def kronrod_panel_oracle(
+    f: Callable[[float], float], lo: float, hi: float
+) -> tuple[float, float]:
+    """One G7/K15 evaluation on [lo, hi] in the loop form: each value checked
+    as it is computed, the sums accumulated left to right."""
+    half = 0.5 * (hi - lo)
+    mid = 0.5 * (hi + lo)
+
+    f_mid = _eval_checked(f, mid)
+    resg = _WG[3] * f_mid
+    resk = _WGK[7] * f_mid
+    fv = [f_mid] * 15
+    for j in range(7):
+        x_off = half * _XGK[j]
+        f_lo = _eval_checked(f, mid - x_off)
+        f_hi = _eval_checked(f, mid + x_off)
+        fv[j] = f_lo
+        fv[14 - j] = f_hi
+        resk += _WGK[j] * (f_lo + f_hi)
+        if j % 2 == 1:
+            resg += _WG[j // 2] * (f_lo + f_hi)
+
+    reskh = 0.5 * resk
+    resasc = _WGK[7] * abs(f_mid - reskh)
+    for j in range(7):
+        resasc += _WGK[j] * (abs(fv[j] - reskh) + abs(fv[14 - j] - reskh))
+
+    value = resk * half
+    resasc *= abs(half)
+    err = abs((resk - resg) * half)
+    if resasc != 0.0 and err != 0.0:
+        err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
+    return value, err

@@ -402,3 +402,35 @@ def test_render_csv_keeps_the_sign_of_zero():
     body = _rows_body(["z", "k"], rows)
     assert body == "0,1\n-0,2\n0,3\n-0,4\n-0,5\n"
     assert body == oracles.csv_rows_oracle(rows, 2) + "\n"
+
+
+HUGE_TABLES = [
+    ["hyperbolic-window", "--steps", str(10**7)],
+    ["helicoid", "--alpha", "1", "--t-grid", str(10**7)],
+    ["embed-export", "--family", "hyperbolic-curve", "--samples", str(10**7)],
+    ["embed-export", "--family", "spherical", "--s-grid", str(10**7),
+     "--theta-grid", str(10**7)],
+    ["embed-export", "--family", "helicoid", "--s-grid", str(10**7),
+     "--t-grid", str(10**7)],
+]
+
+
+@pytest.mark.parametrize("argv", HUGE_TABLES, ids=lambda argv: " ".join(argv[:3]))
+def test_huge_tables_are_usage_errors_before_allocation(tmp_path, capsys, monkeypatch, argv):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated before the row bound")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    code, out = invoke(tmp_path, "huge.csv", argv)
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "table rows, more than 1000000" in err
+    assert not out.exists()
+
+
+def test_table_row_bound_counts_grid_products(tmp_path, monkeypatch):
+    argv = ["embed-export", "--family", "spherical", "--s-grid", "3", "--theta-grid", "4"]
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 12)
+    assert invoke(tmp_path, "fits.csv", argv)[0] == EXIT_OK
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 11)
+    assert invoke(tmp_path, "over.csv", argv)[0] == EXIT_USAGE

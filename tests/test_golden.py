@@ -87,6 +87,16 @@ GOLDEN = {
         ["sweep-f", "--a-min", "0.6", "--a-max", "0.9", "--step", "0.1"],
         "542800af287551d5611e3365eff02be955707eb459a9aca8a299563215c84739",
     ),
+    # the spherical-certify benchmark's sweep, at a tight quadrature tolerance
+    "sweep-f-bench": (
+        ["sweep-f", "--a-min", "0.55", "--a-max", "1.45", "--step", "0.005",
+         "--tol", "1e-12"],
+        "4db63a21535a09b0214100b7c6395416e26c2609d0f1246146d4662a58d1f1ee",
+    ),
+    "find-c0-tight": (
+        ["find-c0", "--tol", "1e-12", "--quad-tol", "1e-12"],
+        "39db5620d5859db75e45360336636facd1fbf320831c3647c14d67b27e1f006f",
+    ),
     "find-c0": (
         ["find-c0"],
         "a127570267430eb133f24c6c773a4d3b2be6fc3373c34e7e834b24964ca63535",

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypstab.quadrature import (
+    _XGK,
+    _kronrod_panel,
     QuadratureError,
     QuadratureResult,
     find_root_bracketed,
@@ -92,6 +94,81 @@ def test_non_finite_integrand_reports_abscissa():
     with pytest.raises(QuadratureError) as info:
         integrate_adaptive(lambda x: math.nan, 0.0, 1.0)
     assert info.value.abscissa is not None
+
+
+def test_first_non_finite_node_in_evaluation_order_is_reported():
+    # on [0, 1] the order is 0.5, 0.5 - d0, 0.5 + d0, 0.5 - d1, ... with
+    # d_j = 0.5 * _XGK[j]: the inf at 0.5 + d0 precedes the NaN at 0.5 - d1
+    lo_node = 0.5 - 0.5 * _XGK[1]
+    hi_node = 0.5 + 0.5 * _XGK[0]
+    bad = {lo_node: math.nan, hi_node: math.inf}
+    with pytest.raises(QuadratureError) as info:
+        _kronrod_panel(lambda x: bad.get(x, 1.0), 0.0, 1.0)
+    assert info.value.abscissa == hi_node
+    assert "non-finite value inf" in str(info.value)
+    with pytest.raises(QuadratureError) as ref:
+        oracles.kronrod_panel_oracle(lambda x: bad.get(x, 1.0), 0.0, 1.0)
+    assert str(ref.value) == str(info.value)
+
+
+def test_panel_evaluates_the_nodes_in_the_loop_order():
+    calls, ref_calls = [], []
+    _kronrod_panel(lambda x: calls.append(x) or x, -0.3, 1.7)
+    oracles.kronrod_panel_oracle(lambda x: ref_calls.append(x) or x, -0.3, 1.7)
+    assert calls == ref_calls and len(calls) == 15
+
+
+def test_finite_panel_whose_sum_overflows_passes_the_node_check():
+    # only the midpoint and the outermost lower node (about 0.0043) are big:
+    # their sum overflows, the weighted sums do not
+    big = 0.6 * 1.7976931348623157e308
+    f = lambda x: big if x == 0.5 or x < 0.01 else 0.0
+    value, err = _kronrod_panel(f, 0.0, 1.0)
+    assert (value, err) == oracles.kronrod_panel_oracle(f, 0.0, 1.0)
+    assert math.isfinite(value) and math.isfinite(err)
+
+
+def test_overflowing_panel_is_a_quadrature_error():
+    with pytest.raises(QuadratureError, match=r"panel \[0\.0, 1\.0\] overflowed"):
+        integrate_adaptive(lambda x: 1e308, 0.0, 1.0)
+    # a step at 0.3 used to return -inf; at 0.5 the panel sums were inf and
+    # -inf, and math.fsum raised a bare ValueError
+    for step in (0.3, 0.5):
+        with pytest.raises(QuadratureError, match="overflowed"):
+            integrate_adaptive(lambda x: 1e308 if x < step else -1e308, 0.0, 1.0)
+
+
+def test_result_rejects_nan_error_estimate():
+    with pytest.raises(ValueError):
+        QuadratureResult(1.0, math.nan, 15)
+    with pytest.raises(ValueError):
+        QuadratureResult(1.0, -1.0, 15)
+
+
+PANEL_INTEGRANDS = {
+    "poly": lambda x: 3.0 * x**5 - x**2 + 0.25,
+    "exp": lambda x: math.exp(-2.0 * x) * math.cosh(x),
+    "osc": lambda x: math.sin(40.0 * x) + math.cos(3.0 * x),
+    "inv_sqrt": lambda x: 1.0 / math.sqrt(x),
+    "int": lambda x: round(7.0 * x) - 3,
+    "np_float64": lambda x: np.exp(np.float64(-x)) * np.float64(x) ** 2,
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from(sorted(PANEL_INTEGRANDS)),
+    st.floats(0.0, 50.0),
+    st.floats(1e-9, 20.0),
+)
+def test_panel_matches_loop_oracle_bit_for_bit(name, lo, width):
+    f = PANEL_INTEGRANDS[name]
+    hi = lo + width
+    value, err = _kronrod_panel(f, lo, hi)
+    ref_value, ref_err = oracles.kronrod_panel_oracle(f, lo, hi)
+    assert type(value) is float and type(err) is float
+    assert value.hex() == float(ref_value).hex()
+    assert err.hex() == float(ref_err).hex()
 
 
 def test_budget_exhaustion_carries_partial_result():
