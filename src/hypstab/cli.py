@@ -17,7 +17,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -167,30 +167,18 @@ def _cmd_find_c0(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _cmd_index(params: Mapping[str, Any]) -> dict[str, Any]:
-    cat = SphericalCatenoid(float(params["a"]))
+    nodes = int(params["nodes"])
+    m_max = int(params["m_max"])
+    _bounded_rows(2 * nodes, f"nodes {nodes}, doubled by the refinement run,")
+    _bounded_rows(m_max + 1, f"m_max {m_max}")
     report = morse_index(
-        cat,
+        SphericalCatenoid(float(params["a"])),
         R=float(params["radius"]),
-        N=int(params["nodes"]),
-        m_max=int(params["m_max"]),
+        N=nodes,
+        m_max=m_max,
         k_eigs=int(params["k_eigs"]),
     )
-    return {
-        "a": report.a,
-        "radius": report.radius,
-        "nodes": report.nodes,
-        "total_index": report.total_index,
-        "converged": report.converged,
-        "notes": list(report.notes),
-        "modes": [
-            {
-                "mode": entry.mode,
-                "negative_count": entry.negative_count,
-                "lowest_eigenvalues": list(entry.lowest_eigenvalues),
-            }
-            for entry in report.modes
-        ],
-    }
+    return asdict(report)
 
 
 def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
@@ -324,15 +312,6 @@ def _cmd_embed_export(params: Mapping[str, Any]) -> dict[str, Any]:
     return {"columns": list(spec.columns), "rows": np.hstack([grid, points])}
 
 
-def _report_dict(report) -> dict[str, Any]:
-    return {
-        "verdict": report.verdict,
-        "criterion": report.criterion,
-        "witness": report.witness,
-        "threshold": report.threshold,
-    }
-
-
 def _cmd_criteria(params: Mapping[str, Any]) -> dict[str, Any]:
     n = int(params["n"])
     out: dict[str, Any] = {"lambda1": list(lambda1_bounds(n))}
@@ -348,23 +327,21 @@ def _cmd_criteria(params: Mapping[str, Any]) -> dict[str, Any]:
 
     sup_a_sq = params.get("sup_a_sq")
     if sup_a_sq is not None:
-        out["pointwise"] = _report_dict(pointwise_stability_test(n, float(sup_a_sq)))
+        out["pointwise"] = asdict(pointwise_stability_test(n, float(sup_a_sq)))
 
     c_s = params.get("sobolev_constant")
     mass_n = params.get("a_n_mass")
     if (c_s is None) != (mass_n is None):
         raise ValueError("--sobolev-constant and --a-n-mass must be given together")
     if c_s is not None:
-        out["sobolev"] = _report_dict(
-            sobolev_stability_test(n, float(c_s), float(mass_n))
-        )
+        out["sobolev"] = asdict(sobolev_stability_test(n, float(c_s), float(mass_n)))
 
     mass_a = params.get("mass_a_sq")
     mass_g = params.get("mass_grad_a_sq")
     if (mass_a is None) != (mass_g is None):
         raise ValueError("--mass-a-sq and --mass-grad-a-sq must be given together")
     if mass_a is not None:
-        out["grad_deficit"] = _report_dict(
+        out["grad_deficit"] = asdict(
             grad_condition_report(n, float(mass_a), float(mass_g))
         )
     return out

@@ -8,9 +8,11 @@ m = 0, 1, 2, ...; mode m contributes the radial Sturm-Liouville form
 over the profile measure rho(s) ds.  Each mode is discretized on a uniform
 grid with Dirichlet ends, eigenvalues below zero are counted by tridiagonal
 LDL inertia, and the index sums the counts with multiplicity two for m >= 1
-(the two angular phases).  Counting applies a small spectral margin that
-absorbs the O(h^2) downward bias of the discretization so analytically
-marginal modes are not miscounted; margin = 0 gives the raw discrete count.
+(the two angular phases).  Modes m >= 2 have a positive potential, which
+is certified in closed form, so only modes 0 and 1 are discretized.
+Counting applies a small spectral margin that absorbs the O(h^2) downward
+bias of the discretization so analytically marginal modes are not
+miscounted; margin = 0 gives the raw discrete count.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ __all__ = [
     "morse_index",
 ]
 
-_SCREEN_SPAN = 20.0  # beyond this the potential is within 2^-100 of its limit 2
-_SCREEN_POINTS = 4001
 _REFINE_GROWTH = 5.0  # the refinement run counts on [-(R + 5), R + 5]
 _MAX_RADIUS = 300.0  # the profile weight overflows past this radius
 
@@ -274,23 +274,21 @@ def lowest_eigenvalues(disc: SturmLiouvilleDisc, k: int = 3) -> tuple[float, ...
 
 
 def mode_is_positive_by_bound(cat: SphericalCatenoid, m: int) -> bool:
-    """Certify q_m >= 0 everywhere, which makes mode m positive without any
-    eigenvalue computation.
+    """Certify q_m > 0 everywhere, which makes mode m positive without any
+    eigenvalue computation; exact, so True precisely when m >= 2.
 
-    Checks a dense grid on [0, 20]; the potential is even in s, and beyond
-    that span it sits within 2^-100 of its limit 2, so the grid covers all
-    possible dips.  Between nodes the potential can fall below the smaller
-    endpoint by at most h^2 max|q''|/8, estimated from the largest second
-    difference with a 4x safety factor.  Conservative: returns False near
-    the boundary of positivity and never certifies a negative mode.
+    In x = 1/w(s), w = a cosh(2s) - 1/2, the potential is
+
+        q_m = 2 + m^2 x - 2 (a^2 - 1/4) x^2,   x in (0, 1/(a - 1/2)],
+
+    a concave function of x (a > 1/2), so its infimum is the smaller end
+    value: 2 as x -> 0 (s -> infinity) and (m^2 - 2)/(a - 1/2) at the neck
+    x = 1/(a - 1/2).  Both are positive exactly when m^2 > 2; for m = 0, 1
+    the neck value is negative.  The answer does not depend on the member.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"mode must be a nonnegative integer, got {m!r}")
-    _, q = _catenoid_profiles(cat, m)
-    s = np.linspace(0.0, _SCREEN_SPAN, _SCREEN_POINTS)
-    values = q(s)
-    curvature = float(np.max(np.abs(values[2:] - 2.0 * values[1:-1] + values[:-2])))
-    return bool(float(np.min(values)) - 0.5 * curvature >= 0.0)
+    return m >= 2
 
 
 @dataclass(frozen=True)
@@ -329,12 +327,13 @@ def morse_index(
 ) -> IndexReport:
     """Morse index of the catenoid from modes 0..m_max.
 
-    Each mode is screened once by the potential bound; modes certified
-    positive are skipped.  The rest are discretized on [-R, R] with N cells
-    and counted with the default margin, and the count is repeated with N
-    doubled and R enlarged by 5; converged means the two counts agree for
-    every mode.  The refinement run needs R + 5 <= 300, so R must lie in
-    (0, 295].  The index weights m >= 1 twice for the two angular phases.
+    Each mode is screened once by the potential bound, which certifies every
+    mode m >= 2 positive in closed form; those modes are skipped.  Modes 0
+    and 1 are discretized on [-R, R] with N cells and counted with the
+    default margin, and the count is repeated with N doubled and R enlarged
+    by 5; converged means the two counts agree for every mode.  The
+    refinement run needs R + 5 <= 300, so R must lie in (0, 295].  The
+    index weights m >= 1 twice for the two angular phases.
     """
     if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 0:
         raise ValueError(f"m_max must be a nonnegative integer, got {m_max!r}")

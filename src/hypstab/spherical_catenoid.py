@@ -287,7 +287,7 @@ def _locate_c0(tol: float, quad_tol: float) -> tuple[float, float, float]:
         if prev_f == 0.0:
             return prev_a, prev_a, prev_a
         if (prev_f < 0.0) != (cur_f < 0.0):
-            bracket = (prev_a, prev_f, a, cur_f)
+            bracket = (prev_a, a, (prev_f, cur_f))
             break
         prev_a, prev_f = a, cur_f
     if bracket is None:
@@ -296,9 +296,9 @@ def _locate_c0(tol: float, quad_tol: float) -> tuple[float, float, float]:
             f"[{SCAN_LO}, {grid[-1]}] with step {SCAN_STEP}"
         )
 
-    lo, _, hi, _ = bracket
+    lo, hi, ends = bracket
     root, b_lo, b_hi = _root_with_bracket(
-        lambda a: F(SphericalCatenoid(a), quad_tol).value, lo, hi, tol
+        lambda a: F(SphericalCatenoid(a), quad_tol).value, lo, hi, tol, ends
     )
     return root, b_lo, b_hi
 

@@ -3,9 +3,11 @@
 Everything here deliberately avoids the package's own quadrature and ODE
 machinery: integrals use composite Simpson on a fixed truncated interval,
 profile integration uses classical fixed-step RK4.  Oracle values frozen
-into the tests were produced by exactly these routines.  The one exception
-is kronrod_panel_oracle, a frozen copy of the loop-form G7/K15 panel that the
-straight-line panel must reproduce bit for bit.
+into the tests were produced by exactly these routines.  The exceptions are
+frozen copies of replaced code: kronrod_panel_oracle, the loop-form G7/K15
+panel that the straight-line panel must reproduce bit for bit, and
+sampled_mode_screen, the sampled positivity screen that the closed-form
+screen must agree with wherever the sampled one is sharp.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from typing import Callable
 import numpy as np
 
 from hypstab.quadrature import _WG, _WGK, _XGK, QuadratureError
+from hypstab.spectral import _catenoid_profiles
 
 
 def simpson(f: Callable[[np.ndarray], np.ndarray], lo: float, hi: float, cells: int) -> float:
@@ -173,3 +176,27 @@ def kronrod_panel_oracle(
     if resasc != 0.0 and err != 0.0:
         err = resasc * min(1.0, (200.0 * err / resasc) ** 1.5)
     return value, err
+
+
+_SCREEN_SPAN = 20.0  # beyond this the potential is within 2^-100 of its limit 2
+_SCREEN_POINTS = 4001
+
+
+def sampled_mode_screen(cat, m: int) -> bool:
+    """Certify q_m >= 0 everywhere, which makes mode m positive without any
+    eigenvalue computation.
+
+    Checks a dense grid on [0, 20]; the potential is even in s, and beyond
+    that span it sits within 2^-100 of its limit 2, so the grid covers all
+    possible dips.  Between nodes the potential can fall below the smaller
+    endpoint by at most h^2 max|q''|/8, estimated from the largest second
+    difference with a 4x safety factor.  Conservative: returns False near
+    the boundary of positivity and never certifies a negative mode.
+    """
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise ValueError(f"mode must be a nonnegative integer, got {m!r}")
+    _, q = _catenoid_profiles(cat, m)
+    s = np.linspace(0.0, _SCREEN_SPAN, _SCREEN_POINTS)
+    values = q(s)
+    curvature = float(np.max(np.abs(values[2:] - 2.0 * values[1:-1] + values[:-2])))
+    return bool(float(np.min(values)) - 0.5 * curvature >= 0.0)

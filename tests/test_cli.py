@@ -428,6 +428,29 @@ def test_huge_tables_are_usage_errors_before_allocation(tmp_path, capsys, monkey
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag", ["--nodes", "--m-max"])
+def test_huge_index_runs_are_usage_errors_before_allocation(tmp_path, capsys, monkeypatch, flag):
+    def no_grid(*args, **kwargs):
+        raise AssertionError("grid allocated before the size bound")
+
+    monkeypatch.setattr(np, "linspace", no_grid)
+    code, out = invoke(tmp_path, "huge.json", ["index", "--a", "0.6", flag, str(10**12)])
+    assert code == EXIT_USAGE
+    assert "more than 1000000" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_index_size_bound_counts_refinement_cells_and_modes(tmp_path, monkeypatch):
+    def argv(nodes, m_max):
+        return ["index", "--a", "0.6", "--radius", "4", "--nodes", str(nodes),
+                "--m-max", str(m_max)]
+
+    monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 200)
+    assert invoke(tmp_path, "fits.json", argv(100, 199))[0] == EXIT_OK
+    assert invoke(tmp_path, "cells.json", argv(101, 1))[0] == EXIT_USAGE
+    assert invoke(tmp_path, "modes.json", argv(100, 200))[0] == EXIT_USAGE
+
+
 def test_table_row_bound_counts_grid_products(tmp_path, monkeypatch):
     argv = ["embed-export", "--family", "spherical", "--s-grid", "3", "--theta-grid", "4"]
     monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 12)

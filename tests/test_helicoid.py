@@ -23,6 +23,7 @@ from hypstab.helicoid import (
     sup_norm_A_sq,
 )
 from hypstab.lorentz import minkowski_inner, on_hyperboloid
+from hypstab.spectral import count_negative_eigenvalues, discretize, lowest_eigenvalues
 
 
 def test_pitch_validation():
@@ -100,6 +101,32 @@ def test_pitch_criterion_table():
     boundary = math.sqrt(STABLE_PITCH_SQ)
     assert is_stable_by_pitch(Helicoid(boundary))
     assert not is_stable_by_pitch(Helicoid(boundary + 1e-12))
+
+
+def _screw_invariant_form(alpha, R, N):
+    """The form int (f'^2 + (2 - |A|^2) f^2) sqrt(E) dt on [-R, R]."""
+    h = Helicoid(alpha)
+
+    def rho(t):
+        return np.array([math.sqrt(first_fundamental(h, x)[0]) for x in t.tolist()])
+
+    def q(t):
+        return np.array([2.0 - norm_A_sq(h, x) for x in t.tolist()])
+
+    return discretize(rho, q, R, N)
+
+
+@pytest.mark.parametrize("R, N", [(10.0, 2000), (20.0, 8000)])
+def test_screw_invariant_eigenvalue_changes_sign_near_2_18(R, N):
+    # lowest eigenvalue about +0.023 at alpha = 2.17 and -0.025 at 2.19
+    below = _screw_invariant_form(2.17, R, N)
+    above = _screw_invariant_form(2.19, R, N)
+    assert count_negative_eigenvalues(below) == 0
+    assert count_negative_eigenvalues(above) == 1
+    assert 0.0 < lowest_eigenvalues(below, 1)[0] < 0.05
+    assert -0.05 < lowest_eigenvalues(above, 1)[0] < 0.0
+    # the pitch criterion's edge is far on the stable side
+    assert lowest_eigenvalues(_screw_invariant_form(math.sqrt(STABLE_PITCH_SQ), R, N), 1)[0] > 0.0
 
 
 def test_first_fundamental_fd_matches():

@@ -234,6 +234,19 @@ def test_root_requires_sign_change():
         find_root_bracketed(math.cos, 2.0, 1.0)  # inverted bracket
 
 
+def test_root_validates_the_bracket_before_evaluating():
+    calls = []
+
+    def g(x):
+        calls.append(x)
+        return x
+
+    for lo, hi, tol in ((1.0, -1.0, 1e-12), (-1.0, math.inf, 1e-12), (-1.0, 1.0, 0.0)):
+        with pytest.raises(ValueError):
+            find_root_bracketed(g, lo, hi, tol)
+    assert calls == []
+
+
 def test_root_exact_endpoint_zero_returned():
     assert find_root_bracketed(lambda x: x, 0.0, 1.0) == 0.0
     assert find_root_bracketed(lambda x: x - 1.0, 0.0, 1.0) == 1.0

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypstab.spherical_catenoid as spherical_catenoid
 from hypstab.lorentz import minkowski_inner, on_hyperboloid
 from hypstab.quadrature import QuadratureError
 from hypstab.spherical_catenoid import (
@@ -188,6 +189,22 @@ def test_find_c0_matches_bisection_oracle():
     # straddling evaluations confirm the sign change
     assert F(SphericalCatenoid(c0 - 0.01)).value < 0.0
     assert F(SphericalCatenoid(c0 + 0.01)).value > 0.0
+
+
+def test_find_c0_evaluates_each_a_once(monkeypatch):
+    # the bracket ends found by the scan are handed to the root finder, not
+    # evaluated again
+    seen = []
+
+    def counting_F(cat, *args):
+        seen.append(cat.a)
+        return F(cat, *args)
+
+    monkeypatch.setattr(spherical_catenoid, "F", counting_F)
+    for tol, quad_tol in ((1e-4, 1e-9), (1e-6, 1e-10)):
+        seen.clear()
+        find_c0(tol, quad_tol)
+        assert len(seen) == len(set(seen)), tol
 
 
 def test_find_c0_deterministic():
