@@ -8,7 +8,7 @@ including the location of the instability threshold of the catenoid family.
 
 __version__ = "0.1.0"
 
-from . import cli, criteria, helicoid, hyperbolic_catenoid, lorentz, quadrature, spectral, spherical_catenoid
+from . import criteria, helicoid, hyperbolic_catenoid, lorentz, quadrature, spectral, spherical_catenoid
 from .criteria import (
     INCONCLUSIVE,
     STABLE,
@@ -30,7 +30,7 @@ from .hyperbolic_catenoid import (
     shape_constant,
     stability_window_max_t,
 )
-from .lorentz import LorentzVector, minkowski_inner, on_hyperboloid
+from .lorentz import minkowski_inner, on_hyperboloid
 from .quadrature import (
     QuadratureError,
     QuadratureResult,
@@ -58,7 +58,6 @@ __all__ = [
     "quadrature",
     "spectral",
     "spherical_catenoid",
-    "LorentzVector",
     "minkowski_inner",
     "on_hyperboloid",
     "QuadratureError",

@@ -158,9 +158,9 @@ def _cmd_sweep_f(params: Mapping[str, Any]) -> dict[str, Any]:
 def _cmd_find_c0(params: Mapping[str, Any]) -> dict[str, Any]:
     tol = float(params["tol"])
     quad_tol = float(params["quad_tol"])
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if quad_tol <= 0.0:
+    if not quad_tol > 0.0:
         raise ValueError(f"quad_tol must be positive, got {quad_tol}")
     root, lo, hi = _locate_c0(tol, quad_tol)
     return {"c0": root, "bracket": [lo, hi]}
@@ -269,10 +269,8 @@ def _hyperbolic_curve_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.
     if samples < 2:
         raise ValueError(f"samples must be >= 2, got {samples}")
     _bounded_rows(samples, f"samples {samples}")
-    s_max = _positive(params, "s_max")
-    curve = generating_curve_points(cat, np.linspace(0.0, s_max, samples))
-    grid = np.array([[s] for s, _ in curve])
-    return grid, np.array([point.coords for _, point in curve])
+    s = np.linspace(0.0, _positive(params, "s_max"), samples)
+    return s[:, None], generating_curve_points(cat, s)
 
 
 class _ExportFamily(NamedTuple):

@@ -13,10 +13,22 @@ for every pitch.
 
 The only stability test here is pointwise: |A|^2 <= 2 alpha^2 <= 9/4, that
 is alpha^2 <= 9/8, certifies stability.  It is sufficient, not necessary.
-The screw-invariant functions f(t) give the one-dimensional form
-int (f'^2 + (2 - |A|^2) f^2) sqrt(E) dt, whose lowest eigenvalue under
-`spectral.discretize` changes sign near alpha = 2.18; no verdict in this
-module uses that.
+
+Screw motions shift s and leave E and |A|^2, functions of t alone,
+unchanged.  So the stability form Q(u) = int (|grad u|^2 + (2 - |A|^2) u^2)
+dA, with Ric(nu, nu) = -2, |grad u|^2 = u_s^2 / E + u_t^2 and
+dA = sqrt(E) ds dt, separates under the Fourier transform in s: the mode
+g(t) e^{iks} contributes
+
+    int (g'^2 + (k^2 / E + 2 - |A|^2) g^2) sqrt(E) dt.
+
+A mode k != 0 only adds k^2 / E >= 0, so Q >= 0 on compactly supported u
+whenever the k = 0 form is nonnegative.  Conversely, a g with negative
+k = 0 form times a cutoff chi(s / L) gives Q(u) = L Q_0(g) int chi^2 + O(1/L),
+negative for a long enough cutoff.  The helicoid is therefore stable
+exactly when the one-dimensional k = 0 form is nonnegative.  Its lowest
+eigenvalue under `spectral.discretize` changes sign near alpha = 2.18; no
+verdict in this module uses that.
 """
 
 from __future__ import annotations
@@ -28,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lorentz
-from .lorentz import LorentzVector, minkowski_inner
+from .lorentz import minkowski_inner
 
 __all__ = [
     "Helicoid",
@@ -62,17 +74,15 @@ class Helicoid:
         object.__setattr__(self, "alpha", alpha)
 
 
-def embed(h: Helicoid, s: float, t: float) -> LorentzVector:
+def embed(h: Helicoid, s: float, t: float) -> tuple[float, float, float, float]:
     """Ruled embedding into the hyperboloid model; Minkowski square is -1
     identically in (s, t)."""
     al = h.alpha
-    return LorentzVector(
-        (
-            math.cosh(s) * math.cosh(t),
-            math.sinh(s) * math.cosh(t),
-            math.cos(al * s) * math.sinh(t),
-            math.sin(al * s) * math.sinh(t),
-        )
+    return (
+        math.cosh(s) * math.cosh(t),
+        math.sinh(s) * math.cosh(t),
+        math.cos(al * s) * math.sinh(t),
+        math.sin(al * s) * math.sinh(t),
     )
 
 
@@ -152,7 +162,7 @@ def is_stable_by_pitch(h: Helicoid) -> bool:
     return h.alpha * h.alpha <= STABLE_PITCH_SQ
 
 
-def normal(h: Helicoid, s: float, t: float) -> LorentzVector:
+def normal(h: Helicoid, s: float, t: float) -> tuple[float, float, float, float]:
     """Unit spacelike normal to the surface inside hyperbolic space.
 
     The closed form (alpha sinh t sinh s, alpha sinh t cosh s,
@@ -165,13 +175,11 @@ def normal(h: Helicoid, s: float, t: float) -> LorentzVector:
     al_sh_t = h.alpha * inv * math.sinh(t)
     ch_t = inv * math.cosh(t)
     al_s = h.alpha * s
-    return LorentzVector(
-        (
-            al_sh_t * math.sinh(s),
-            al_sh_t * math.cosh(s),
-            ch_t * math.sin(al_s),
-            -ch_t * math.cos(al_s),
-        )
+    return (
+        al_sh_t * math.sinh(s),
+        al_sh_t * math.cosh(s),
+        ch_t * math.sin(al_s),
+        -ch_t * math.cos(al_s),
     )
 
 
@@ -196,26 +204,26 @@ def second_fundamental_fd(
     near 2e-7 there."""
     if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    nrm = normal(h, s, t).coords
-    x_00 = embed(h, s, t).coords
+    nrm = normal(h, s, t)
+    x_00 = embed(h, s, t)
     inv_sq = 1.0 / (step * step)
 
     x_ss = tuple(
         (p - 2.0 * c + m) * inv_sq
-        for p, c, m in zip(embed(h, s + step, t).coords, x_00, embed(h, s - step, t).coords)
+        for p, c, m in zip(embed(h, s + step, t), x_00, embed(h, s - step, t))
     )
     x_tt = tuple(
         (p - 2.0 * c + m) * inv_sq
-        for p, c, m in zip(embed(h, s, t + step).coords, x_00, embed(h, s, t - step).coords)
+        for p, c, m in zip(embed(h, s, t + step), x_00, embed(h, s, t - step))
     )
     inv_cross = 0.25 * inv_sq
     x_st = tuple(
         (pp - pm - mp + mm) * inv_cross
         for pp, pm, mp, mm in zip(
-            embed(h, s + step, t + step).coords,
-            embed(h, s + step, t - step).coords,
-            embed(h, s - step, t + step).coords,
-            embed(h, s - step, t - step).coords,
+            embed(h, s + step, t + step),
+            embed(h, s + step, t - step),
+            embed(h, s - step, t + step),
+            embed(h, s - step, t - step),
         )
     )
     return (

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .lorentz import LorentzVector
+import numpy as np
 
 __all__ = [
     "ProfileError",
@@ -326,14 +326,21 @@ def stability_window_max_t(n: int) -> float:
 
 
 def is_stable_by_window(cat: HyperbolicCatenoid) -> bool:
-    """True iff the neck height lies strictly inside the certified stable
-    window 1 < t < stability_window_max_t(n)."""
+    """True iff the neck height lies strictly inside the stable window
+    1 < t < stability_window_max_t(n).
+
+    The pointwise test backs the window only for n = 2 and 3, where the
+    exact neck value n(n-1)(1 - 1/t^2) of |A|^2 stays at or below
+    (n+1)^2 / 4 across it.  For n >= 4 the top of the window, past the
+    pointwise edge (t from 1.4446 to 1.5208 at n = 4), rests on no
+    certificate in this package.
+    """
     return cat.t < stability_window_max_t(cat.n)
 
 
 def generating_curve(
-    cat: HyperbolicCatenoid, sample: ProfileSample, tol: float = 1e-9
-) -> LorentzVector:
+    cat: HyperbolicCatenoid, sample: ProfileSample
+) -> tuple[float, float, float]:
     """Point of the generating curve at the sample's arclength, as a point of
     the hyperbolic plane slice in hyperboloid coordinates (x, y, z).
 
@@ -343,27 +350,26 @@ def generating_curve(
     negative s, and the sample's height is cross-checked against it so
     samples from a different catenoid are rejected.
     """
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be positive, got {tol}")
     s = sample.s
     if not (math.isfinite(s) and abs(s) <= S_MAX_CAP):
         raise ValueError(f"sample arclength must lie in [-{S_MAX_CAP}, {S_MAX_CAP}]")
-    [(_, point)] = generating_curve_points(cat, [abs(s)], min(tol, DEFAULT_STEP_TOL))
-    x, y, z = point.coords
+    [(x, y, z)] = generating_curve_points(cat, [abs(s)]).tolist()
     if abs(x - sample.x) > 1e-6 * max(1.0, abs(sample.x)):
         raise ValueError(
             f"sample height {sample.x} does not match this catenoid's profile "
             f"height {x} at s = {s}"
         )
-    return LorentzVector((x, -y, z)) if s < 0.0 else point
+    return (x, -y, z) if s < 0.0 else (x, y, z)
 
 
 def generating_curve_points(
     cat: HyperbolicCatenoid,
     s_values: Iterable[float],
     step_tol: float = DEFAULT_STEP_TOL,
-) -> list[tuple[float, LorentzVector]]:
-    """Generating-curve points at many nonnegative arclengths in one sweep.
+) -> np.ndarray:
+    """Generating-curve points at many nonnegative arclengths in one sweep:
+    a (len(s_values), 3) float64 array whose row k is the point (x, y, z)
+    at the k-th arclength.
 
     s_values must be sorted ascending; the integration continues from one
     target to the next instead of restarting, so a dense export costs one
@@ -378,7 +384,7 @@ def generating_curve_points(
         raise ValueError(f"arclength targets must not exceed {S_MAX_CAP}")
     _require_step_tol(step_tol)
 
-    out: list[tuple[float, LorentzVector]] = []
+    rows: list[tuple[float, float, float]] = []
     s_cur = 0.0
     y: _State = (cat.t, 0.0, 0.0)
     for s in targets:
@@ -389,5 +395,5 @@ def generating_curve_points(
                 pass  # only the state on the target is kept
         x, _, p = y
         r = math.sqrt(x * x - 1.0)
-        out.append((s, LorentzVector((x, r * math.sin(p), r * math.cos(p)))))
-    return out
+        rows.append((x, r * math.sin(p), r * math.cos(p)))
+    return np.array(rows, dtype=np.float64).reshape(-1, 3)

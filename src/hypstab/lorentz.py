@@ -10,13 +10,11 @@ tuple itself; mixing dimensions is rejected, not broadcast.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
-    "LorentzVector",
     "ROUNDING_SLACK",
     "first_fundamental_fd",
     "minkowski_inner",
@@ -30,46 +28,16 @@ __all__ = [
 # and |s| <= 20, helicoid |s|, |t| <= 12, hyperbolic curves to s = 20).
 ROUNDING_SLACK = 16.0
 
-CoordsLike = Union["LorentzVector", Sequence[float]]
 
-
-@dataclass(frozen=True)
-class LorentzVector:
-    """Point or tangent vector in Minkowski space, timelike coordinate first."""
-
-    coords: tuple[float, ...]
-
-    def __post_init__(self) -> None:
-        coords = tuple(float(c) for c in self.coords)
-        if len(coords) < 2:
-            raise ValueError("LorentzVector needs at least two coordinates")
-        object.__setattr__(self, "coords", coords)
-
-    @property
-    def dim(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self.coords)
-
-    def __getitem__(self, i: int) -> float:
-        return self.coords[i]
-
-    def __len__(self) -> int:
-        return len(self.coords)
-
-
-def _coords(x: CoordsLike) -> tuple[float, ...]:
-    if isinstance(x, LorentzVector):
-        return x.coords
+def _coords(x: Sequence[float]) -> tuple[float, ...]:
     return tuple(float(c) for c in x)
 
 
-def minkowski_inner(x: CoordsLike, y: CoordsLike) -> float:
+def minkowski_inner(x: Sequence[float], y: Sequence[float]) -> float:
     """Indefinite product -x1*y1 + sum_{i>=2} xi*yi.
 
-    Accepts LorentzVector or any coordinate sequence.  The arguments must
-    have equal dimension; a mismatch raises ValueError.
+    Accepts any coordinate sequence.  The arguments must have equal
+    dimension; a mismatch raises ValueError.
     """
     xc = _coords(x)
     yc = _coords(y)
@@ -82,7 +50,7 @@ def minkowski_inner(x: CoordsLike, y: CoordsLike) -> float:
 
 
 def first_fundamental_fd(
-    embed: Callable[[float, float], CoordsLike], u: float, v: float, step: float
+    embed: Callable[[float, float], Sequence[float]], u: float, v: float, step: float
 ) -> tuple[float, float, float]:
     """(E, F, G) of the metric induced by the Minkowski product on the
     surface embed(u, v), from central differences with the given step.
@@ -94,7 +62,7 @@ def first_fundamental_fd(
         raise ValueError(f"step must be positive, got {step}")
     inv = 0.5 / step
 
-    def central(plus: CoordsLike, minus: CoordsLike) -> tuple[float, ...]:
+    def central(plus: Sequence[float], minus: Sequence[float]) -> tuple[float, ...]:
         return tuple((p - m) * inv for p, m in zip(_coords(plus), _coords(minus)))
 
     d_u = central(embed(u + step, v), embed(u - step, v))
@@ -125,7 +93,7 @@ def on_hyperboloid_rows(points: np.ndarray, tol: float) -> np.ndarray:
         return (np.abs(square + 1.0) <= bound) & (x[:, 0] >= 1.0 - tol)
 
 
-def on_hyperboloid(x: CoordsLike, tol: float) -> bool:
+def on_hyperboloid(x: Sequence[float], tol: float) -> bool:
     """True iff x lies on the upper unit hyperboloid within tolerance tol,
     by the rule of `on_hyperboloid_rows`."""
     return bool(on_hyperboloid_rows([_coords(x)], tol)[0])

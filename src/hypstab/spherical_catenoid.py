@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lorentz import LorentzVector, first_fundamental_fd
+from .lorentz import first_fundamental_fd
 from .quadrature import (
     DEFAULT_TOL,
     QuadratureError,
@@ -152,7 +152,7 @@ def phi(cat: SphericalCatenoid, s: float, tol: float = DEFAULT_TOL) -> float:
 
 def embed(
     cat: SphericalCatenoid, s: float, theta: float, tol: float = DEFAULT_TOL
-) -> LorentzVector:
+) -> tuple[float, float, float, float]:
     """Isometric embedding into the hyperboloid model of hyperbolic 3-space.
 
     f(s, theta) = (B cosh phi, B sinh phi, rho cos theta, rho sin theta)
@@ -164,13 +164,11 @@ def embed(
     big = math.sqrt(w + 1.0)
     rho = math.sqrt(w)
     p = phi(cat, s, tol)
-    return LorentzVector(
-        (
-            big * math.cosh(p),
-            big * math.sinh(p),
-            rho * math.cos(theta),
-            rho * math.sin(theta),
-        )
+    return (
+        big * math.cosh(p),
+        big * math.sinh(p),
+        rho * math.cos(theta),
+        rho * math.sin(theta),
     )
 
 

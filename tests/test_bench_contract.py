@@ -42,3 +42,17 @@ def test_traced_operations_fill_the_spectral_spans(tmp_path):
     names = np.array(recorder.names)[spans[:, tracing.FIELDS.index("name")].astype(int)]
     for name in ("morse_index", "screen", "assemble", "criteria"):
         assert np.count_nonzero(names == name), name
+
+
+def test_curve_span_counts_the_exported_points(tmp_path):
+    recorder = tracing.Recorder()
+    argv = ["embed-export", "--family", "hyperbolic-curve", "--samples", "257",
+            "--output", str(tmp_path / "curve.csv")]
+    with tracing.installed(recorder):
+        with recorder.operation(1):
+            assert main(argv) == EXIT_OK
+    spans = recorder.spans()
+    names = np.array(recorder.names)[spans[:, tracing.FIELDS.index("name")].astype(int)]
+    curve = spans[names == "curve"]
+    assert len(curve) == 1
+    assert curve[0, tracing.FIELDS.index("count")] == 257

@@ -3,13 +3,19 @@ round trip through the table reader."""
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypstab
 import hypstab.cli as cli
+import hypstab.spherical_catenoid as spherical_catenoid
 from hypstab.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -335,6 +341,34 @@ def test_argparse_rejections():
     with pytest.raises(SystemExit) as exc:
         main(["find-c0", "--format", "csv"])  # JSON-only command
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--quad-tol", "quad_tol")])
+def test_find_c0_rejects_a_nan_tolerance_before_any_F(tmp_path, capsys, monkeypatch, flag, name):
+    calls = []
+
+    def counted(cat, tol):
+        calls.append(cat.a)
+        return F(cat, tol)
+
+    monkeypatch.setattr(spherical_catenoid, "F", counted)
+    code, out = invoke(tmp_path, "c0.json", ["find-c0", flag, "nan"])
+    assert code == EXIT_USAGE
+    assert f"invalid parameters: {name} must be positive, got nan" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+def test_module_entry_point_runs_without_warnings():
+    src = str(Path(hypstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hypstab.cli", "--version"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert proc.stdout == f"hypstab {hypstab.__version__}\n"
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -176,7 +176,7 @@ def test_normal_orientation():
     for alpha, s, t in grid:
         h = Helicoid(alpha)
         xs, xt = _fd_tangents(h, s, t)
-        frame = np.column_stack([embed(h, s, t).coords, xs, xt, normal(h, s, t).coords])
+        frame = np.column_stack([embed(h, s, t), xs, xt, normal(h, s, t)])
         assert np.linalg.det(frame) < 0.0, (alpha, s, t)
 
 
@@ -222,6 +222,6 @@ def test_embed_grid_rows_equal_embed_bit_for_bit(alpha, s_max, t_max, s_grid, t_
     s_values = np.linspace(-s_max, s_max, s_grid)
     t_values = np.linspace(-t_max, t_max, t_grid)
     expected = np.array(
-        [embed(h, float(s), float(t)).coords for s in s_values for t in t_values]
+        [embed(h, float(s), float(t)) for s in s_values for t in t_values]
     )
     assert embed_grid(h, s_values, t_values).tobytes() == expected.tobytes()

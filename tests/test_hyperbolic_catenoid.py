@@ -3,6 +3,7 @@ closed-form geometry at the neck and the stability window."""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -21,7 +22,7 @@ from hypstab.hyperbolic_catenoid import (
     shape_constant,
     stability_window_max_t,
 )
-from hypstab.lorentz import minkowski_inner, on_hyperboloid
+from hypstab.lorentz import minkowski_inner, on_hyperboloid, on_hyperboloid_rows
 
 import oracles
 
@@ -200,7 +201,7 @@ def test_generating_curve_on_hyperbolic_plane():
     samples = integrate_profile(cat, 3.0)
     for smp in samples[::9]:
         point = generating_curve(cat, smp)
-        assert point.dim == 3
+        assert len(point) == 3
         assert on_hyperboloid(point, 1e-8)
         assert point[0] == pytest.approx(smp.x, abs=1e-7)
 
@@ -212,7 +213,7 @@ def test_generating_curve_is_unit_speed():
     h = 1e-4
     for s in (0.5, 1.2, 2.4):
         pts = generating_curve_points(cat, [s - h, s + h])
-        diff = [(b - a) / (2.0 * h) for a, b in zip(pts[0][1], pts[1][1])]
+        diff = [(b - a) / (2.0 * h) for a, b in zip(pts[0], pts[1])]
         assert minkowski_inner(diff, diff) == pytest.approx(1.0, abs=1e-6)
 
 
@@ -238,7 +239,26 @@ def test_generating_curve_points_validation():
         generating_curve_points(cat, [1.0, 0.5])  # unsorted
     with pytest.raises(ValueError):
         generating_curve_points(cat, [-1.0])
-    assert generating_curve_points(cat, []) == []
+    assert generating_curve_points(cat, []).shape == (0, 3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 6),
+    st.floats(1.01, 3.0),
+    st.lists(st.floats(0.0, 7.5), min_size=1, max_size=30).map(sorted),
+)
+def test_curve_sweep_is_one_array_of_sheet_points(n, t, targets):
+    """One (k, 3) float64 row per target, on the sheet, rising in x, and the
+    last row agrees with a sweep that runs straight to the last target."""
+    cat = HyperbolicCatenoid(n, t)
+    rows = generating_curve_points(cat, targets)
+    assert rows.dtype == np.float64
+    assert rows.shape == (len(targets), 3)
+    assert on_hyperboloid_rows(rows, 1e-8).all()
+    assert (np.diff(rows[:, 0]) >= 0.0).all()
+    fresh = generating_curve_points(cat, targets[-1:])[0]
+    assert np.abs(rows[-1] - fresh).max() <= 1e-8 * np.abs(fresh).max()
 
 
 @pytest.mark.parametrize("step_tol", [-1.0, 0.0, math.inf, math.nan])
