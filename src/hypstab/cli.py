@@ -436,7 +436,13 @@ def run(config: RunConfig) -> int:
             raise ValueError(f"command {config.command} only supports JSON output")
         payload = _HANDLERS[config.command](config.parameters)
         render = _render_csv if config.fmt == "csv" else _render_json
-        _emit(config.output, render(config, payload))
+        text = render(config, payload)
+        try:
+            _emit(config.output, text)
+        except OSError as exc:
+            raise ValueError(
+                f"cannot write --output {config.output}: {exc.strerror or exc}"
+            ) from exc
         return EXIT_OK
     except ValueError as exc:
         print(f"hypstab {config.command}: invalid parameters: {exc}", file=sys.stderr)

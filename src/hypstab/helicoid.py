@@ -59,6 +59,12 @@ __all__ = [
 
 STABLE_PITCH_SQ = 9.0 / 8.0
 
+# Step of `second_fundamental_fd`.  It balances the O(step^2) truncation of
+# the stencil against the eps/step^2 rounding noise of second differences;
+# on the order-ten coordinates reached by |t| <= 2 the total error bottoms
+# out near 2e-7 at this step.
+_SECOND_FD_STEP = 3e-4
+
 
 @dataclass(frozen=True)
 class Helicoid:
@@ -74,16 +80,36 @@ class Helicoid:
         object.__setattr__(self, "alpha", alpha)
 
 
+def _overflow(
+    h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]
+) -> OverflowError:
+    """OverflowError naming alpha and the first s, else t, past the range
+    of cosh."""
+    for name, values in (("s", s_values), ("t", t_values)):
+        for x in values:
+            try:
+                math.cosh(x)
+            except OverflowError:
+                return OverflowError(
+                    f"helicoid embedding overflows at alpha = {h.alpha}, {name} = {x}"
+                )
+    return OverflowError(f"helicoid embedding overflows at alpha = {h.alpha}")
+
+
 def embed(h: Helicoid, s: float, t: float) -> tuple[float, float, float, float]:
     """Ruled embedding into the hyperboloid model; Minkowski square is -1
-    identically in (s, t)."""
+    identically in (s, t).  Raises OverflowError naming the coordinate
+    whose cosh or sinh overflows."""
     al = h.alpha
-    return (
-        math.cosh(s) * math.cosh(t),
-        math.sinh(s) * math.cosh(t),
-        math.cos(al * s) * math.sinh(t),
-        math.sin(al * s) * math.sinh(t),
-    )
+    try:
+        return (
+            math.cosh(s) * math.cosh(t),
+            math.sinh(s) * math.cosh(t),
+            math.cos(al * s) * math.sinh(t),
+            math.sin(al * s) * math.sinh(t),
+        )
+    except OverflowError:
+        raise _overflow(h, [s], [t]) from None
 
 
 def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]) -> np.ndarray:
@@ -93,18 +119,22 @@ def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]
 
     Every coordinate is a function of s times a function of t, so each
     transcendental is evaluated once per axis value, with `math` as in
-    `embed`, and the grid is formed by outer products.
+    `embed`, and the grid is formed by outer products.  Raises
+    OverflowError naming the first coordinate whose cosh or sinh overflows.
     """
     al = h.alpha
     s_axis = [float(s) for s in s_values]
     t_axis = [float(t) for t in t_values]
-    ch_t = [math.cosh(t) for t in t_axis]
-    sh_t = [math.sinh(t) for t in t_axis]
-    out = np.empty((len(s_axis), len(t_axis), 4))
-    out[:, :, 0] = np.multiply.outer([math.cosh(s) for s in s_axis], ch_t)
-    out[:, :, 1] = np.multiply.outer([math.sinh(s) for s in s_axis], ch_t)
-    out[:, :, 2] = np.multiply.outer([math.cos(al * s) for s in s_axis], sh_t)
-    out[:, :, 3] = np.multiply.outer([math.sin(al * s) for s in s_axis], sh_t)
+    try:
+        ch_t = [math.cosh(t) for t in t_axis]
+        sh_t = [math.sinh(t) for t in t_axis]
+        out = np.empty((len(s_axis), len(t_axis), 4))
+        out[:, :, 0] = np.multiply.outer([math.cosh(s) for s in s_axis], ch_t)
+        out[:, :, 1] = np.multiply.outer([math.sinh(s) for s in s_axis], ch_t)
+        out[:, :, 2] = np.multiply.outer([math.cos(al * s) for s in s_axis], sh_t)
+        out[:, :, 3] = np.multiply.outer([math.sin(al * s) for s in s_axis], sh_t)
+    except OverflowError:
+        raise _overflow(h, s_axis, t_axis) from None
     return out.reshape(-1, 4)
 
 
@@ -114,7 +144,10 @@ def first_fundamental(h: Helicoid, t: float) -> tuple[float, float, float]:
     E = cosh^2 t + alpha^2 sinh^2 t, F = 0, G = 1.  Raises OverflowError
     when E is not a finite float.
     """
-    ch, sh = math.cosh(t), math.sinh(t)
+    try:
+        ch, sh = math.cosh(t), math.sinh(t)
+    except OverflowError:
+        ch = sh = math.inf
     e_coef = ch * ch + h.alpha * h.alpha * sh * sh
     if not math.isfinite(e_coef):
         raise OverflowError(f"helicoid metric E overflows at alpha = {h.alpha}, t = {t}")
@@ -183,27 +216,18 @@ def normal(h: Helicoid, s: float, t: float) -> tuple[float, float, float, float]
     )
 
 
-def first_fundamental_fd(
-    h: Helicoid, s: float, t: float, step: float = 1e-5
-) -> tuple[float, float, float]:
-    """(E, F, G) from central differences of the embedding; agreement with
-    the closed form certifies the embedding against the metric."""
-    return lorentz.first_fundamental_fd(lambda u, v: embed(h, u, v), s, t, step)
+def first_fundamental_fd(h: Helicoid, s: float, t: float) -> tuple[float, float, float]:
+    """(E, F, G) from central differences of the embedding with step
+    `lorentz.FD_STEP` (1e-5); agreement with the closed form certifies the
+    embedding against the metric."""
+    return lorentz.first_fundamental_fd(lambda u, v: embed(h, u, v), s, t)
 
 
-def second_fundamental_fd(
-    h: Helicoid, s: float, t: float, step: float = 3e-4
-) -> tuple[float, float, float]:
-    """(e, f, g) from second differences of the embedding paired with
-    `normal`; agreement with the closed form certifies the shape
-    operator sign convention.
-
-    The default step balances the O(step^2) truncation of the stencil
-    against the eps/step^2 rounding noise of second differences; on the
-    order-ten coordinates reached by |t| <= 2 the total error bottoms out
-    near 2e-7 there."""
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+def second_fundamental_fd(h: Helicoid, s: float, t: float) -> tuple[float, float, float]:
+    """(e, f, g) from second differences of the embedding with step 3e-4,
+    paired with `normal`; agreement with the closed form certifies the
+    shape operator sign convention."""
+    step = _SECOND_FD_STEP
     nrm = normal(h, s, t)
     x_00 = embed(h, s, t)
     inv_sq = 1.0 / (step * step)

@@ -75,13 +75,20 @@ def shape_constant(n: int, t: float) -> float:
 
     Requires integer n >= 2 and t >= 1; vanishes exactly at t = 1 (the
     degenerate cylinder-free limit) and is strictly increasing in t.
+    Raises OverflowError when a is not a finite float.
     """
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
     t = float(t)
     if not (math.isfinite(t) and t >= 1.0):
         raise ValueError(f"neck height t must satisfy t >= 1, got {t}")
-    return t ** (n - 1) * math.sqrt(t * t - 1.0)
+    try:
+        a = t ** (n - 1) * math.sqrt(t * t - 1.0)
+    except OverflowError:
+        a = math.inf
+    if not math.isfinite(a):
+        raise OverflowError(f"shape constant a overflows at n = {n}, t = {t}")
+    return a
 
 
 @dataclass(frozen=True)
@@ -211,17 +218,13 @@ def _check_state(cat: HyperbolicCatenoid, s: float, x: float, v: float) -> None:
         raise ProfileError(f"lower slope bracket violated at s = {s}")
 
 
-def _require_step_tol(step_tol: float) -> None:
-    if not (math.isfinite(step_tol) and step_tol > 0.0):
-        raise ValueError(f"step_tol must be positive, got {step_tol}")
-
-
 def _advance(
-    cat: HyperbolicCatenoid, y: _State, s: float, s_to: float, step_tol: float
+    cat: HyperbolicCatenoid, y: _State, s: float, s_to: float
 ) -> Iterator[tuple[float, _State]]:
-    """Adaptive integration from s to s_to > s, yielding each accepted
-    (s, state) once it passes `_check_state`; the final step is clipped so
-    the last accepted state lands exactly on s_to."""
+    """Adaptive integration from s to s_to > s at scaled local error
+    DEFAULT_STEP_TOL, yielding each accepted (s, state) once it passes
+    `_check_state`; the final step is clipped so the last accepted state
+    lands exactly on s_to."""
     h = min(0.1, s_to - s)
     steps = 0
     while s < s_to:
@@ -232,27 +235,26 @@ def _advance(
             )
         h = min(h, s_to - s)
         y_trial, err = _ck_step(cat, y, h)
-        if err <= step_tol:
+        if err <= DEFAULT_STEP_TOL:
             s = s_to if s + h >= s_to else s + h
             y = y_trial
             _check_state(cat, s, y[0], y[1])
             yield s, y
             if err > 0.0:
-                h *= min(5.0, _SAFETY * (err / step_tol) ** _GROW_EXP)
+                h *= min(5.0, _SAFETY * (err / DEFAULT_STEP_TOL) ** _GROW_EXP)
             else:
                 h *= 5.0
         else:
-            h *= max(0.1, _SAFETY * (err / step_tol) ** _SHRINK_EXP)
+            h *= max(0.1, _SAFETY * (err / DEFAULT_STEP_TOL) ** _SHRINK_EXP)
             if h < _MIN_STEP:
                 raise ProfileError(f"step size underflow at s = {s}")
 
 
 def integrate_profile(
-    cat: HyperbolicCatenoid,
-    s_max: float = DEFAULT_S_MAX,
-    step_tol: float = DEFAULT_STEP_TOL,
+    cat: HyperbolicCatenoid, s_max: float = DEFAULT_S_MAX
 ) -> list[ProfileSample]:
-    """Profile samples on [0, s_max] at the integrator's accepted steps.
+    """Profile samples on [0, s_max] at the integrator's accepted steps,
+    taken at scaled local error DEFAULT_STEP_TOL (1e-10).
 
     The first sample is exactly (0, t, 0), the last lands exactly on s_max.
     The height is strictly increasing past the neck; each accepted state is
@@ -262,11 +264,10 @@ def integrate_profile(
     s_max = float(s_max)
     if not (math.isfinite(s_max) and 0.0 < s_max <= S_MAX_CAP):
         raise ValueError(f"s_max must lie in (0, {S_MAX_CAP}], got {s_max}")
-    _require_step_tol(step_tol)
 
     s0, y = _launch(cat, s_max)
     samples = [ProfileSample(0.0, cat.t, 0.0), ProfileSample(s0, y[0], y[1])]
-    for s, (x, v, _) in _advance(cat, y, s0, s_max, step_tol):
+    for s, (x, v, _) in _advance(cat, y, s0, s_max):
         if x <= samples[-1].x:
             raise ProfileError(f"profile height failed to increase at s = {s}")
         samples.append(ProfileSample(s, x, v))
@@ -363,13 +364,12 @@ def generating_curve(
 
 
 def generating_curve_points(
-    cat: HyperbolicCatenoid,
-    s_values: Iterable[float],
-    step_tol: float = DEFAULT_STEP_TOL,
+    cat: HyperbolicCatenoid, s_values: Iterable[float]
 ) -> np.ndarray:
     """Generating-curve points at many nonnegative arclengths in one sweep:
     a (len(s_values), 3) float64 array whose row k is the point (x, y, z)
-    at the k-th arclength.
+    at the k-th arclength, integrated at scaled local error
+    DEFAULT_STEP_TOL (1e-10).
 
     s_values must be sorted ascending; the integration continues from one
     target to the next instead of restarting, so a dense export costs one
@@ -382,7 +382,6 @@ def generating_curve_points(
         raise ValueError("arclength targets must be sorted ascending")
     if targets and targets[-1] > S_MAX_CAP:
         raise ValueError(f"arclength targets must not exceed {S_MAX_CAP}")
-    _require_step_tol(step_tol)
 
     rows: list[tuple[float, float, float]] = []
     s_cur = 0.0
@@ -391,7 +390,7 @@ def generating_curve_points(
         if s > s_cur:
             if s_cur == 0.0:
                 s_cur, y = _launch(cat, s)
-            for s_cur, y in _advance(cat, y, s_cur, s, step_tol):
+            for s_cur, y in _advance(cat, y, s_cur, s):
                 pass  # only the state on the target is kept
         x, _, p = y
         r = math.sqrt(x * x - 1.0)

@@ -258,7 +258,6 @@ def integrate_semi_infinite(
     f: Callable[[float], float],
     tol: float = DEFAULT_TOL,
     decay_hint: float = 1.0,
-    max_evals: int = PANEL_BUDGET,
 ) -> QuadratureResult:
     """Integrate f over [0, infinity) assuming |f(s)| decays like exp(-lam*s)
     with lam >= decay_hint for large s.
@@ -267,8 +266,10 @@ def integrate_semi_infinite(
     sup_{s >= S} |f(s)| e^{lam (s - S)} / lam, estimated from probe points
     past S with a 1.25 safety factor; S grows geometrically until the bound
     fits inside tol/2.  The returned error estimate includes the tail bound.
-    Raises QuadratureError when no admissible S is found, which is the
-    symptom of a decay_hint that overstates the true decay rate.
+    Probes and panels together get PANEL_BUDGET (10^6) integrand
+    evaluations.  Raises QuadratureError when no admissible S is found,
+    which is the symptom of a decay_hint that overstates the true decay
+    rate, or when the budget runs out.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
@@ -299,7 +300,7 @@ def integrate_semi_infinite(
             f"rate {decay_hint} appears violated"
         )
 
-    base = integrate_adaptive(f, 0.0, cut, tol, max_evals - probe_evals)
+    base = integrate_adaptive(f, 0.0, cut, tol, PANEL_BUDGET - probe_evals)
     return QuadratureResult(
         base.value,
         base.error_estimate + tail,

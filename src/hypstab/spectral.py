@@ -45,16 +45,14 @@ _MAX_RADIUS = 300.0  # the profile weight overflows past this radius
 
 @dataclass(frozen=True, eq=False)
 class SturmLiouvilleDisc:
-    """Uniform Dirichlet discretization of one angular mode.
+    """Uniform Dirichlet discretization of a radial form.
 
     grid holds the N+1 nodes of [-R, R]; weight and potential are the radial
-    measure rho and the mode potential q_m at the nodes, and weight_mid holds
+    measure rho and the potential q at the nodes, and weight_mid holds
     rho at the N midpoints (evaluated analytically, not interpolated, so the
     flux stencil keeps second-order accuracy).
     """
 
-    mode: int
-    radius: float
     grid: np.ndarray
     weight: np.ndarray
     weight_mid: np.ndarray
@@ -90,8 +88,6 @@ class SturmLiouvilleDisc:
         ):
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
-        if not isinstance(self.mode, int) or self.mode < 0:
-            raise ValueError(f"mode must be a nonnegative integer, got {self.mode!r}")
 
     @property
     def h(self) -> float:
@@ -108,7 +104,6 @@ def discretize(
     q: Callable[[np.ndarray], np.ndarray],
     R: float,
     N: int,
-    mode: int = 0,
 ) -> SturmLiouvilleDisc:
     """Discretization of a general radial form on [-R, R] with N cells.
 
@@ -125,14 +120,7 @@ def discretize(
     weight = np.asarray(rho(grid), dtype=float) * np.ones_like(grid)
     weight_mid = np.asarray(rho(mid), dtype=float) * np.ones_like(mid)
     potential = np.asarray(q(grid), dtype=float) * np.ones_like(grid)
-    return SturmLiouvilleDisc(
-        mode=mode,
-        radius=float(R),
-        grid=grid,
-        weight=weight,
-        weight_mid=weight_mid,
-        potential=potential,
-    )
+    return SturmLiouvilleDisc(grid, weight, weight_mid, potential)
 
 
 def _catenoid_profiles(cat: SphericalCatenoid, m: int):
@@ -164,7 +152,7 @@ def assemble_mode_operator(
     if not isinstance(N, int) or isinstance(N, bool) or N < 100:
         raise ValueError(f"cell count must be an integer >= 100, got {N!r}")
     rho, q = _catenoid_profiles(cat, m)
-    return discretize(rho, q, float(R), N, mode=m)
+    return discretize(rho, q, float(R), N)
 
 
 def _tridiagonal_system(

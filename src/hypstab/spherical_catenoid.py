@@ -205,19 +205,18 @@ def embed_grid(
     return out.reshape(-1, 4)
 
 
-def metric_residual(
-    cat: SphericalCatenoid, s: float, theta: float, h: float = 1e-5
-) -> float:
+def metric_residual(cat: SphericalCatenoid, s: float, theta: float) -> float:
     """Worst deviation of the finite-difference first fundamental form from
     the closed form ds^2 + rho^2 dtheta^2 at (s, theta).
 
-    Central differences of the embedding with step h; the rotation angle is
-    computed to 1e-13 so quadrature noise stays far below the h^2 truncation
-    error of the differences.  Small values certify that the embedding, the
-    profile radius, and the rotation angle are mutually consistent.
+    Central differences of the embedding with step `lorentz.FD_STEP` (1e-5);
+    the rotation angle is computed to 1e-13 so quadrature noise stays far
+    below the step^2 truncation error of the differences.  Small values
+    certify that the embedding, the profile radius, and the rotation angle
+    are mutually consistent.
     """
     e_fd, f_fd, g_fd = first_fundamental_fd(
-        lambda u, v: embed(cat, u, v, _PHI_FD_TOL), s, theta, h
+        lambda u, v: embed(cat, u, v, _PHI_FD_TOL), s, theta
     )
     return max(abs(e_fd - 1.0), abs(f_fd), abs(g_fd - _warp_sq(cat, s)))
 

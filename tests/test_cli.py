@@ -227,6 +227,39 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hyperbolic-window", "--n", "1000", "--steps", "3"],
+         "shape constant a overflows at n = 1000, t = 3.0"),
+        (["hyperbolic-window", "--t-max", "1e200", "--steps", "2"],
+         "shape constant a overflows at n = 2, t = 1e+200"),
+        (["embed-export", "--family", "hyperbolic-curve", "--t", "1e200", "--samples", "3"],
+         "shape constant a overflows at n = 2, t = 1e+200"),
+        (["helicoid", "--alpha", "1", "--t-max", "800", "--t-grid", "3"],
+         "helicoid metric E overflows at alpha = 1.0, t = -800.0"),
+        (["embed-export", "--family", "helicoid", "--s-max", "800", "--s-grid", "3",
+          "--t-grid", "3"],
+         "helicoid embedding overflows at alpha = 1.0, s = -800.0"),
+    ],
+    ids=["window-n", "window-t", "curve-t", "helicoid-t", "export-s"],
+)
+def test_overflow_names_its_input(tmp_path, capsys, argv, message):
+    code, out = invoke(tmp_path, "big.csv", argv)
+    assert code == EXIT_NUMERICAL
+    assert f"numerical failure: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", ["missing/x.json", "."])
+def test_unwritable_output_is_a_usage_error(tmp_path, capsys, target):
+    path = tmp_path / target
+    assert main(["criteria", "--n", "2", "--output", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"cannot write --output {path}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "alpha, t_max", [("1e154", "3"), ("1e155", "3"), ("1e200", "3"), ("1", "400")]
 )
 def test_helicoid_metric_overflow_is_a_numerical_failure(tmp_path, capsys, alpha, t_max):

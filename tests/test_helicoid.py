@@ -180,6 +180,21 @@ def test_normal_orientation():
         assert np.linalg.det(frame) < 0.0, (alpha, s, t)
 
 
+def test_coordinate_overflow_names_the_coordinate():
+    h = Helicoid(1.0)
+    with pytest.raises(OverflowError, match=re.escape("E overflows at alpha = 1.0, t = 800.0")):
+        first_fundamental(h, 800.0)
+    cases = [
+        (lambda: embed(h, 800.0, 0.0), "s = 800.0"),
+        (lambda: embed(h, 0.5, -750.0), "t = -750.0"),
+        (lambda: embed_grid(h, [0.0, 900.0], [1.0, 2.0]), "s = 900.0"),
+        (lambda: embed_grid(h, [0.0, 1.0], [2.0, -720.0]), "t = -720.0"),
+    ]
+    for call, name in cases:
+        with pytest.raises(OverflowError, match=re.escape(f"alpha = 1.0, {name}")):
+            call()
+
+
 def test_overflow_names_the_pitch():
     for alpha in (1e160, 1e200):
         with pytest.raises(OverflowError, match=re.escape(f"alpha = {alpha}")):
@@ -190,14 +205,6 @@ def test_overflow_names_the_pitch():
     for alpha in (1e154, 1e155, 1e200):
         with pytest.raises(OverflowError, match=re.escape(f"|A|^2 overflows at alpha = {alpha}")):
             sup_norm_A_sq(Helicoid(alpha))
-
-
-def test_fd_step_validation():
-    h = Helicoid(1.0)
-    with pytest.raises(ValueError):
-        first_fundamental_fd(h, 0.0, 0.0, step=0.0)
-    with pytest.raises(ValueError):
-        second_fundamental_fd(h, 0.0, 0.0, step=-1e-5)
 
 
 @settings(max_examples=40, deadline=None)

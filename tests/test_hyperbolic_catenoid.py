@@ -2,6 +2,7 @@
 closed-form geometry at the neck and the stability window."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -180,14 +181,24 @@ def test_window_membership():
     assert not is_stable_by_window(HyperbolicCatenoid(5, 1.5))
 
 
+@pytest.mark.parametrize("n, t", [(1000, 3.0), (2, 1e200)])
+def test_shape_constant_overflow_names_n_and_t(n, t):
+    with pytest.raises(OverflowError, match=re.escape(f"overflows at n = {n}, t = {t}")):
+        shape_constant(n, t)
+    with pytest.raises(OverflowError, match=re.escape(f"overflows at n = {n}, t = {t}")):
+        HyperbolicCatenoid(n, t)
+
+
+def test_shape_constant_stays_finite_below_the_float_range():
+    assert shape_constant(1000, 1.5) == pytest.approx(1.5**999 * math.sqrt(1.25), rel=1e-12)
+
+
 def test_integrate_profile_validation():
     cat = HyperbolicCatenoid(2, 1.5)
     with pytest.raises(ValueError):
         integrate_profile(cat, 0.0)
     with pytest.raises(ValueError):
         integrate_profile(cat, 301.0)  # beyond the exponential-growth cap
-    with pytest.raises(ValueError):
-        integrate_profile(cat, 2.0, step_tol=0.0)
 
 
 def test_long_run_stays_within_cap():
@@ -259,15 +270,6 @@ def test_curve_sweep_is_one_array_of_sheet_points(n, t, targets):
     assert (np.diff(rows[:, 0]) >= 0.0).all()
     fresh = generating_curve_points(cat, targets[-1:])[0]
     assert np.abs(rows[-1] - fresh).max() <= 1e-8 * np.abs(fresh).max()
-
-
-@pytest.mark.parametrize("step_tol", [-1.0, 0.0, math.inf, math.nan])
-def test_both_sweeps_reject_a_bad_step_tol(step_tol):
-    cat = HyperbolicCatenoid(2, 1.5)
-    with pytest.raises(ValueError, match="step_tol"):
-        generating_curve_points(cat, [1.0], step_tol=step_tol)
-    with pytest.raises(ValueError, match="step_tol"):
-        integrate_profile(cat, 1.0, step_tol=step_tol)
 
 
 def test_overflow_in_a_step_is_a_profile_error(monkeypatch, tmp_path, capsys):

@@ -110,11 +110,11 @@ def test_disc_field_validation():
     ones = np.ones_like(grid)
     mid = np.ones(10)
     with pytest.raises(ValueError):
-        SturmLiouvilleDisc(0, 1.0, grid, -ones, mid, ones)  # negative weight
+        SturmLiouvilleDisc(grid, -ones, mid, ones)  # negative weight
     warped = grid.copy()
     warped[3] += 0.05
     with pytest.raises(ValueError):
-        SturmLiouvilleDisc(0, 1.0, warped, ones, mid, ones)  # non-uniform
+        SturmLiouvilleDisc(warped, ones, mid, ones)  # non-uniform
 
 
 def test_assemble_mode_operator_validation():

@@ -146,8 +146,6 @@ def test_metric_residual_small_on_sample_points():
     for s in (-2.0, -0.5, 0.0, 1.0, 2.9):
         for theta in (0.1, 2.0, 4.0):
             assert metric_residual(cat, s, theta) < 1e-7
-    with pytest.raises(ValueError):
-        metric_residual(cat, 0.0, 0.0, h=0.0)
 
 
 def test_total_A_sq_against_oracle():
