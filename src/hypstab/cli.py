@@ -246,7 +246,7 @@ def _spherical_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray
     s_max = _positive(params, "s_max")
     s = np.linspace(-s_max, s_max, s_grid)
     theta = np.linspace(0.0, 2.0 * math.pi, theta_grid, endpoint=False)
-    return _outer_grid(s, theta), catenoid_embed_grid(cat, s, theta, DEFAULT_TOL)
+    return _outer_grid(s, theta), catenoid_embed_grid(cat, s, theta)
 
 
 def _helicoid_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:

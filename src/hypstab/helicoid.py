@@ -80,36 +80,39 @@ class Helicoid:
         object.__setattr__(self, "alpha", alpha)
 
 
-def _overflow(
-    h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]
-) -> OverflowError:
-    """OverflowError naming alpha and the first s, else t, past the range
-    of cosh."""
-    for name, values in (("s", s_values), ("t", t_values)):
-        for x in values:
-            try:
-                math.cosh(x)
-            except OverflowError:
-                return OverflowError(
-                    f"helicoid embedding overflows at alpha = {h.alpha}, {name} = {x}"
-                )
-    return OverflowError(f"helicoid embedding overflows at alpha = {h.alpha}")
+def _overflow(h: Helicoid, s: float, t: float) -> OverflowError:
+    """OverflowError naming alpha and what overflows at (s, t): the cosh of
+    s, else of t, else the rotation angle alpha * s, else the product
+    cosh s * cosh t."""
+    for name, x in (("s", s), ("t", t)):
+        try:
+            math.cosh(x)
+        except OverflowError:
+            return OverflowError(
+                f"helicoid embedding overflows at alpha = {h.alpha}, {name} = {x}"
+            )
+    if math.isinf(h.alpha * s):
+        return OverflowError(
+            f"helicoid rotation angle alpha * s overflows at alpha = {h.alpha}, s = {s}"
+        )
+    return OverflowError(f"helicoid embedding overflows at alpha = {h.alpha}, s = {s}, t = {t}")
 
 
 def embed(h: Helicoid, s: float, t: float) -> tuple[float, float, float, float]:
     """Ruled embedding into the hyperboloid model; Minkowski square is -1
-    identically in (s, t).  Raises OverflowError naming the coordinate
-    whose cosh or sinh overflows."""
-    al = h.alpha
+    identically in (s, t).  Raises OverflowError naming alpha and the
+    coordinates when a coordinate or the rotation angle alpha * s is not a
+    finite float."""
+    rot = h.alpha * s
     try:
-        return (
-            math.cosh(s) * math.cosh(t),
-            math.sinh(s) * math.cosh(t),
-            math.cos(al * s) * math.sinh(t),
-            math.sin(al * s) * math.sinh(t),
-        )
+        ch_t = math.cosh(t)
+        x1 = math.cosh(s) * ch_t
     except OverflowError:
-        raise _overflow(h, [s], [t]) from None
+        x1 = math.inf
+    if math.isinf(x1) or math.isinf(rot):
+        raise _overflow(h, s, t)
+    sh_t = math.sinh(t)
+    return x1, math.sinh(s) * ch_t, math.cos(rot) * sh_t, math.sin(rot) * sh_t
 
 
 def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]) -> np.ndarray:
@@ -120,21 +123,21 @@ def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]
     Every coordinate is a function of s times a function of t, so each
     transcendental is evaluated once per axis value, with `math` as in
     `embed`, and the grid is formed by outer products.  Raises
-    OverflowError naming the first coordinate whose cosh or sinh overflows.
+    OverflowError as `embed` does, at the point of largest |s| and |t|.
     """
     al = h.alpha
     s_axis = [float(s) for s in s_values]
     t_axis = [float(t) for t in t_values]
-    try:
-        ch_t = [math.cosh(t) for t in t_axis]
-        sh_t = [math.sinh(t) for t in t_axis]
-        out = np.empty((len(s_axis), len(t_axis), 4))
-        out[:, :, 0] = np.multiply.outer([math.cosh(s) for s in s_axis], ch_t)
-        out[:, :, 1] = np.multiply.outer([math.sinh(s) for s in s_axis], ch_t)
-        out[:, :, 2] = np.multiply.outer([math.cos(al * s) for s in s_axis], sh_t)
-        out[:, :, 3] = np.multiply.outer([math.sin(al * s) for s in s_axis], sh_t)
-    except OverflowError:
-        raise _overflow(h, s_axis, t_axis) from None
+    # Every coordinate and angle is largest in modulus where |s| and |t|
+    # are, so embedding that one point checks the whole grid for overflow.
+    embed(h, max(s_axis, key=abs, default=0.0), max(t_axis, key=abs, default=0.0))
+    ch_t = [math.cosh(t) for t in t_axis]
+    sh_t = [math.sinh(t) for t in t_axis]
+    out = np.empty((len(s_axis), len(t_axis), 4))
+    out[:, :, 0] = np.multiply.outer([math.cosh(s) for s in s_axis], ch_t)
+    out[:, :, 1] = np.multiply.outer([math.sinh(s) for s in s_axis], ch_t)
+    out[:, :, 2] = np.multiply.outer([math.cos(al * s) for s in s_axis], sh_t)
+    out[:, :, 3] = np.multiply.outer([math.sin(al * s) for s in s_axis], sh_t)
     return out.reshape(-1, 4)
 
 

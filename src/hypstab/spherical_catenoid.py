@@ -3,7 +3,8 @@
 The family is parametrized by a shape parameter a > 1/2.  Everything here is
 expressed through the squared warp w(s) = a*cosh(2s) - 1/2: the profile
 radius is sqrt(w), the squared second fundamental form is 2*(a^2 - 1/4)/w^2,
-and the rotation angle of the generating curve is a convergent quadrature.
+and the rotation angle of the generating curve is an incomplete elliptic
+integral of the third kind in Carlson's symmetric forms R_F and R_J.
 
 Two global quantities drive the stability analysis: the total squared
 curvature mass (finite for every member) and a curvature-versus-gradient
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -29,6 +30,10 @@ from .quadrature import (
     integrate_adaptive,
     integrate_semi_infinite,
 )
+
+# integrate_adaptive is not called here.  It stays importable as
+# hypstab.spherical_catenoid.integrate_adaptive because bench/tracing.py
+# wraps it by name.
 
 __all__ = [
     "SphericalCatenoid",
@@ -53,10 +58,6 @@ DECAY_RATE = 3.0
 SCAN_LO = 0.55
 SCAN_HI = 1.50
 SCAN_STEP = 0.05
-
-# Tight quadrature tolerance for the rotation angle when it feeds finite
-# differences: the angle error must sit far below the h^2 truncation floor.
-_PHI_FD_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -119,64 +120,79 @@ def sup_norm_A_sq(cat: SphericalCatenoid) -> float:
     return 2.0 * (cat.a + 0.5) / (cat.a - 0.5)
 
 
-@lru_cache(maxsize=8192)
-def _phi_abs(a: float, s_abs: float, tol: float) -> float:
-    """Rotation angle at s_abs >= 0 for shape parameter a (cached)."""
-    if s_abs == 0.0:
-        return 0.0
+def phi(cat: SphericalCatenoid, s: float) -> float:
+    """Rotation angle phi(s) = sqrt(a^2 - 1/4) int_0^s dt / ((w + 1) sqrt(w))
+    of the generating curve, w = a*cosh 2t - 1/2; odd in s.
 
-    def integrand(u: float) -> float:
-        try:
-            c = math.cosh(2.0 * u)
-        except OverflowError:
-            return 0.0
-        w = a * c - 0.5
-        return 1.0 / ((w + 1.0) * math.sqrt(w))
+    The substitution u = csch^2 t - csch^2 s turns the integral into
+    Carlson's symmetric forms R_F and R_J.  Scaled by their homogeneity so
+    that every argument lies in [0, 1], for s > 0
 
-    res = integrate_adaptive(integrand, 0.0, s_abs, tol)
-    return math.sqrt(a * a - 0.25) * res.value
+        phi = tanh s sqrt(y / (a + 1/2)) (R_F(x, y, 1) - 2a y tanh^2 s
+              R_J(x, y, 1, (a - 1/2 + x) / (a + 1/2)) / (3 (a + 1/2)))
 
-
-def phi(cat: SphericalCatenoid, s: float, tol: float = DEFAULT_TOL) -> float:
-    """Rotation angle phi(s) of the generating curve; odd in s.
-
-    phi(s) = sqrt(a^2 - 1/4) * int_0^s dt / ((a*cosh 2t + 1/2) *
-    sqrt(a*cosh 2t - 1/2)).  The integrand is smooth and bounded, so the
-    quadrature tolerance tol transfers directly to the angle.
+    with x = (a - 1/2) / w(s) and y = x cosh^2 s.  Nothing cancels near
+    s = 0 or a = 1/2, and no argument grows with a or s (scipy's elliprj
+    returns nan once its arguments pass about 1e103).
     """
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s}")
-    value = _phi_abs(cat.a, abs(float(s)), float(tol))
-    return math.copysign(value, s) if s != 0.0 else 0.0
+    if s == 0.0:
+        return 0.0
+    # Imported on first use: at module level scipy.special would add about
+    # 75 ms to every `import hypstab.cli`, whatever the command.
+    from scipy.special import elliprf, elliprj
+
+    a = cat.a
+    tanh_s = math.tanh(abs(s))
+    try:
+        sech_sq = 1.0 / math.cosh(s) ** 2
+    except OverflowError:
+        sech_sq = 0.0
+    tanh_sq = tanh_s * tanh_s
+    mu = (a - 0.5) / a
+    y = mu / (mu * sech_sq + 2.0 * tanh_sq)
+    x = y * sech_sq
+    r_j = elliprj(x, y, 1.0, (a - 0.5 + x) / (a + 0.5))
+    bracket = elliprf(x, y, 1.0) - 2.0 / 3.0 * (a / (a + 0.5)) * y * tanh_sq * r_j
+    return math.copysign(tanh_s * math.sqrt(y / (a + 0.5)) * bracket, s)
 
 
-def embed(
-    cat: SphericalCatenoid, s: float, theta: float, tol: float = DEFAULT_TOL
-) -> tuple[float, float, float, float]:
+def _s_terms(cat: SphericalCatenoid, s_values: Sequence[float]) -> np.ndarray:
+    """(B cosh phi, B sinh phi, rho) for each s as a (len(s_values), 3)
+    array.  B cosh phi bounds every coordinate, so one check of that
+    column finds any overflow: raises OverflowError naming a and the first
+    such s."""
+    rows = []
+    for s in s_values:
+        w = _warp_sq(cat, s)
+        big = math.sqrt(w + 1.0)
+        p = phi(cat, s)
+        rows.append((big * math.cosh(p), big * math.sinh(p), math.sqrt(w)))
+    out = np.array(rows).reshape(-1, 3)
+    bad = np.flatnonzero(np.isinf(out[:, 0]))
+    if bad.size:
+        raise OverflowError(
+            f"spherical catenoid embedding overflows at a = {cat.a}, s = {s_values[bad[0]]}"
+        )
+    return out
+
+
+def embed(cat: SphericalCatenoid, s: float, theta: float) -> tuple[float, float, float, float]:
     """Isometric embedding into the hyperboloid model of hyperbolic 3-space.
 
     f(s, theta) = (B cosh phi, B sinh phi, rho cos theta, rho sin theta)
     with B(s) = sqrt(a*cosh 2s + 1/2) and rho(s) the profile radius; the
     Minkowski square is -B^2 + rho^2 = -1 identically, independent of the
-    accuracy of phi.
+    accuracy of phi.  Raises OverflowError naming a and s when a
+    coordinate is not a finite float.
     """
-    w = _warp_sq(cat, s)
-    big = math.sqrt(w + 1.0)
-    rho = math.sqrt(w)
-    p = phi(cat, s, tol)
-    return (
-        big * math.cosh(p),
-        big * math.sinh(p),
-        rho * math.cos(theta),
-        rho * math.sin(theta),
-    )
+    x1, x2, rho = _s_terms(cat, [float(s)])[0].tolist()
+    return x1, x2, rho * math.cos(theta), rho * math.sin(theta)
 
 
 def embed_grid(
-    cat: SphericalCatenoid,
-    s_values: Sequence[float],
-    theta_values: Sequence[float],
-    tol: float = DEFAULT_TOL,
+    cat: SphericalCatenoid, s_values: Sequence[float], theta_values: Sequence[float]
 ) -> np.ndarray:
     """`embed` over the grid s_values x theta_values, s outer: an
     (len(s_values) * len(theta_values), 4) array whose rows equal the
@@ -184,24 +200,17 @@ def embed_grid(
 
     The first two coordinates depend on s alone and the last two are
     rho(s) times cos or sin theta, so each transcendental is evaluated once
-    per axis value, with `math` as in `embed`.
+    per axis value, with `math` as in `embed`.  Raises OverflowError naming
+    a and the first s whose coordinates are not finite floats.
     """
-    s_axis = [float(s) for s in s_values]
+    terms = _s_terms(cat, [float(s) for s in s_values])
     cos_t = np.array([math.cos(float(t)) for t in theta_values])
     sin_t = np.array([math.sin(float(t)) for t in theta_values])
-    x1, x2, rho = [], [], []
-    for s in s_axis:
-        w = _warp_sq(cat, s)
-        big = math.sqrt(w + 1.0)
-        p = phi(cat, s, tol)
-        x1.append(big * math.cosh(p))
-        x2.append(big * math.sinh(p))
-        rho.append(math.sqrt(w))
-    out = np.empty((len(s_axis), len(cos_t), 4))
-    out[:, :, 0] = np.array(x1)[:, None]
-    out[:, :, 1] = np.array(x2)[:, None]
-    out[:, :, 2] = np.multiply.outer(rho, cos_t)
-    out[:, :, 3] = np.multiply.outer(rho, sin_t)
+    out = np.empty((len(terms), len(cos_t), 4))
+    out[:, :, 0] = terms[:, 0, None]
+    out[:, :, 1] = terms[:, 1, None]
+    out[:, :, 2] = np.multiply.outer(terms[:, 2], cos_t)
+    out[:, :, 3] = np.multiply.outer(terms[:, 2], sin_t)
     return out.reshape(-1, 4)
 
 
@@ -210,14 +219,12 @@ def metric_residual(cat: SphericalCatenoid, s: float, theta: float) -> float:
     the closed form ds^2 + rho^2 dtheta^2 at (s, theta).
 
     Central differences of the embedding with step `lorentz.FD_STEP` (1e-5);
-    the rotation angle is computed to 1e-13 so quadrature noise stays far
-    below the step^2 truncation error of the differences.  Small values
-    certify that the embedding, the profile radius, and the rotation angle
-    are mutually consistent.
+    the closed-form rotation angle is accurate to rounding, far below the
+    step^2 truncation error of the differences.  Small values certify that
+    the embedding, the profile radius, and the rotation angle are mutually
+    consistent.
     """
-    e_fd, f_fd, g_fd = first_fundamental_fd(
-        lambda u, v: embed(cat, u, v, _PHI_FD_TOL), s, theta
-    )
+    e_fd, f_fd, g_fd = first_fundamental_fd(lambda u, v: embed(cat, u, v), s, theta)
     return max(abs(e_fd - 1.0), abs(f_fd), abs(g_fd - _warp_sq(cat, s)))
 
 

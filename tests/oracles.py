@@ -5,9 +5,12 @@ machinery: integrals use composite Simpson on a fixed truncated interval,
 profile integration uses classical fixed-step RK4.  Oracle values frozen
 into the tests were produced by exactly these routines.  The exceptions are
 frozen copies of replaced code: kronrod_panel_oracle, the loop-form G7/K15
-panel that the straight-line panel must reproduce bit for bit, and
+panel that the straight-line panel must reproduce bit for bit,
 sampled_mode_screen, the sampled positivity screen that the closed-form
-screen must agree with wherever the sampled one is sharp.
+screen must agree with wherever the sampled one is sharp, and
+rotation_angle_reference, the quadrature of the rotation-angle integrand
+that the closed-form angle replaced (with mpmath where that quadrature
+cannot reach).
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Callable
 
 import numpy as np
 
-from hypstab.quadrature import _WG, _WGK, _XGK, QuadratureError
+from hypstab.quadrature import _WG, _WGK, _XGK, QuadratureError, integrate_adaptive
 from hypstab.spectral import _catenoid_profiles
 
 
@@ -72,6 +75,36 @@ def rotation_angle_oracle(a: float, s_end: float, cells: int = 200_000) -> float
         return 1.0 / ((w + 1.0) * np.sqrt(w))
 
     return math.sqrt(a * a - 0.25) * simpson(integrand, 0.0, s_end, cells)
+
+
+def rotation_angle_reference(a: float, s_end: float) -> float:
+    """The rotation angle sqrt(a^2 - 1/4) int_0^s_end dt / ((w + 1) sqrt(w)),
+    w = a cosh 2t - 1/2, by quadrature of that integrand: the package's
+    adaptive G7/K15 rule at tol 1e-13 for a >= 0.51, and mpmath's
+    tanh-sinh rule at 20 digits closer to 1/2, where the peak of width
+    sqrt(a - 1/2) at t = 0 defeats the adaptive rule's budget."""
+    if a >= 0.51:
+
+        def integrand(t: float) -> float:
+            w = a * math.cosh(2.0 * t) - 0.5
+            return 1.0 / ((w + 1.0) * math.sqrt(w))
+
+        return math.sqrt(a * a - 0.25) * integrate_adaptive(integrand, 0.0, s_end, 1e-13).value
+
+    import mpmath
+
+    with mpmath.workdps(20):
+        am, half = mpmath.mpf(a), mpmath.mpf(0.5)
+        eps = am - half
+
+        def integrand_mp(t):
+            w = am * mpmath.cosh(2 * t) - half
+            return 1 / ((w + 1) * mpmath.sqrt(w))
+
+        # split at multiples of the peak width so each piece is smooth on its scale
+        cuts = [k * mpmath.sqrt(eps) for k in (1, 10, 100, 1000, 10000)]
+        points = [0] + [c for c in cuts if c < s_end] + [mpmath.mpf(s_end)]
+        return float(mpmath.sqrt(eps * (am + half)) * mpmath.quad(integrand_mp, points))
 
 
 def c0_oracle(cells: int = 20_000) -> float:

@@ -159,6 +159,11 @@ def test_embed_export_families_stay_on_hyperboloid(tmp_path):
                       "--s-grid", "6", "--t-grid", "6"], 4),
         ("curve.csv", ["embed-export", "--family", "hyperbolic-curve",
                        "--n", "2", "--t", "1.5", "--samples", "21"], 3),
+        # the rotation angle's integrand peaks with width sqrt(a - 1/2) at s = 0
+        ("edge.csv", ["embed-export", "--family", "spherical", "--a", "0.5000000001",
+                      "--s-grid", "4", "--theta-grid", "2"], 4),
+        ("huge.csv", ["embed-export", "--family", "spherical", "--a", "1e300",
+                      "--s-grid", "4", "--theta-grid", "2"], 4),
     ]
     for name, argv, coord_count in cases:
         code, out = invoke(tmp_path, name, argv)
@@ -240,13 +245,27 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
         (["embed-export", "--family", "helicoid", "--s-max", "800", "--s-grid", "3",
           "--t-grid", "3"],
          "helicoid embedding overflows at alpha = 1.0, s = -800.0"),
+        (["embed-export", "--family", "helicoid", "--alpha", "1e308", "--s-max", "10",
+          "--s-grid", "3", "--t-grid", "3"],
+         "helicoid rotation angle alpha * s overflows at alpha = 1e+308, s = -10.0"),
+        # cosh s and cosh t are finite, their product is not
+        (["embed-export", "--family", "helicoid", "--s-max", "400", "--t-max", "400",
+          "--s-grid", "3", "--t-grid", "3"],
+         "helicoid embedding overflows at alpha = 1.0, s = -400.0, t = -400.0"),
+        (["embed-export", "--family", "spherical", "--a", "0.8", "--s-max", "400",
+          "--s-grid", "5", "--theta-grid", "3"],
+         "spherical catenoid embedding overflows at a = 0.8, s = -400.0"),
     ],
-    ids=["window-n", "window-t", "curve-t", "helicoid-t", "export-s"],
+    ids=["window-n", "window-t", "curve-t", "helicoid-t", "export-s", "export-pitch",
+         "export-st", "export-spherical-s"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_names_its_input(tmp_path, capsys, argv, message):
     code, out = invoke(tmp_path, "big.csv", argv)
     assert code == EXIT_NUMERICAL
-    assert f"numerical failure: {message}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"numerical failure: {message}" in err
+    assert "RuntimeWarning" not in err
     assert not out.exists()
 
 
@@ -402,6 +421,20 @@ def test_module_entry_point_runs_without_warnings():
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout == f"hypstab {hypstab.__version__}\n"
+
+
+def test_cli_import_leaves_scipy_special_unloaded():
+    # the rotation angle imports scipy.special on first use, keeping it out
+    # of the start-up cost of every command
+    src = str(Path(hypstab.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    code = "import sys, hypstab.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_numerical_failure_exit_code(tmp_path):

@@ -189,6 +189,9 @@ def test_coordinate_overflow_names_the_coordinate():
         (lambda: embed(h, 0.5, -750.0), "t = -750.0"),
         (lambda: embed_grid(h, [0.0, 900.0], [1.0, 2.0]), "s = 900.0"),
         (lambda: embed_grid(h, [0.0, 1.0], [2.0, -720.0]), "t = -720.0"),
+        # cosh s and cosh t are finite, their product is not
+        (lambda: embed(h, 400.0, -400.0), "s = 400.0, t = -400.0"),
+        (lambda: embed_grid(h, [0.0, -400.0, 400.0], [400.0, 1.0]), "s = -400.0, t = 400.0"),
     ]
     for call, name in cases:
         with pytest.raises(OverflowError, match=re.escape(f"alpha = 1.0, {name}")):
@@ -196,6 +199,11 @@ def test_coordinate_overflow_names_the_coordinate():
 
 
 def test_overflow_names_the_pitch():
+    rotation = "rotation angle alpha * s overflows at alpha = 1e+308, s = {}"
+    with pytest.raises(OverflowError, match=re.escape(rotation.format(10.0))):
+        embed(Helicoid(1e308), 10.0, 1.0)
+    with pytest.raises(OverflowError, match=re.escape(rotation.format(-10.0))):
+        embed_grid(Helicoid(1e308), [0.0, -10.0, 10.0], [1.0])
     for alpha in (1e160, 1e200):
         with pytest.raises(OverflowError, match=re.escape(f"alpha = {alpha}")):
             normal(Helicoid(alpha), 0.3, 1.0)

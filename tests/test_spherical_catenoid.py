@@ -5,6 +5,7 @@ oracles in oracles.py, evaluated once and pasted here verbatim.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 import hypstab.spherical_catenoid as spherical_catenoid
 from hypstab.lorentz import minkowski_inner, on_hyperboloid
-from hypstab.quadrature import QuadratureError
+from hypstab.quadrature import QuadratureError, integrate_adaptive
 from hypstab.spherical_catenoid import (
     F,
     SphericalCatenoid,
@@ -106,10 +107,61 @@ def test_grad_norm_A_matches_finite_difference():
 
 def test_phi_against_simpson_oracle():
     cat = SphericalCatenoid(0.6)
-    assert phi(cat, 2.0, 1e-12) == pytest.approx(PHI_ORACLE_06_2, abs=1e-9)
-    assert phi(SphericalCatenoid(1.0), 1.0, 1e-12) == pytest.approx(
-        0.4451949661550624, abs=1e-9
-    )
+    assert phi(cat, 2.0) == pytest.approx(PHI_ORACLE_06_2, abs=1e-13)
+    assert phi(SphericalCatenoid(1.0), 1.0) == pytest.approx(0.4451949661550624, abs=1e-13)
+
+
+PHI_REF_A = (0.5 + 1e-14, 0.5 + 1e-10, 0.5 + 1e-6, 0.505, 0.51, 0.55, 0.7, 1.0, 1.5, 3.0,
+             10.0, 100.0, 1000.0)
+PHI_REF_S = (1e-8, 1e-3, 0.05, 0.3, 0.7, 1.0, 2.5, 4.0, 6.0, 9.0, 13.0, 20.0)
+
+
+def test_phi_against_quadrature_reference():
+    """The closed form against quadrature of the defining integrand on 156
+    cases, a from 1/2 + 1e-14 to 1000 and |s| from 1e-8 to 20, signs
+    alternating: within 1e-14 absolute and relative, so small angles near
+    the neck keep their digits too."""
+    for i, a in enumerate(PHI_REF_A):
+        cat = SphericalCatenoid(a)
+        for j, s_abs in enumerate(PHI_REF_S):
+            sign = -1.0 if (i + j) % 2 else 1.0
+            want = sign * oracles.rotation_angle_reference(a, s_abs)
+            err = abs(phi(cat, sign * s_abs) - want)
+            assert err <= 1e-14 * min(1.0, abs(want)), (a, sign * s_abs)
+
+
+def test_phi_reaches_its_limit_across_the_range_of_cosh():
+    # past |s| = 710 cosh overflows, sech = 0 and the angle is its limit
+    cat = SphericalCatenoid(0.8)
+    limit = phi(cat, 800.0)
+    assert phi(cat, 1e300) == limit == -phi(cat, -800.0)
+    for s in range(20, 800, 5):
+        assert phi(cat, float(s)) == pytest.approx(limit, abs=1e-15), s
+
+
+def test_phi_for_huge_a_against_quadrature():
+    """For a >> 1, sqrt(a) phi(s) = int_0^s cosh(2t)^(-3/2) dt to rounding;
+    R_J arguments that grew with a would pass 1e103 here."""
+    for a in (1e20, 1e120, 1e300, 1.7e308):
+        cat = SphericalCatenoid(a)
+        for s in (0.3, 1.0, 5.0, 20.0):
+            want = integrate_adaptive(lambda t: math.cosh(2.0 * t) ** -1.5, 0.0, s, 1e-13).value
+            assert math.sqrt(a) * phi(cat, s) == pytest.approx(want, rel=1e-14), (a, s)
+
+
+def test_phi_keeps_its_digits_at_tiny_s():
+    # phi(s) = s / sqrt(a + 1/2) (1 + O(s^2 / (a - 1/2)))
+    for a in (0.5 + 1e-10, 0.7, 3.0, 1000.0):
+        for s in (1e-300, 1e-100, 1e-20):
+            assert phi(SphericalCatenoid(a), s) == pytest.approx(s / math.sqrt(a + 0.5), rel=1e-15)
+
+
+def test_embedding_overflow_names_a_and_s():
+    cat = SphericalCatenoid(0.8)
+    with pytest.raises(OverflowError, match=re.escape("overflows at a = 0.8, s = 400.0")):
+        embed(cat, 400.0, 1.0)
+    with pytest.raises(OverflowError, match=re.escape("overflows at a = 0.8, s = -400.0")):
+        embed_grid(cat, [0.0, -400.0, 400.0], [0.0, 1.0])
 
 
 def test_phi_is_odd_and_increasing():
@@ -238,7 +290,7 @@ def test_embedding_always_on_sheet(a, s, theta):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    st.floats(0.5 + 1e-6, 3.0),  # phi exhausts its budget within ~1e-9 of 1/2
+    st.floats(0.5, 3.0, exclude_min=True),
     st.floats(0.01, 6.0),
     st.integers(2, 7),
     st.integers(1, 7),
