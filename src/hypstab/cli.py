@@ -46,12 +46,12 @@ from .hyperbolic_catenoid import (
     generating_curve_points,
     is_stable_by_window,
     stability_window_max_t,
+    sup_norm_A_sq,
 )
 from .lorentz import on_hyperboloid, on_hyperboloid_rows
-from .quadrature import QuadratureError
+from .quadrature import DEFAULT_TOL, QuadratureError
 from .spectral import morse_index
 from .spherical_catenoid import (
-    DEFAULT_TOL,
     F,
     SphericalCatenoid,
     _locate_c0,
@@ -80,6 +80,7 @@ EXIT_NUMERICAL = 3
 
 _EXPORT_TOL = 1e-8  # hyperboloid membership tolerance for every emitted point
 _MAX_GRID_POINTS = 10**6  # most rows a sweep, profile or export table may hold
+_UNUSED_TOL = "must be positive; changes nothing, F is a closed form"
 
 
 class ExportError(RuntimeError):
@@ -148,9 +149,12 @@ def _cmd_sweep_f(params: Mapping[str, Any]) -> dict[str, Any]:
     tol = float(params["tol"])
     if a_min <= 0.5:
         raise ValueError(f"a_min must exceed 1/2, got {a_min}")
+    grid = _float_grid(a_min, a_max, step)
+    if not tol > 0.0:  # validated, though the closed-form F does not use it
+        raise ValueError(f"tol must be positive, got {tol}")
     rows = []
-    for a in _float_grid(a_min, a_max, step):
-        res = F(SphericalCatenoid(a), tol)
+    for a in grid:
+        res = F(SphericalCatenoid(a))
         rows.append([a, res.value, res.error_estimate])
     return {"columns": ["a", "F", "err"], "rows": rows}
 
@@ -160,9 +164,9 @@ def _cmd_find_c0(params: Mapping[str, Any]) -> dict[str, Any]:
     quad_tol = float(params["quad_tol"])
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    if not quad_tol > 0.0:
+    if not quad_tol > 0.0:  # validated, though the closed-form F does not use it
         raise ValueError(f"quad_tol must be positive, got {quad_tol}")
-    root, lo, hi = _locate_c0(tol, quad_tol)
+    root, lo, hi = _locate_c0(tol)
     return {"c0": root, "bracket": [lo, hi]}
 
 
@@ -198,7 +202,7 @@ def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
     for t in np.linspace(t_min, t_max, steps):
         cat = HyperbolicCatenoid(n, float(t))
         window_ok = 1.0 if is_stable_by_window(cat) else 0.0
-        bound = n * (n - 1) * (t * t - 1.0)
+        bound = sup_norm_A_sq(cat)
         pointwise_ok = (
             1.0 if pointwise_stability_test(n, bound).verdict == STABLE else 0.0
         )
@@ -508,11 +512,11 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--a-min", type=float, default=0.55)
     sp.add_argument("--a-max", type=float, default=1.5)
     sp.add_argument("--step", type=float, default=0.05)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help="quadrature tolerance")
+    sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_UNUSED_TOL)
 
     sp = add_command("find-c0", "locate the sign change of F along the family", "json")
     sp.add_argument("--tol", type=float, default=1e-4, help="bracket width at the root")
-    sp.add_argument("--quad-tol", type=float, default=DEFAULT_TOL)
+    sp.add_argument("--quad-tol", type=float, default=DEFAULT_TOL, help=_UNUSED_TOL)
 
     sp = add_command("index", "spectral Morse index of one spherical catenoid", "json")
     sp.add_argument("--a", type=float, required=True)

@@ -30,6 +30,7 @@ __all__ = [
     "shape_constant",
     "integrate_profile",
     "norm_A_sq",
+    "sup_norm_A_sq",
     "principal_curvatures",
     "stability_window_max_t",
     "is_stable_by_window",
@@ -294,6 +295,14 @@ def norm_A_sq(cat: HyperbolicCatenoid, sample: ProfileSample) -> float:
             f"{closed:.12e} vs {from_state:.12e}"
         )
     return closed
+
+
+def sup_norm_A_sq(cat: HyperbolicCatenoid) -> float:
+    """Supremum n(n-1)(1 - 1/t^2) of |A|^2 = n(n-1) a^2 x^(-2n), attained on
+    the neck x = t; computed as (t - 1)(t + 1)/t^2, which does not cancel
+    near t = 1."""
+    t = cat.t
+    return cat.n * (cat.n - 1) * ((t - 1.0) * (t + 1.0) / (t * t))
 
 
 def principal_curvatures(

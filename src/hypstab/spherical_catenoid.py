@@ -10,20 +10,27 @@ Two global quantities drive the stability analysis: the total squared
 curvature mass (finite for every member) and a curvature-versus-gradient
 functional F whose negative values certify instability.  find_c0 locates
 its sign change; members just past it can still be unstable.
+
+Both are closed forms.  With alpha = a - 1/2 and J_p = int_0^inf w^{-p} ds,
+the substitution w = t + alpha, ds = dt / (2 sqrt(t (t + 2a))), gives
+J_{3/2} = R_D / 3 and J_{5/2} = (2 R_D + 3 R_F) / (9 alpha (a + 1/2)), with
+Carlson's R_D and R_F at (0, 2a, alpha); by homogeneity they are
+alpha^{-3/2} R_D(0, r, 1) and alpha^{-1/2} R_F(0, r, 1), r = 2a/alpha.  The
+mass is 8 pi (a^2 - 1/4) J_{3/2}.  Integrating F's gradient term by parts
+with dw/ds = 2a sinh 2s gives (2/5)(J_{3/2} + J_{5/2} / 2), so
+F(a) = (32 pi / 45) [(9 (a^2 - 1/4) - 2) R_D - 3 R_F].
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 from typing import Sequence
 
 import numpy as np
 
 from .lorentz import first_fundamental_fd
 from .quadrature import (
-    DEFAULT_TOL,
     QuadratureError,
     QuadratureResult,
     _root_with_bracket,
@@ -31,9 +38,9 @@ from .quadrature import (
     integrate_semi_infinite,
 )
 
-# integrate_adaptive is not called here.  It stays importable as
-# hypstab.spherical_catenoid.integrate_adaptive because bench/tracing.py
-# wraps it by name.
+# integrate_semi_infinite and integrate_adaptive are not called here (F and
+# total_A_sq are closed forms).  They stay importable from this module
+# because bench/tracing.py wraps them by name, as it wraps _root_with_bracket.
 
 __all__ = [
     "SphericalCatenoid",
@@ -49,10 +56,6 @@ __all__ = [
     "F",
     "find_c0",
 ]
-
-# Both global integrands inherit exp(-3s) decay from the leading w^{-3/2}
-# term; used as the truncation hint for the semi-infinite quadratures.
-DECAY_RATE = 3.0
 
 # Coarse scan that brackets the sign change of F before root refinement.
 SCAN_LO = 0.55
@@ -228,66 +231,59 @@ def metric_residual(cat: SphericalCatenoid, s: float, theta: float) -> float:
     return max(abs(e_fd - 1.0), abs(f_fd), abs(g_fd - _warp_sq(cat, s)))
 
 
-def _mass_integrand(a: float, s: float) -> float:
-    try:
-        c = math.cosh(2.0 * s)
-    except OverflowError:
-        return 0.0
-    w = a * c - 0.5
-    return w**-1.5
+def _carlson_terms(a: float) -> tuple[float, float, float]:
+    """(R_D(0, r, 1), R_F(0, r, 1), sqrt(alpha)), alpha = a - 1/2, r = 2a/alpha.
+    r is 2*(a/alpha), not 2/(1 - 1/(2a)), which cancels near a = 1/2."""
+    from scipy.special import elliprd, elliprf  # on first use, as in phi
+
+    alpha = a - 0.5
+    r = 2.0 * (a / alpha)
+    return float(elliprd(0.0, r, 1.0)), float(elliprf(0.0, r, 1.0)), math.sqrt(alpha)
 
 
-def total_A_sq(cat: SphericalCatenoid, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def total_A_sq(cat: SphericalCatenoid) -> QuadratureResult:
     """Total squared curvature mass int |A|^2 dv over the whole surface.
 
-    Rotational symmetry and the even profile reduce it to
-    8*pi*(a^2 - 1/4) * int_0^inf w(s)^{-3/2} ds.
+    Rotational symmetry and the even profile reduce it to 8 pi (a^2 - 1/4)
+    J_{3/2} = (8 pi / 3) ((a + 1/2) / sqrt(alpha)) R_D(0, r, 1) (module
+    docstring), finite up to the float maximum.  Its error estimate is 16
+    eps of the value; no quadrature runs, so evaluations is 0.
     """
-    a = cat.a
-    pref = 8.0 * math.pi * (a * a - 0.25)
-    res = integrate_semi_infinite(
-        partial(_mass_integrand, a), tol, decay_hint=DECAY_RATE
-    )
-    return QuadratureResult(pref * res.value, pref * res.error_estimate, res.evaluations)
+    r_d, _, root = _carlson_terms(cat.a)
+    value = 8.0 * math.pi / 3.0 * ((cat.a + 0.5) / root) * r_d
+    return QuadratureResult(value, 16.0 * math.ulp(1.0) * value, 0)
 
 
-def _f_integrand(a: float, s: float) -> float:
-    try:
-        c = math.cosh(2.0 * s)
-        sh = math.sinh(2.0 * s)
-    except OverflowError:
-        return 0.0
-    w = a * c - 0.5
-    return w**-1.5 - a * a * sh * sh * w**-3.5
-
-
-def F(cat: SphericalCatenoid, tol: float = DEFAULT_TOL) -> QuadratureResult:
+def F(cat: SphericalCatenoid) -> QuadratureResult:
     """Curvature-versus-gradient functional along the catenoid family.
 
     F(a) = 32*pi*(a^2 - 1/4) * int_0^inf [w^{-3/2} - a^2 sinh^2(2s) w^{-7/2}] ds,
     which equals 4*int |A|^2 dv - int |grad |A||^2 dv.  Negative F
     certifies an unstable member; F changes sign exactly once on the scan
-    window, at the threshold located by find_c0.  The two terms share the
-    exp(-3s) leading order but it cancels in the difference, so the stated
-    decay hint is conservative.
+    window, at the threshold located by find_c0.  By parts and in Carlson's
+    forms (module docstring), F = (32 pi / 45)(t1 - t2) with t1 = (9 (a +
+    1/2) / sqrt(alpha) - 2 / alpha^{3/2}) R_D(0, r, 1) and t2 = 3 R_F(0, r,
+    1) / sqrt(alpha), each product finite up to the float maximum.  Its
+    error estimate is 16 eps of (32 pi / 45)(|t1| + |t2|); evaluations is 0.
     """
     a = cat.a
-    pref = 32.0 * math.pi * (a * a - 0.25)
-    res = integrate_semi_infinite(
-        partial(_f_integrand, a), tol, decay_hint=DECAY_RATE
-    )
-    return QuadratureResult(pref * res.value, pref * res.error_estimate, res.evaluations)
+    r_d, r_f, root = _carlson_terms(a)
+    t1 = (9.0 * ((a + 0.5) / root) - (2.0 / (a - 0.5)) / root) * r_d
+    t2 = 3.0 * (r_f / root)
+    scale = 32.0 * math.pi / 45.0
+    err = 16.0 * math.ulp(1.0) * scale * (abs(t1) + abs(t2))
+    return QuadratureResult(scale * (t1 - t2), err, 0)
 
 
-def _locate_c0(tol: float, quad_tol: float) -> tuple[float, float, float]:
+def _locate_c0(tol: float) -> tuple[float, float, float]:
     """Scan for the sign change of F, then refine; returns (root, lo, hi)."""
     steps = int(round((SCAN_HI - SCAN_LO) / SCAN_STEP))
     grid = [SCAN_LO + SCAN_STEP * k for k in range(steps + 1)]
     bracket = None
     prev_a = grid[0]
-    prev_f = F(SphericalCatenoid(prev_a), quad_tol).value
+    prev_f = F(SphericalCatenoid(prev_a)).value
     for a in grid[1:]:
-        cur_f = F(SphericalCatenoid(a), quad_tol).value
+        cur_f = F(SphericalCatenoid(a)).value
         if prev_f == 0.0:
             return prev_a, prev_a, prev_a
         if (prev_f < 0.0) != (cur_f < 0.0):
@@ -302,20 +298,20 @@ def _locate_c0(tol: float, quad_tol: float) -> tuple[float, float, float]:
 
     lo, hi, ends = bracket
     root, b_lo, b_hi = _root_with_bracket(
-        lambda a: F(SphericalCatenoid(a), quad_tol).value, lo, hi, tol, ends
+        lambda a: F(SphericalCatenoid(a)).value, lo, hi, tol, ends
     )
     return root, b_lo, b_hi
 
 
-def find_c0(tol: float = 1e-4, quad_tol: float = DEFAULT_TOL) -> float:
+def find_c0(tol: float = 1e-4) -> float:
     """Shape parameter at which F changes sign, to bracket width tol.
 
     Scans a in [0.55, 1.50] with step 0.05 for a sign change of F, then
-    refines with the bracketed root finder.  Each F evaluation uses the
-    quadrature tolerance quad_tol, which must sit well below the scale of F
-    near the root for the sign tests to be trustworthy.
+    refines with the bracketed root finder.  Near the root F's error bound
+    is about 1e-13 and its slope about 260, so its sign is right wherever
+    a is more than a few ulps from the root.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
-    root, _, _ = _locate_c0(tol, quad_tol)
+    root, _, _ = _locate_c0(tol)
     return root

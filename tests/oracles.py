@@ -7,10 +7,14 @@ into the tests were produced by exactly these routines.  The exceptions are
 frozen copies of replaced code: kronrod_panel_oracle, the loop-form G7/K15
 panel that the straight-line panel must reproduce bit for bit,
 sampled_mode_screen, the sampled positivity screen that the closed-form
-screen must agree with wherever the sampled one is sharp, and
+screen must agree with wherever the sampled one is sharp,
 rotation_angle_reference, the quadrature of the rotation-angle integrand
 that the closed-form angle replaced (with mpmath where that quadrature
-cannot reach).
+cannot reach), and f_quadrature_reference and mass_quadrature_reference,
+the semi-infinite quadratures that the closed forms of F and the curvature
+mass replaced.  The *_carlson_reference functions evaluate those closed
+forms in mpmath at 50 digits, and f_integrand_mpmath_reference integrates
+F's original integrand in mpmath, independent of the closed form.
 """
 
 from __future__ import annotations
@@ -20,7 +24,15 @@ from typing import Callable
 
 import numpy as np
 
-from hypstab.quadrature import _WG, _WGK, _XGK, QuadratureError, integrate_adaptive
+from hypstab.quadrature import (
+    _WG,
+    _WGK,
+    _XGK,
+    QuadratureError,
+    QuadratureResult,
+    integrate_adaptive,
+    integrate_semi_infinite,
+)
 from hypstab.spectral import _catenoid_profiles
 
 
@@ -105,6 +117,108 @@ def rotation_angle_reference(a: float, s_end: float) -> float:
         cuts = [k * mpmath.sqrt(eps) for k in (1, 10, 100, 1000, 10000)]
         points = [0] + [c for c in cuts if c < s_end] + [mpmath.mpf(s_end)]
         return float(mpmath.sqrt(eps * (am + half)) * mpmath.quad(integrand_mp, points))
+
+
+def _mass_integrand(a: float, s: float) -> float:
+    try:
+        c = math.cosh(2.0 * s)
+    except OverflowError:
+        return 0.0
+    w = a * c - 0.5
+    return w**-1.5
+
+
+def _f_integrand(a: float, s: float) -> float:
+    try:
+        c = math.cosh(2.0 * s)
+        sh = math.sinh(2.0 * s)
+    except OverflowError:
+        return 0.0
+    w = a * c - 0.5
+    return w**-1.5 - a * a * sh * sh * w**-3.5
+
+
+def _scaled_semi_infinite(integrand, pref: float, a: float, tol: float) -> QuadratureResult:
+    # both integrands decay like exp(-3s), from the leading w^{-3/2} term
+    res = integrate_semi_infinite(lambda s: integrand(a, s), tol, decay_hint=3.0)
+    return QuadratureResult(pref * res.value, pref * res.error_estimate, res.evaluations)
+
+
+def mass_quadrature_reference(a: float, tol: float = 1e-13) -> QuadratureResult:
+    """8 pi (a^2 - 1/4) int_0^inf w^{-3/2} ds by the package's semi-infinite
+    G7/K15 quadrature: the curvature mass as computed before its closed
+    form.  Fails or loses its error bound for large a."""
+    return _scaled_semi_infinite(_mass_integrand, 8.0 * math.pi * (a * a - 0.25), a, tol)
+
+
+def f_quadrature_reference(a: float, tol: float = 1e-13) -> QuadratureResult:
+    """32 pi (a^2 - 1/4) int_0^inf [w^{-3/2} - a^2 sinh^2(2s) w^{-7/2}] ds by
+    the package's semi-infinite G7/K15 quadrature: F as computed before its
+    closed form.  Fails or loses its error bound for large a."""
+    return _scaled_semi_infinite(_f_integrand, 32.0 * math.pi * (a * a - 0.25), a, tol)
+
+
+def _carlson_mp(a: float):
+    """(a^2 - 1/4, R_D(0, 2a, a - 1/2), R_F(0, 2a, a - 1/2)) in mpmath at
+    the working precision of the caller."""
+    import mpmath
+
+    am = mpmath.mpf(a)
+    alpha = am - mpmath.mpf(0.5)
+    r_d = mpmath.elliprd(0, 2 * am, alpha)
+    r_f = mpmath.elliprf(0, 2 * am, alpha)
+    return alpha * (am + mpmath.mpf(0.5)), r_d, r_f
+
+
+def f_carlson_reference(a: float) -> float:
+    """(32 pi / 45) [(9 (a^2 - 1/4) - 2) R_D(0, 2a, a - 1/2) - 3 R_F(...)]
+    at 50 digits, rounded once."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a2q, r_d, r_f = _carlson_mp(a)
+        return float(32 * mpmath.pi / 45 * ((9 * a2q - 2) * r_d - 3 * r_f))
+
+
+def mass_carlson_reference(a: float) -> float:
+    """(8 pi / 3) (a^2 - 1/4) R_D(0, 2a, a - 1/2) at 50 digits, rounded once."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        a2q, r_d, _ = _carlson_mp(a)
+        return float(8 * mpmath.pi / 3 * a2q * r_d)
+
+
+def f_integrand_mpmath_reference(a: float) -> float:
+    """F by mpmath's tanh-sinh quadrature of its original integrand at 30
+    digits, split where the integrand changes scale; about 0.1 s a call."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        am, half = mpmath.mpf(a), mpmath.mpf(0.5)
+
+        def integrand(s):
+            w = am * mpmath.cosh(2 * s) - half
+            return w**-1.5 - am * am * mpmath.sinh(2 * s) ** 2 * w**-3.5
+
+        width = mpmath.sqrt(am - half)
+        cuts = sorted({width, 10 * width, mpmath.mpf(1), mpmath.mpf(3), mpmath.mpf(8)})
+        points = [0] + [c for c in cuts if c <= 8] + [mpmath.inf]
+        return float(32 * mpmath.pi * (am * am - mpmath.mpf(0.25)) * mpmath.quad(integrand, points))
+
+
+def c0_carlson_reference() -> float:
+    """Sign change of F by mpmath's secant root finder on the 50-digit
+    closed form, started at a = 0.7341."""
+    import mpmath
+
+    with mpmath.workdps(50):
+
+        def f(a):
+            a2q, r_d, r_f = _carlson_mp(a)
+            return (9 * a2q - 2) * r_d - 3 * r_f
+
+        return float(mpmath.findroot(f, mpmath.mpf("0.7341")))
 
 
 def c0_oracle(cells: int = 20_000) -> float:

@@ -56,3 +56,25 @@ def test_curve_span_counts_the_exported_points(tmp_path):
     curve = spans[names == "curve"]
     assert len(curve) == 1
     assert curve[0, tracing.FIELDS.index("count")] == 257
+
+
+@pytest.mark.parametrize(
+    "argv, least",
+    [
+        (["sweep-f", "--a-min", "0.6", "--a-max", "0.9", "--step", "0.1"], {"F": 4}),
+        (["find-c0", "--tol", "1e-8"], {"F": 3, "locate_c0": 1, "root": 1}),
+    ],
+    ids=["sweep-f", "find-c0"],
+)
+def test_traced_F_commands_fill_the_F_spans(tmp_path, argv, least):
+    # the tracer reads result.evaluations from every F; the closed form reports 0
+    recorder = tracing.Recorder()
+    with tracing.installed(recorder):
+        with recorder.operation(1):
+            assert main(argv + ["--output", str(tmp_path / "out")]) == EXIT_OK
+    spans = recorder.spans()
+    names = np.array(recorder.names)[spans[:, tracing.FIELDS.index("name")].astype(int)]
+    assert not spans[:, tracing.FIELDS.index("failed")].any()
+    for name, count in least.items():
+        assert np.count_nonzero(names == name) >= count, name
+    assert (spans[names == "F", tracing.FIELDS.index("count")] == 0).all()

@@ -112,7 +112,8 @@ def test_hyperbolic_window_table(tmp_path):
         assert max_t == 2.125
         assert window_ok == 1.0  # all necks below the window edge
         assert pointwise_ok == 1.0  # curvature bound under 2.25 here too
-        assert bound == pytest.approx(2.0 * (t * t - 1.0), rel=1e-12)
+        # the exact sup of |A|^2, on the neck
+        assert bound == pytest.approx(2.0 * (1.0 - 1.0 / (t * t)), rel=1e-12)
 
 
 def test_hyperbolic_window_unstable_region(tmp_path):
@@ -126,7 +127,8 @@ def test_hyperbolic_window_unstable_region(tmp_path):
     _, _, rows = read_table(out)
     for _, _, window_ok, _, pointwise_ok in rows:
         assert window_ok == 0.0
-        assert pointwise_ok == 0.0
+        # the neck sup 2(1 - 1/t^2) is 1.59-1.78 here, under 9/4
+        assert pointwise_ok == 1.0
 
 
 def test_helicoid_table_zero_pitch(tmp_path):
@@ -399,9 +401,9 @@ def test_argparse_rejections():
 def test_find_c0_rejects_a_nan_tolerance_before_any_F(tmp_path, capsys, monkeypatch, flag, name):
     calls = []
 
-    def counted(cat, tol):
+    def counted(cat):
         calls.append(cat.a)
-        return F(cat, tol)
+        return F(cat)
 
     monkeypatch.setattr(spherical_catenoid, "F", counted)
     code, out = invoke(tmp_path, "c0.json", ["find-c0", flag, "nan"])
@@ -409,6 +411,30 @@ def test_find_c0_rejects_a_nan_tolerance_before_any_F(tmp_path, capsys, monkeypa
     assert f"invalid parameters: {name} must be positive, got nan" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan"])
+def test_sweep_f_rejects_a_bad_tolerance(tmp_path, capsys, value):
+    # F no longer takes a tolerance; the flag is still validated
+    code, out = invoke(tmp_path, "sweep.csv", ["sweep-f", "--tol", value])
+    assert code == EXIT_USAGE
+    assert f"invalid parameters: tol must be positive, got {float(value)}" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("a", ["1e6", "1e100", "1e160", "1.7e308"])
+def test_sweep_f_at_large_a_is_certified(tmp_path, a):
+    code, out = invoke(
+        tmp_path, "sweep.csv", ["sweep-f", "--a-min", a, "--a-max", a, "--step", "1"]
+    )
+    assert code == EXIT_OK
+    _, _, rows = read_table(out)
+    [(a_row, f_val, err)] = rows
+    assert math.isfinite(f_val) and math.isfinite(err)
+    assert abs(f_val - oracles.f_carlson_reference(a_row)) <= err
+    assert err <= 1e-13 * abs(f_val)  # a bound that holds and is also tight
 
 
 def test_module_entry_point_runs_without_warnings():
@@ -424,8 +450,8 @@ def test_module_entry_point_runs_without_warnings():
 
 
 def test_cli_import_leaves_scipy_special_unloaded():
-    # the rotation angle imports scipy.special on first use, keeping it out
-    # of the start-up cost of every command
+    # the rotation angle, F and the curvature mass import scipy.special on
+    # first use, keeping it out of the start-up cost of every command
     src = str(Path(hypstab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     code = "import sys, hypstab.cli; print('scipy.special' in sys.modules)"

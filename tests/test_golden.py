@@ -3,9 +3,11 @@
 Each digest was recorded before the code change it guards (the export
 digests from the per-point loops that preceded the array exports), so any
 change in a rendered digit, a row's order or a header line shows here.
-The three spherical export digests are the exception: they were recorded
+The three spherical export digests are an exception: they were recorded
 from the closed-form rotation angle, whose last digits differ from the
-quadrature it replaced.
+quadrature it replaced.  So are the sweep-f and find-c0 digests, recorded
+from the closed form of F, and the hyperbolic-window digest, recorded when
+its bound_A_sq column became the exact neck value of |A|^2.
 The exports of all three families, a JSON export, the other commands that
 share the CSV renderer, and the JSON-only commands (find-c0, index,
 criteria with every certificate) are covered.  The index digests include a
@@ -84,25 +86,25 @@ GOLDEN = {
     ),
     "hyperbolic-window": (
         ["hyperbolic-window"],
-        "de620e770ea07433dbf9615c8bf1c1d7e4b58f4b0f6f5914111ca663fe185722",
+        "b1d5ddd2b6142ba41fda6effaf8064a46948d1b26c54528849083dbd48250b30",
     ),
     "sweep-f": (
         ["sweep-f", "--a-min", "0.6", "--a-max", "0.9", "--step", "0.1"],
-        "542800af287551d5611e3365eff02be955707eb459a9aca8a299563215c84739",
+        "709c323647d5675674f6bd34100f238bdc42760c92a07379b66c74deb1606485",
     ),
-    # the spherical-certify benchmark's sweep, at a tight quadrature tolerance
+    # the spherical-certify benchmark's sweep; --tol no longer changes F
     "sweep-f-bench": (
         ["sweep-f", "--a-min", "0.55", "--a-max", "1.45", "--step", "0.005",
          "--tol", "1e-12"],
-        "4db63a21535a09b0214100b7c6395416e26c2609d0f1246146d4662a58d1f1ee",
+        "a24208be99f6cf4158dfeca854fc0e79fafd38c73af05034e502b9c306acd14b",
     ),
     "find-c0-tight": (
         ["find-c0", "--tol", "1e-12", "--quad-tol", "1e-12"],
-        "39db5620d5859db75e45360336636facd1fbf320831c3647c14d67b27e1f006f",
+        "3f0b7fa7a550ba224860b875b72d8bbafac00c3b018d2ef6c9ec0a1b7362bb93",
     ),
     "find-c0": (
         ["find-c0"],
-        "a127570267430eb133f24c6c773a4d3b2be6fc3373c34e7e834b24964ca63535",
+        "aac1e9fe7486e3ba6989c4e8872298f5af4964c2ae4a096638dfe1d4b9520280",
     ),
     "index": (
         ["index", "--a", "0.6", "--radius", "8", "--nodes", "600", "--m-max", "1"],

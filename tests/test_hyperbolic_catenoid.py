@@ -22,6 +22,7 @@ from hypstab.hyperbolic_catenoid import (
     principal_curvatures,
     shape_constant,
     stability_window_max_t,
+    sup_norm_A_sq,
 )
 from hypstab.lorentz import minkowski_inner, on_hyperboloid, on_hyperboloid_rows
 
@@ -128,6 +129,16 @@ def test_neck_curvature_closed_form():
         assert norm_A_sq(cat, neck) == pytest.approx(
             n * (n - 1) * (t * t - 1.0) / (t * t), rel=1e-12
         )
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 6])
+@pytest.mark.parametrize("t", [1.01, 1.05, 1.5, 2.2, 3.0, 40.0])
+def test_sup_norm_A_sq_is_the_neck_value(n, t):
+    cat = HyperbolicCatenoid(n, t)
+    sup = sup_norm_A_sq(cat)
+    assert sup == pytest.approx(norm_A_sq(cat, ProfileSample(0.0, t, 0.0)), rel=1e-13)
+    for smp in integrate_profile(cat, 2.0):
+        assert norm_A_sq(cat, smp) <= sup * (1.0 + 1e-13)
 
 
 def test_corrupted_sample_fails_cross_check():

@@ -1,11 +1,14 @@
 """Spherical catenoid geometry and the instability functional.
 
 Frozen reference values come from the composite Simpson and bisection
-oracles in oracles.py, evaluated once and pasted here verbatim.
+oracles in oracles.py, evaluated once and pasted here verbatim.  The closed
+forms of F and the curvature mass are also checked live, against mpmath and
+against the quadrature they replaced.
 """
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -205,7 +208,7 @@ def test_total_A_sq_against_oracle():
         r = total_A_sq(SphericalCatenoid(a))
         assert r.value == pytest.approx(want, abs=1e-7)
         assert abs(r.value - want) <= r.error_estimate + 1e-9
-        assert r.evaluations > 0
+        assert r.evaluations == 0  # a closed form: no quadrature ran
 
 
 def test_F_against_oracle_table():
@@ -246,14 +249,14 @@ def test_find_c0_evaluates_each_a_once(monkeypatch):
     # evaluated again
     seen = []
 
-    def counting_F(cat, *args):
+    def counting_F(cat):
         seen.append(cat.a)
-        return F(cat, *args)
+        return F(cat)
 
     monkeypatch.setattr(spherical_catenoid, "F", counting_F)
-    for tol, quad_tol in ((1e-4, 1e-9), (1e-6, 1e-10)):
+    for tol in (1e-4, 1e-6):
         seen.clear()
-        find_c0(tol, quad_tol)
+        find_c0(tol)
         assert len(seen) == len(set(seen)), tol
 
 
@@ -269,8 +272,44 @@ def test_find_c0_validation():
 
 
 def test_find_c0_needs_resolvable_sign():
-    # quadrature noise at loose quad_tol must not flip the scan bracket
-    assert find_c0(1e-3, quad_tol=1e-6) == pytest.approx(C0_ORACLE, abs=2e-3)
+    # the error of F must not flip the scan bracket at a loose root tolerance
+    assert find_c0(1e-3) == pytest.approx(C0_ORACLE, abs=2e-3)
+
+
+def test_find_c0_against_mpmath_root():
+    assert abs(find_c0(1e-12) - oracles.c0_carlson_reference()) <= 1e-12
+
+
+# a - 1/2 from 1e-15 to 1e-2, then a from 0.51 to 1e3, then to the float maximum
+NEAR_HALF = [0.5 + d for d in np.geomspace(1e-15, 1e-2, 40).tolist()]
+MIDDLE = np.geomspace(0.51, 999.0, 60).tolist()
+LARGE = np.geomspace(1e3, 1.7e308, 60).tolist() + [sys.float_info.max]
+
+
+@pytest.mark.parametrize("a", NEAR_HALF + LARGE)
+def test_closed_forms_against_mpmath_carlson(a):
+    cat = SphericalCatenoid(a)
+    f_res, mass = F(cat), total_A_sq(cat)
+    assert abs(f_res.value - oracles.f_carlson_reference(a)) <= f_res.error_estimate
+    assert abs(mass.value - oracles.mass_carlson_reference(a)) <= mass.error_estimate
+    assert f_res.evaluations == mass.evaluations == 0
+
+
+@pytest.mark.parametrize("a", MIDDLE)
+def test_closed_forms_against_the_quadrature_they_replaced(a):
+    cat = SphericalCatenoid(a)
+    f_res, mass = F(cat), total_A_sq(cat)
+    f_ref = oracles.f_quadrature_reference(a)
+    mass_ref = oracles.mass_quadrature_reference(a)
+    assert abs(f_res.value - f_ref.value) <= f_res.error_estimate + f_ref.error_estimate
+    assert abs(mass.value - mass_ref.value) <= mass.error_estimate + mass_ref.error_estimate
+
+
+@pytest.mark.parametrize("a", [0.5 + 1e-12, 0.5 + 1e-6, 0.55, 0.6872, 0.7341, 1.0, 2.5, 40.0])
+def test_F_against_mpmath_quadrature_of_its_integrand(a):
+    # checks the derivation itself: this reference never uses R_D or R_F
+    r = F(SphericalCatenoid(a))
+    assert abs(r.value - oracles.f_integrand_mpmath_reference(a)) <= r.error_estimate
 
 
 @settings(max_examples=30, deadline=None)
