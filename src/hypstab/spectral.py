@@ -5,11 +5,12 @@ m = 0, 1, 2, ...; mode m contributes the radial Sturm-Liouville form
 
     int [ (u')^2 + q_m(s) u^2 ] rho(s) ds,   q_m = m^2/rho^2 - |A|^2 + 2,
 
-over the profile measure rho(s) ds.  Each mode is discretized on a uniform
-grid with Dirichlet ends, eigenvalues below zero are counted by tridiagonal
-LDL inertia, and the index sums the counts with multiplicity two for m >= 1
-(the two angular phases).  Modes m >= 2 have a positive potential, which
-is certified in closed form, so only modes 0 and 1 are discretized.
+over the profile measure rho(s) ds.  Every mode m >= 1 is certified
+positive in closed form: a Killing field of hyperbolic space gives mode 1 a
+positive Jacobi field, and q_m >= q_1 (see mode_is_positive_by_bound).  So
+only mode 0 is discretized, on a uniform grid with Dirichlet ends; its
+eigenvalues below zero are counted by tridiagonal LDL inertia, and the index
+sums the counts with multiplicity two for m >= 1 (the two angular phases).
 Counting applies a small spectral margin that absorbs the O(h^2) downward
 bias of the discretization so analytically marginal modes are not
 miscounted; margin = 0 gives the raw discrete count.
@@ -125,14 +126,14 @@ def discretize(
 
 def _catenoid_profiles(cat: SphericalCatenoid, m: int):
     a = cat.a
-    coef = 2.0 * (a * a - 0.25)
 
     def rho(s: np.ndarray) -> np.ndarray:
         return np.sqrt(a * np.cosh(2.0 * s) - 0.5)
 
     def q(s: np.ndarray) -> np.ndarray:
         inv_w = 1.0 / (a * np.cosh(2.0 * s) - 0.5)
-        return m * m * inv_w - coef * inv_w * inv_w + 2.0
+        # |A|^2 = 2 (a^2 - 1/4) / w^2, factored so that no a^2 overflows
+        return m * m * inv_w - 2.0 * ((a - 0.5) * inv_w) * ((a + 0.5) * inv_w) + 2.0
 
     return rho, q
 
@@ -144,6 +145,8 @@ def assemble_mode_operator(
 
     Requires m >= 0, 0 < R <= 300 (the profile weight overflows past that),
     and N >= 100 so the margin analysis in the counting step applies.
+    Raises OverflowError naming a, R and N when a cosh(2R)/h^2, the square
+    of the largest stiffness entry, is not a finite float.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"mode must be a nonnegative integer, got {m!r}")
@@ -151,6 +154,13 @@ def assemble_mode_operator(
         raise ValueError(f"radius must lie in (0, {_MAX_RADIUS:g}], got {R}")
     if not isinstance(N, int) or isinstance(N, bool) or N < 100:
         raise ValueError(f"cell count must be an integer >= 100, got {N!r}")
+    # the LDL count squares the largest off-diagonal entry, sqrt(w(R))/h
+    h = 2.0 * R / N
+    if math.isinf(cat.a * math.cosh(2.0 * R) / (h * h)):
+        raise OverflowError(
+            f"mode operator overflows: a cosh(2R)/h^2 is not finite at "
+            f"a = {cat.a}, R = {R}, N = {N}"
+        )
     rho, q = _catenoid_profiles(cat, m)
     return discretize(rho, q, float(R), N)
 
@@ -262,21 +272,31 @@ def lowest_eigenvalues(disc: SturmLiouvilleDisc, k: int = 3) -> tuple[float, ...
 
 
 def mode_is_positive_by_bound(cat: SphericalCatenoid, m: int) -> bool:
-    """Certify q_m > 0 everywhere, which makes mode m positive without any
-    eigenvalue computation; exact, so True precisely when m >= 2.
+    """Certify that mode m is positive on every interval, without any
+    eigenvalue computation; True precisely when m >= 1.  Mode 0 carries the
+    unstable direction when there is one and is never screened out.
 
-    In x = 1/w(s), w = a cosh(2s) - 1/2, the potential is
+    With w = a cosh(2s) - 1/2, rho = sqrt(w) and B = sqrt(w + 1) as in
+    spherical_catenoid.embed, the boost K(x) = (x_2, 0, x_0, 0) of hyperbolic
+    space mixes the time axis with x_2 = rho cos(theta).  Killing fields give
+    Jacobi fields, and a Minkowski triple product shows <K(X), nu> = u(s)
+    cos(theta) with
 
-        q_m = 2 + m^2 x - 2 (a^2 - 1/4) x^2,   x in (0, 1/(a - 1/2)],
+        u = d/ds (B sinh phi) = B' sinh phi + B phi' cosh phi,
 
-    a concave function of x (a > 1/2), so its infimum is the smaller end
-    value: 2 as x -> 0 (s -> infinity) and (m^2 - 2)/(a - 1/2) at the neck
-    x = 1/(a - 1/2).  Both are positive exactly when m^2 > 2; for m = 0, 1
-    the neck value is negative.  The answer does not depend on the member.
+    so u solves the mode-1 equation (rho u')' = rho q_1 u.  u is positive on
+    the whole line: B' = a sinh(2s)/B and sinh phi both have the sign of s,
+    B phi' cosh phi > 0, and u(0) = 1.  Picone's identity then gives, for
+    every v != 0 vanishing at both ends of an interval,
+
+        int rho (v'^2 + q_1 v^2) ds = int rho u^2 ((v/u)')^2 ds > 0.
+
+    Since q_m = q_1 + (m^2 - 1)/w >= q_1, every mode m >= 1 is positive on
+    every interval.  The answer does not depend on the member.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"mode must be a nonnegative integer, got {m!r}")
-    return m >= 2
+    return m >= 1
 
 
 @dataclass(frozen=True)
@@ -315,13 +335,15 @@ def morse_index(
 ) -> IndexReport:
     """Morse index of the catenoid from modes 0..m_max.
 
-    Each mode is screened once by the potential bound, which certifies every
-    mode m >= 2 positive in closed form; those modes are skipped.  Modes 0
-    and 1 are discretized on [-R, R] with N cells and counted with the
-    default margin, and the count is repeated with N doubled and R enlarged
-    by 5; converged means the two counts agree for every mode.  The
-    refinement run needs R + 5 <= 300, so R must lie in (0, 295].  The
-    index weights m >= 1 twice for the two angular phases.
+    Each mode is screened once by mode_is_positive_by_bound, which certifies
+    every mode m >= 1 positive in closed form; those modes report count 0
+    and no eigenvalues.  Mode 0 is discretized on [-R, R] with N cells and
+    counted with the default margin, and the count is repeated with N
+    doubled and R enlarged by 5; converged means the two counts agree.  The
+    refinement run needs R + 5 <= 300, so R must lie in (0, 295].  Either
+    run raises OverflowError where its stiffness entries overflow (a past
+    about 1e290 at R = 10).  The index weights m >= 1 twice for the two
+    angular phases.
     """
     if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 0:
         raise ValueError(f"m_max must be a nonnegative integer, got {m_max!r}")

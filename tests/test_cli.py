@@ -7,6 +7,7 @@ import os
 import struct
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -375,6 +376,39 @@ def test_usage_errors(tmp_path):
     # catenoid shape outside the admissible ray
     code, _ = invoke(tmp_path, "u3.json", ["index", "--a", "0.3"])
     assert code == EXIT_USAGE
+
+
+def test_index_screens_mode_one_at_an_unresolved_neck(tmp_path):
+    # the default grid does not resolve the neck at a = 0.5001; mode 1 is
+    # decided by its Jacobi field, not by a discrete eigenvalue
+    code, out = invoke(tmp_path, "neck.json", ["index", "--a", "0.5001"])
+    assert code == EXIT_OK
+    mode_one = json.loads(out.read_text())["modes"][1]
+    assert mode_one == {"mode": 1, "negative_count": 0, "lowest_eigenvalues": []}
+
+
+@pytest.mark.parametrize("a", ["1e154", "1e200", "1e290"])
+def test_index_at_huge_a_runs(tmp_path, a):
+    # |A|^2 = 2 (a^2 - 1/4) / w^2 is tiny although a^2 overflows
+    code, out = invoke(tmp_path, "huge.json", ["index", "--a", a, "--radius", "10"])
+    assert code == EXIT_OK
+    doc = json.loads(out.read_text())
+    assert doc["total_index"] == 0
+    assert doc["converged"] is True
+
+
+@pytest.mark.parametrize("a", ["1e295", "1e300"])
+def test_index_overflow_is_a_named_numerical_failure(tmp_path, capsys, a):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out = invoke(tmp_path, "over.json", ["index", "--a", a, "--radius", "10"])
+    assert code == EXIT_NUMERICAL
+    assert caught == []
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("hypstab index: numerical failure: mode operator overflows")
+    assert f"a = {float(a)}" in lines[0]
+    assert not out.exists()
 
 
 def test_index_radius_error_names_the_given_radius(tmp_path, capsys):

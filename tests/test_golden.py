@@ -7,12 +7,16 @@ The three spherical export digests are an exception: they were recorded
 from the closed-form rotation angle, whose last digits differ from the
 quadrature it replaced.  So are the sweep-f and find-c0 digests, recorded
 from the closed form of F, and the hyperbolic-window digest, recorded when
-its bound_A_sq column became the exact neck value of |A|^2.
+its bound_A_sq column became the exact neck value of |A|^2.  The four index
+digests were recorded when mode 1 became certified by its Jacobi field: its
+lowest_eigenvalues list is empty, and mode-0 eigenvalues moved in their last
+digits with the factored |A|^2; every count and note is unchanged.
 The exports of all three families, a JSON export, the other commands that
 share the CSV renderer, and the JSON-only commands (find-c0, index,
 criteria with every certificate) are covered.  The index digests include a
-run whose refinement count disagrees (converged false) and one where some
-modes are certified positive by the potential bound and others are counted.
+run whose refinement count disagrees (converged false) and one at a thin
+neck with modes 0-6, where, as everywhere, every mode m >= 1 is certified
+positive and only mode 0 is counted.
 """
 
 import hashlib
@@ -108,25 +112,24 @@ GOLDEN = {
     ),
     "index": (
         ["index", "--a", "0.6", "--radius", "8", "--nodes", "600", "--m-max", "1"],
-        "62ac362f3804b70a1311fbd8d00aacab20dae43d5a59cc200ea82aa6f570b563",
+        "483adb9ef340a87812328e465e0e1e22a0a8033c6d47faf801984a271fe5ee87",
     ),
     "index-unconverged": (
         ["index", "--a", "0.76", "--radius", "3", "--nodes", "100", "--m-max", "2"],
-        "9c7cab46447919781d8b4a2c7cad071e6a85e4fee523c395e2714bb56bb0d7a4",
+        "6fe652b73dbce017741bc630c2c76fc5edd216e68e0cc024ffaabce6065cb05c",
     ),
-    # re-recorded when the screen became exact: modes 4-6, which the sampled
-    # screen left to the counter at this neck, are now screened like 2 and 3,
-    # so their lowest_eigenvalues lists are empty; every count is unchanged
+    # modes 1-6 are screened, so their lowest_eigenvalues lists are empty;
+    # mode 1 was last counted here, every count is unchanged
     "index-screened": (
         ["index", "--a", "0.51", "--radius", "6", "--nodes", "400", "--m-max", "6",
          "--k-eigs", "4"],
-        "d4a8d3b5b6b2bd4cfd4a8956851ea061f20b293b5756404eefa275d42acc6f10",
+        "2610d7569da9d86799fa081ccebb530d0bd50de7af8c72754e1c61ec05ea748e",
     ),
     # the largest morse-index benchmark sizes: 8000 nodes, modes 0..8
     "index-bench": (
         ["index", "--a", "1.7", "--radius", "12", "--nodes", "8000", "--m-max", "8",
          "--k-eigs", "5"],
-        "70b58e707100da51940d5e881ac1cf16427ca9760860f379b8f47f1561e77fe1",
+        "2a0d7e66054e1cd67ecb74af3c49febe6b73f72b14e3850dc24670e7797735b5",
     ),
     "criteria-all": (
         ["criteria", "--n", "3", "--sup-a-sq", "2.5", "--pinch-a", "0.5",

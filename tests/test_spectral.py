@@ -152,6 +152,8 @@ def test_positive_mode_screen():
     assert mode_is_positive_by_bound(SphericalCatenoid(0.6), 10)
     assert mode_is_positive_by_bound(SphericalCatenoid(0.6), 2)
     assert mode_is_positive_by_bound(SphericalCatenoid(10.0), 2)
+    assert mode_is_positive_by_bound(SphericalCatenoid(0.5001), 1)
+    assert mode_is_positive_by_bound(SphericalCatenoid(10.0), 1)
     # m = 0 keeps the unstable direction in play, never screened out
     assert not mode_is_positive_by_bound(SphericalCatenoid(0.6), 0)
     assert not mode_is_positive_by_bound(SphericalCatenoid(10.0), 0)
@@ -170,19 +172,91 @@ def test_exact_screen_against_the_sampled_screen(a_any, a_bench, m):
     # potential's margin and it gives up on modes the closed form certifies.
     # On a grid of 20 000 values of a in (1/2, 3] the two disagree only below
     # a = 0.528 for m <= 8 and below 0.5434 for m <= 12, short of the
-    # benchmark's lowest a = 0.55.
+    # benchmark's lowest a = 0.55.  The sampled screen tests q_m >= 0, which
+    # fails for m = 1; the exact screen certifies mode 1 by its positive
+    # Jacobi field instead.
     cat = SphericalCatenoid(a_bench)
-    assert mode_is_positive_by_bound(cat, m) == oracles.sampled_mode_screen(cat, m)
+    if m != 1:
+        assert mode_is_positive_by_bound(cat, m) == oracles.sampled_mode_screen(cat, m)
     cat = SphericalCatenoid(a_any)
     if oracles.sampled_mode_screen(cat, m):
         assert mode_is_positive_by_bound(cat, m)
-    assert not mode_is_positive_by_bound(cat, m % 2)
+    assert mode_is_positive_by_bound(cat, 1)
+    assert not mode_is_positive_by_bound(cat, 0)
+
+
+def _mode_one_jacobi_field(a, s):
+    """(u, residual of (rho u')' = rho q_1 u relative to its largest term)
+    for the Killing-field Jacobi field u = d/ds (B sinh phi) of mode 1, at
+    the current mpmath precision.  phi takes one quadrature; every
+    derivative of B = sqrt(w + 1), rho = sqrt(w) and phi' = c / ((w + 1)
+    sqrt(w)) is taken in closed form through w = a cosh(2s) - 1/2."""
+    import mpmath as mp
+
+    a, s, half = mp.mpf(a), mp.mpf(s), mp.mpf(1) / 2
+    c = mp.sqrt(a * a - half / 2)
+    w = a * mp.cosh(2 * s) - half
+    v = w + 1
+    r = mp.sqrt(w)
+    dw = (2 * a * mp.sinh(2 * s), 4 * a * mp.cosh(2 * s), 8 * a * mp.sinh(2 * s))
+
+    def chain(f1, f2, f3=0):
+        # first three s-derivatives of f(w(s)) from the w-derivatives of f
+        return (
+            f1 * dw[0],
+            f2 * dw[0] ** 2 + f1 * dw[1],
+            f3 * dw[0] ** 3 + 3 * f2 * dw[0] * dw[1] + f1 * dw[2],
+        )
+
+    b0 = mp.sqrt(v)
+    b1, b2, b3 = chain(1 / (2 * b0), -1 / (4 * v * b0), 3 / (8 * v * v * b0))
+    p1 = c / (v * r)
+    g1 = -1 / (v * v * r) - 1 / (2 * v * w * r)
+    g2 = 2 / (v**3 * r) + 1 / (v * v * w * r) + 3 / (4 * v * w * w * r)
+    p2, p3, _ = (c * d for d in chain(g1, g2))
+    phi = mp.quad(
+        lambda t: c / ((a * mp.cosh(2 * t) + half) * mp.sqrt(a * mp.cosh(2 * t) - half)),
+        [0, abs(s)],
+    )
+    sh, ch = mp.sign(s) * mp.sinh(phi), mp.cosh(phi)
+    u = b1 * sh + b0 * p1 * ch
+    du = (b2 + b0 * p1**2) * sh + (2 * b1 * p1 + b0 * p2) * ch
+    ddu = (b3 + 3 * b1 * p1**2 + 3 * b0 * p1 * p2) * sh + (
+        3 * b2 * p1 + 3 * b1 * p2 + b0 * p3 + b0 * p1**3
+    ) * ch
+    q1 = 1 / w - 2 * (a * a - half / 2) / (w * w) + 2
+    terms = (r * ddu, dw[0] / (2 * r) * du, -r * q1 * u)
+    return u, abs(sum(terms)) / max(abs(x) for x in terms)
+
+
+@pytest.mark.parametrize("a", [0.5001, 0.6, 0.7666, 1.0, 3.0, 50.0])
+def test_mode_one_killing_jacobi_field_is_positive(a):
+    # the certificate behind mode_is_positive_by_bound(cat, 1), at 32 digits
+    import mpmath as mp
+
+    with mp.workdps(32):
+        for k in range(-12, 13):
+            u, residual = _mode_one_jacobi_field(a, k / 2)
+            assert residual <= 1e-25, (a, k / 2)
+            assert u > 0, (a, k / 2)
+        assert _mode_one_jacobi_field(a, 0)[0] == 1
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.floats(0.55, 3.0))
+def test_resolved_mode_one_has_no_discrete_negative_eigenvalue(a):
+    # where the grid resolves the neck, the raw FD count agrees with the
+    # closed-form screen even without the margin
+    disc = assemble_mode_operator(SphericalCatenoid(a), 1, 10.0, 4000)
+    assert count_negative_eigenvalues(disc, margin=0.0) == 0
 
 
 @pytest.mark.parametrize("a", [0.501, 0.51, 0.52, 3.0])
 def test_screened_modes_have_no_negative_eigenvalue(a):
     # The discrete Rayleigh quotient is at least the smallest nodal
-    # potential, which the concavity argument puts at min(2, (m^2-2)/(a-1/2)).
+    # potential.  For m >= 2, q_m = 2 + m^2 x - 2 (a^2 - 1/4) x^2 is concave
+    # in x = 1/w, so that is at least min(2, (m^2-2)/(a-1/2)).  (Mode 1,
+    # whose potential dips below 0, is covered by the Jacobi-field tests.)
     cat = SphericalCatenoid(a)
     for m in range(2, 7):
         assert mode_is_positive_by_bound(cat, m)
@@ -273,6 +347,20 @@ def test_morse_index_screens_each_mode_once(monkeypatch):
     monkeypatch.setattr(spectral, "mode_is_positive_by_bound", counting_screen)
     morse_index(SphericalCatenoid(0.6), R=6.0, N=600, m_max=3)
     assert calls == [0, 1, 2, 3]
+
+
+def test_morse_index_discretizes_mode_zero_only(monkeypatch):
+    calls = []
+    assemble = spectral.assemble_mode_operator
+
+    def recording_assemble(cat, m, R, N):
+        calls.append((m, R, N))
+        return assemble(cat, m, R, N)
+
+    monkeypatch.setattr(spectral, "assemble_mode_operator", recording_assemble)
+    rep = morse_index(SphericalCatenoid(0.6), R=6.0, N=600, m_max=3)
+    assert calls == [(0, 6.0, 600), (0, 11.0, 1200)]
+    assert [(s.negative_count, s.lowest_eigenvalues) for s in rep.modes[1:]] == [(0, ())] * 3
 
 
 def test_morse_index_radius_leaves_room_for_refinement():
