@@ -173,7 +173,7 @@ def _cmd_find_c0(params: Mapping[str, Any]) -> dict[str, Any]:
 def _cmd_index(params: Mapping[str, Any]) -> dict[str, Any]:
     nodes = int(params["nodes"])
     m_max = int(params["m_max"])
-    _bounded_rows(2 * nodes, f"nodes {nodes}, doubled by the refinement run,")
+    _bounded_rows(nodes, f"nodes {nodes}")
     _bounded_rows(m_max + 1, f"m_max {m_max}")
     report = morse_index(
         SphericalCatenoid(float(params["a"])),

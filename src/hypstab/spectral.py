@@ -5,15 +5,12 @@ m = 0, 1, 2, ...; mode m contributes the radial Sturm-Liouville form
 
     int [ (u')^2 + q_m(s) u^2 ] rho(s) ds,   q_m = m^2/rho^2 - |A|^2 + 2,
 
-over the profile measure rho(s) ds.  Every mode m >= 1 is certified
-positive in closed form: a Killing field of hyperbolic space gives mode 1 a
-positive Jacobi field, and q_m >= q_1 (see mode_is_positive_by_bound).  So
-only mode 0 is discretized, on a uniform grid with Dirichlet ends; its
-eigenvalues below zero are counted by tridiagonal LDL inertia, and the index
-sums the counts with multiplicity two for m >= 1 (the two angular phases).
-Counting applies a small spectral margin that absorbs the O(h^2) downward
-bias of the discretization so analytically marginal modes are not
-miscounted; margin = 0 gives the raw discrete count.
+over the profile measure rho(s) ds.  Jacobi fields in closed form decide
+every mode: a Killing field makes every m >= 1 positive
+(mode_is_positive_by_bound), and the sign of the boundary-angle slope
+counts mode 0 (morse_index); the index weights m >= 1 twice (two angular
+phases).  Mode 0's eigenvalues on a uniform Dirichlet grid are reported
+uncertified; LDL inertia counts a grid's eigenvalues below a margin.
 """
 
 from __future__ import annotations
@@ -25,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .spherical_catenoid import SphericalCatenoid
+from .spherical_catenoid import SphericalCatenoid, boundary_angle_slope
 
 __all__ = [
     "SturmLiouvilleDisc",
@@ -40,7 +37,6 @@ __all__ = [
     "morse_index",
 ]
 
-_REFINE_GROWTH = 5.0  # the refinement run counts on [-(R + 5), R + 5]
 _MAX_RADIUS = 300.0  # the profile weight overflows past this radius
 
 
@@ -194,22 +190,22 @@ def default_count_margin(disc: SturmLiouvilleDisc) -> float:
     constant controlled by the eigenvalue scale, which the potential bound
     dominates for the forms assembled here; an analytically zero eigenvalue
     can therefore show up near -h^2 lambda^2 / 12.  The margin is a safe
-    overestimate of that bias yet still far below the first analytically
-    negative eigenvalue of any catenoid mode at the default resolutions.
+    overestimate of that bias.  It can also swamp a negative eigenvalue that
+    is small or that the grid does not resolve, so a count under it is a
+    heuristic, not a certificate.
     """
     h = disc.h
     q_scale = 1.0 + float(np.max(np.abs(disc.potential)))
     return h * h * q_scale * q_scale / 6.0
 
 
-def _inertia(disc: SturmLiouvilleDisc, margin: float) -> tuple[int, bool]:
-    """Count eigenvalues below -margin; returns (count, perturbed).
+def _inertia(disc: SturmLiouvilleDisc, margin: float) -> int:
+    """Count eigenvalues below -margin.
 
     By Sylvester inertia the count is the number of negative pivots in the
     LDL factorization of the tridiagonal K + margin M.  An exactly zero pivot
     abandons that count for a second one with the shift margin + 1e-12, in
-    which a zero pivot is taken as +1e-300; perturbed records that the
-    second count ran.
+    which a zero pivot is taken as +1e-300.
     """
     k_diag, k_off, m_diag = _tridiagonal_system(disc)
     # A zero off-diagonal against an infinite pivot ahead of the first row
@@ -230,7 +226,7 @@ def _inertia(disc: SturmLiouvilleDisc, margin: float) -> tuple[int, bool]:
             if pivot < 0.0:
                 count += 1
         else:
-            return count, perturbed
+            return count
         perturbed = True
 
 
@@ -250,8 +246,7 @@ def count_negative_eigenvalues(
     margin = float(margin)
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and >= 0, got {margin}")
-    count, _ = _inertia(disc, margin)
-    return count
+    return _inertia(disc, margin)
 
 
 def lowest_eigenvalues(disc: SturmLiouvilleDisc, k: int = 3) -> tuple[float, ...]:
@@ -312,9 +307,8 @@ class ModeSpectrum:
 class IndexReport:
     """Morse index assembled from the per-mode counts.
 
-    converged records whether every per-mode count was reproduced on the
-    refinement run with doubled resolution and enlarged domain; notes carry
-    any counting anomalies (pivot perturbations, refinement disagreements).
+    converged is False, with a note, when mode 0's boundary-angle slope is
+    within its error bound of zero; lowest_eigenvalues are not certified.
     """
 
     a: float
@@ -337,52 +331,39 @@ def morse_index(
 
     Each mode is screened once by mode_is_positive_by_bound, which certifies
     every mode m >= 1 positive in closed form; those modes report count 0
-    and no eigenvalues.  Mode 0 is discretized on [-R, R] with N cells and
-    counted with the default margin, and the count is repeated with N
-    doubled and R enlarged by 5; converged means the two counts agree.  The
-    refinement run needs R + 5 <= 300, so R must lie in (0, 295].  Either
-    run raises OverflowError where its stiffness entries overflow (a past
-    about 1e290 at R = 10).  The index weights m >= 1 twice for the two
-    angular phases.
+    and no eigenvalues.  Mode 0 counts 1 when the boundary-angle slope
+    exceeds its error bound, 0 when it is below minus that bound, and 0 with
+    converged False and a note otherwise (the index is then 0 or 1).  Its
+    k_eigs lowest eigenvalues, not certified, come from the grid of
+    assemble_mode_operator on [-R, R] with N cells, which needs R in
+    (0, 300] and raises OverflowError where its stiffness entries overflow
+    (a past about 7e295 at R = 10, N = 2000).  The index weights m >= 1 twice.
+
+    Why the slope decides (the hyperbolic Lindelof criterion; Berard-Sa
+    Earp, Proc. AMS 2010; Mori 1981): varying a gives the even mode-0 Jacobi
+    field u_e = <d_a X, nu> and the axial boost (x_1, x_0, 0, 0) the odd one
+    u_o, which has no zero on (0, inf).  Sturm separation leaves u_e at most
+    one zero there, and u_e ~ phi_inf'(a) u_o at the end says whether it
+    exists: it does when phi_inf' > 0 and not when phi_inf' < 0.  0 lies
+    below the essential spectrum [9/4, inf), so that zero count is the
+    index.  For phi_inf' < 0, u_e > 0 is a positive Jacobi field and the
+    member is stable (Fischer-Colbrie-Schoen 1980).
     """
     if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 0:
         raise ValueError(f"m_max must be a nonnegative integer, got {m_max!r}")
-    max_radius = _MAX_RADIUS - _REFINE_GROWTH
-    if not (math.isfinite(R) and 0.0 < R <= max_radius):
-        raise ValueError(
-            f"radius must lie in (0, {max_radius:g}] because the refinement "
-            f"run uses R + {_REFINE_GROWTH:g} <= {_MAX_RADIUS:g}, got {R}"
-        )
     modes: list[ModeSpectrum] = []
-    coarse_notes: list[str] = []
-    fine_notes: list[str] = []
-    disagreements: list[str] = []
+    notes: list[str] = []
     for m in range(m_max + 1):
         if mode_is_positive_by_bound(cat, m):
             modes.append(ModeSpectrum(m, 0, ()))
             continue
         disc = assemble_mode_operator(cat, m, R, N)
-        count, perturbed = _inertia(disc, default_count_margin(disc))
-        if perturbed:
-            coarse_notes.append(f"mode {m}: zero pivot, shift perturbed by 1e-12")
+        slope = boundary_angle_slope(cat)
+        if not abs(slope.value) > slope.error_estimate:
+            notes.append(f"mode {m}: boundary-angle slope {slope.value:.3e} within "
+                         f"its error bound {slope.error_estimate:.3e}; index 0 or 1")
+        count = int(slope.value > slope.error_estimate)
         modes.append(ModeSpectrum(m, count, lowest_eigenvalues(disc, k_eigs)))
-        fine = assemble_mode_operator(cat, m, R + _REFINE_GROWTH, 2 * N)
-        fine_count, perturbed = _inertia(fine, default_count_margin(fine))
-        if perturbed:
-            fine_notes.append(f"mode {m}: zero pivot, shift perturbed by 1e-12")
-        if fine_count != count:
-            disagreements.append(
-                f"mode {m}: count {count} -> {fine_count} under refinement"
-            )
-    total = sum(
-        (1 if spec.mode == 0 else 2) * spec.negative_count for spec in modes
-    )
-    return IndexReport(
-        a=cat.a,
-        radius=float(R),
-        nodes=int(N),
-        modes=tuple(modes),
-        total_index=total,
-        converged=not disagreements,
-        notes=tuple(coarse_notes + fine_notes + disagreements),
-    )
+    total = sum((1 if spec.mode == 0 else 2) * spec.negative_count for spec in modes)
+    return IndexReport(a=cat.a, radius=float(R), nodes=int(N), modes=tuple(modes),
+                       total_index=total, converged=not notes, notes=tuple(notes))

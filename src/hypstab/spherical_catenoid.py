@@ -23,6 +23,7 @@ F(a) = (32 pi / 45) [(9 (a^2 - 1/4) - 2) R_D - 3 R_F].
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -49,6 +50,7 @@ __all__ = [
     "grad_norm_A",
     "sup_norm_A_sq",
     "phi",
+    "boundary_angle_slope",
     "embed",
     "embed_grid",
     "metric_residual",
@@ -159,6 +161,33 @@ def phi(cat: SphericalCatenoid, s: float) -> float:
     r_j = elliprj(x, y, 1.0, (a - 0.5 + x) / (a + 0.5))
     bracket = elliprf(x, y, 1.0) - 2.0 / 3.0 * (a / (a + 0.5)) * y * tanh_sq * r_j
     return math.copysign(tanh_s * math.sqrt(y / (a + 0.5)) * bracket, s)
+
+
+def boundary_angle_slope(cat: SphericalCatenoid) -> QuadratureResult:
+    """Scaled slope a^{3/2} dphi_inf/da of the boundary angle phi_inf = phi(inf);
+    its sign decides the index (spectral.morse_index).
+
+    At tanh s = 1, sech s = 0 phi's formula is phi_inf = sqrt(b) G(b) with
+    b = 1/(2a), G = sqrt(p) (R_F(0, y, 1) - p R_J(0, y, 1, p) / 3), y =
+    (a - 1/2)/(2a) and p = (a - 1/2)/(a + 1/2).  So the scaled slope is
+    -(G + 2b G') / 2^{3/2}, finite where the raw slope underflows (it tends
+    to -0.2995 as a grows).  G' is a complex step in b (Squire-Trapp 1998)
+    through scipy's complex elliprf and elliprj, so nothing cancels.  Its
+    error estimate is 16 eps of the terms' magnitudes; evaluations is 0.
+    """
+    from scipy.special import elliprf, elliprj  # on first use, as in phi
+
+    b = 0.5 / cat.a
+    mu = (cat.a - 0.5) / cat.a  # 1 - b without its cancellation near a = 1/2
+    h = 1e-20 * mu  # the step's O(h^2) error is far below rounding
+    y = complex(mu, -h) / 2.0
+    p = 2.0 * y / complex(1.0 + b, h)
+    t1 = cmath.sqrt(p) * complex(elliprf(0.0, y, 1.0))
+    t2 = cmath.sqrt(p) * p * complex(elliprj(0.0, y, 1.0, p)) / 3.0
+    g = t1 - t2
+    terms = abs(t1.real) + abs(t2.real) + 2.0 * b * ((abs(t1.imag) + abs(t2.imag)) / h)
+    value = -(g.real + 2.0 * b * (g.imag / h)) / 2.0**1.5
+    return QuadratureResult(value, 16.0 * math.ulp(1.0) * terms / 2.0**1.5, 0)
 
 
 def _s_terms(cat: SphericalCatenoid, s_values: Sequence[float]) -> np.ndarray:

@@ -347,3 +347,29 @@ def sampled_mode_screen(cat, m: int) -> bool:
     values = q(s)
     curvature = float(np.max(np.abs(values[2:] - 2.0 * values[1:-1] + values[:-2])))
     return bool(float(np.min(values)) - 0.5 * curvature >= 0.0)
+
+
+# a*, where the boundary-angle slope changes sign and the spherical index
+# drops from 1 to 0: the critical point of phi_inf in 40-digit mpmath
+INDEX_THRESHOLD = 0.76660128910422
+
+
+def boundary_angle_slope_reference(a: float) -> float:
+    """a^{3/2} dphi_inf/da by mpmath's numerical derivative of phi's Carlson
+    form at s = inf, phi_inf = sqrt(y / (a + 1/2)) (R_F(0, y, 1) - 2a y
+    R_J(0, y, 1, p) / (3 (a + 1/2))), y = (a - 1/2)/(2a), p = (a - 1/2)/(a +
+    1/2), at 30 digits."""
+    import mpmath
+
+    with mpmath.workdps(30):
+        half = mpmath.mpf(0.5)
+
+        def phi_inf(a):
+            y, p = (a - half) / (2 * a), (a - half) / (a + half)
+            r_j = mpmath.elliprj(0, y, 1, p)
+            return mpmath.sqrt(y / (a + half)) * (
+                mpmath.elliprf(0, y, 1) - 2 * a * y * r_j / (3 * (a + half))
+            )
+
+        am = mpmath.mpf(a)
+        return float(am**1.5 * mpmath.diff(phi_inf, am))

@@ -42,10 +42,10 @@ def test_traced_operations_fill_the_spectral_spans(tmp_path):
     names = np.array(recorder.names)[spans[:, tracing.FIELDS.index("name")].astype(int)]
     for name in ("morse_index", "screen", "assemble", "criteria"):
         assert np.count_nonzero(names == name), name
-    # modes 0..3 are each screened once; mode 0 alone is assembled, on the
-    # coarse grid and on the refinement grid, and its eigenvalues computed
+    # modes 0..3 are each screened once; mode 0 alone is assembled, once,
+    # and its eigenvalues computed
     assert np.count_nonzero(names == "screen") == 4
-    assert np.count_nonzero(names == "assemble") == 2
+    assert np.count_nonzero(names == "assemble") == 1
     assert np.count_nonzero(names == "eig") >= 1
 
 

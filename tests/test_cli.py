@@ -387,7 +387,7 @@ def test_index_screens_mode_one_at_an_unresolved_neck(tmp_path):
     assert mode_one == {"mode": 1, "negative_count": 0, "lowest_eigenvalues": []}
 
 
-@pytest.mark.parametrize("a", ["1e154", "1e200", "1e290"])
+@pytest.mark.parametrize("a", ["1e154", "1e200", "1e290", "1e295"])
 def test_index_at_huge_a_runs(tmp_path, a):
     # |A|^2 = 2 (a^2 - 1/4) / w^2 is tiny although a^2 overflows
     code, out = invoke(tmp_path, "huge.json", ["index", "--a", a, "--radius", "10"])
@@ -397,7 +397,8 @@ def test_index_at_huge_a_runs(tmp_path, a):
     assert doc["converged"] is True
 
 
-@pytest.mark.parametrize("a", ["1e295", "1e300"])
+# a cosh(20)/h^2 passes the float maximum at a = 7.4e295 (R = 10, N = 2000)
+@pytest.mark.parametrize("a", ["1e296", "1e300"])
 def test_index_overflow_is_a_named_numerical_failure(tmp_path, capsys, a):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -412,11 +413,10 @@ def test_index_overflow_is_a_named_numerical_failure(tmp_path, capsys, a):
 
 
 def test_index_radius_error_names_the_given_radius(tmp_path, capsys):
-    code, _ = invoke(tmp_path, "r.json", ["index", "--a", "0.6", "--radius", "299"])
+    code, _ = invoke(tmp_path, "r.json", ["index", "--a", "0.6", "--radius", "301"])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "got 299.0" in err
-    assert "R + 5 <= 300" in err
+    assert "radius must lie in (0, 300], got 301.0" in err
 
 
 def test_argparse_rejections():
@@ -600,15 +600,15 @@ def test_huge_index_runs_are_usage_errors_before_allocation(tmp_path, capsys, mo
     assert not out.exists()
 
 
-def test_index_size_bound_counts_refinement_cells_and_modes(tmp_path, monkeypatch):
+def test_index_size_bound_counts_cells_and_modes(tmp_path, monkeypatch):
     def argv(nodes, m_max):
         return ["index", "--a", "0.6", "--radius", "4", "--nodes", str(nodes),
                 "--m-max", str(m_max)]
 
     monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 200)
-    assert invoke(tmp_path, "fits.json", argv(100, 199))[0] == EXIT_OK
-    assert invoke(tmp_path, "cells.json", argv(101, 1))[0] == EXIT_USAGE
-    assert invoke(tmp_path, "modes.json", argv(100, 200))[0] == EXIT_USAGE
+    assert invoke(tmp_path, "fits.json", argv(200, 199))[0] == EXIT_OK
+    assert invoke(tmp_path, "cells.json", argv(201, 1))[0] == EXIT_USAGE
+    assert invoke(tmp_path, "modes.json", argv(200, 200))[0] == EXIT_USAGE
 
 
 def test_table_row_bound_counts_grid_products(tmp_path, monkeypatch):

@@ -10,13 +10,15 @@ from the closed form of F, and the hyperbolic-window digest, recorded when
 its bound_A_sq column became the exact neck value of |A|^2.  The four index
 digests were recorded when mode 1 became certified by its Jacobi field: its
 lowest_eigenvalues list is empty, and mode-0 eigenvalues moved in their last
-digits with the factored |A|^2; every count and note is unchanged.
+digits with the factored |A|^2.  index-unconverged was recorded again when
+the boundary-angle slope came to decide mode 0: its count of 1 is now
+converged, where a margin count on a refined grid used to disagree.
 The exports of all three families, a JSON export, the other commands that
 share the CSV renderer, and the JSON-only commands (find-c0, index,
 criteria with every certificate) are covered.  The index digests include a
-run whose refinement count disagrees (converged false) and one at a thin
-neck with modes 0-6, where, as everywhere, every mode m >= 1 is certified
-positive and only mode 0 is counted.
+coarse grid near the index threshold and one at a thin neck with modes 0-6,
+where, as everywhere, every mode m >= 1 is certified positive and the mode-0
+eigenvalues are the grid's, uncertified.
 """
 
 import hashlib
@@ -116,7 +118,7 @@ GOLDEN = {
     ),
     "index-unconverged": (
         ["index", "--a", "0.76", "--radius", "3", "--nodes", "100", "--m-max", "2"],
-        "6fe652b73dbce017741bc630c2c76fc5edd216e68e0cc024ffaabce6065cb05c",
+        "fb07a8ce0bf27758f2e9b97b5b8021f821fcb19e9c8c7043751155d59622b310",
     ),
     # modes 1-6 are screened, so their lowest_eigenvalues lists are empty;
     # mode 1 was last counted here, every count is unchanged
@@ -145,4 +147,5 @@ def test_output_matches_golden_digest(tmp_path, name):
     argv, digest = GOLDEN[name]
     out = tmp_path / "out"
     assert main(argv + ["--output", str(out)]) == EXIT_OK
-    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+    got = hashlib.sha256(out.read_bytes()).hexdigest()
+    assert got == digest, f"{name}: got digest {got}"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import hypstab.spectral as spectral
+from hypstab.quadrature import QuadratureResult, find_root_bracketed
 from hypstab.spectral import (
     IndexReport,
     SturmLiouvilleDisc,
@@ -298,7 +299,7 @@ def test_morse_index_transition_brackets_critical_neck():
     changes = [i for i in range(1, len(flips)) if flips[i] != flips[i - 1]]
     assert len(changes) == 1
     crossing = 0.5 * (values[changes[0] - 1] + values[changes[0]])
-    assert abs(crossing - 0.7341) < 0.05
+    assert abs(crossing - oracles.INDEX_THRESHOLD) < 0.005
 
 
 def test_positive_F_with_index_one_past_c0():
@@ -357,21 +358,70 @@ def test_morse_index_discretizes_mode_zero_only(monkeypatch):
         calls.append((m, R, N))
         return assemble(cat, m, R, N)
 
+    def no_inertia(*args):
+        raise AssertionError("mode 0 is decided without an inertia count")
+
     monkeypatch.setattr(spectral, "assemble_mode_operator", recording_assemble)
+    monkeypatch.setattr(spectral, "_inertia", no_inertia)
     rep = morse_index(SphericalCatenoid(0.6), R=6.0, N=600, m_max=3)
-    assert calls == [(0, 6.0, 600), (0, 11.0, 1200)]
+    assert calls == [(0, 6.0, 600)]
     assert [(s.negative_count, s.lowest_eigenvalues) for s in rep.modes[1:]] == [(0, ())] * 3
 
 
-def test_morse_index_radius_leaves_room_for_refinement():
+def test_morse_index_accepts_the_operator_radius_cap():
     cat = SphericalCatenoid(0.6)
-    # the refinement run counts on [-(R + 5), R + 5], so R = 295 is the limit
-    rep = morse_index(cat, R=295.0, N=100, m_max=0)
-    assert rep.radius == 295.0
-    with pytest.raises(ValueError, match=r"got 299\.0") as exc:
-        morse_index(cat, R=299.0, N=100, m_max=0)
-    assert "R + 5 <= 300" in str(exc.value)
-    assert "304" not in str(exc.value)
+    rep = morse_index(cat, R=300.0, N=100, m_max=0)
+    assert rep.radius == 300.0
+    assert rep.total_index == 1 and rep.converged
+    with pytest.raises(ValueError, match=r"\(0, 300\], got 301\.0"):
+        morse_index(cat, R=301.0, N=100, m_max=0)
+
+
+SIZES = [{}, {"R": 12.0, "N": 20000}]  # the defaults and the largest bench grid
+
+
+@pytest.mark.parametrize("size", SIZES, ids=["defaults", "R12-N20000"])
+@pytest.mark.parametrize("a", [0.50001, 0.500001, 0.76655, 0.7666])
+def test_morse_index_is_one_below_the_threshold(a, size):
+    # the margin count said 0 here: lambda0 is tiny near a*, and the margin
+    # grows like max|q| at a thin neck
+    rep = morse_index(SphericalCatenoid(a), **size)
+    assert (rep.total_index, rep.converged, rep.notes) == (1, True, ())
+
+
+@pytest.mark.parametrize("size", SIZES, ids=["defaults", "R12-N20000"])
+@pytest.mark.parametrize("a", [0.767, 1.5, 10.0, 1e290])
+def test_morse_index_is_zero_above_the_threshold(a, size):
+    rep = morse_index(SphericalCatenoid(a), **size)
+    assert (rep.total_index, rep.converged, rep.notes) == (0, True, ())
+
+
+def _undecided(rep):
+    assert rep.total_index == 0
+    assert not rep.converged
+    [note] = rep.notes
+    assert note.startswith("mode 0: boundary-angle slope ")
+    assert note.endswith("; index 0 or 1")
+
+
+def test_morse_index_undecided_at_the_float_nearest_the_threshold():
+    def slope(a):
+        return spectral.boundary_angle_slope(SphericalCatenoid(a)).value
+
+    a = find_root_bracketed(slope, 0.7, 0.8, 1e-15)
+    r = spectral.boundary_angle_slope(SphericalCatenoid(a))
+    assert abs(r.value) <= r.error_estimate
+    _undecided(morse_index(SphericalCatenoid(a), R=6.0, N=600, m_max=1))
+
+
+@pytest.mark.parametrize("value", [1e-16, -1e-16, 0.0, math.nan])
+def test_morse_index_undecided_within_the_slope_bound(monkeypatch, value):
+    monkeypatch.setattr(
+        spectral, "boundary_angle_slope", lambda cat: QuadratureResult(value, 1e-15, 0)
+    )
+    rep = morse_index(SphericalCatenoid(0.6), R=6.0, N=600, m_max=2)
+    _undecided(rep)
+    assert "within its error bound 1.000e-15" in rep.notes[0]
 
 
 def test_report_aliases():

@@ -16,10 +16,11 @@ from hypothesis import given, settings, strategies as st
 
 import hypstab.spherical_catenoid as spherical_catenoid
 from hypstab.lorentz import minkowski_inner, on_hyperboloid
-from hypstab.quadrature import QuadratureError, integrate_adaptive
+from hypstab.quadrature import QuadratureError, find_root_bracketed, integrate_adaptive
 from hypstab.spherical_catenoid import (
     F,
     SphericalCatenoid,
+    boundary_angle_slope,
     embed,
     embed_grid,
     find_c0,
@@ -310,6 +311,48 @@ def test_F_against_mpmath_quadrature_of_its_integrand(a):
     # checks the derivation itself: this reference never uses R_D or R_F
     r = F(SphericalCatenoid(a))
     assert abs(r.value - oracles.f_integrand_mpmath_reference(a)) <= r.error_estimate
+
+
+@pytest.mark.parametrize(
+    "a", [0.5 + 1e-6, 0.5 + 1e-4, 0.6, 0.7, 0.9, 1.0, 1.5, 10.0, 1e3, 1e6]
+)
+def test_boundary_angle_slope_against_mpmath_derivative(a):
+    r = boundary_angle_slope(SphericalCatenoid(a))
+    ref = oracles.boundary_angle_slope_reference(a)
+    assert abs(r.value - ref) <= 1e-13 * abs(ref)
+    assert abs(r.value - ref) <= r.error_estimate
+    assert r.evaluations == 0
+
+
+@pytest.mark.parametrize("a", [0.7666, 0.76655, 0.767])
+def test_boundary_angle_slope_error_bound_near_its_root(a):
+    # the slope is 1e-6 to 3e-4 here, so rounding of terms near 0.3 limits
+    # its relative accuracy; the absolute bound still holds
+    r = boundary_angle_slope(SphericalCatenoid(a))
+    assert abs(r.value - oracles.boundary_angle_slope_reference(a)) <= r.error_estimate
+
+
+@pytest.mark.parametrize("a", [1e100, 1e290, sys.float_info.max])
+def test_boundary_angle_slope_is_scaled_past_underflow(a):
+    # the raw slope is about -0.3 a^{-3/2}: -0.0 in floats at a = 1e290
+    import mpmath
+
+    with mpmath.workdps(30):
+        limit = -(mpmath.elliprf(0, 0.5, 1) - mpmath.elliprj(0, 0.5, 1, 1) / 3) / 2**1.5
+    r = boundary_angle_slope(SphericalCatenoid(a))
+    assert r.value == pytest.approx(float(limit), rel=1e-13)
+    assert r.error_estimate < 1e-14
+
+
+def test_boundary_angle_slope_changes_sign_once_at_the_index_threshold():
+    def slope(a):
+        return boundary_angle_slope(SphericalCatenoid(a)).value
+
+    root = find_root_bracketed(slope, 0.7, 0.8, 1e-15)
+    assert abs(root - oracles.INDEX_THRESHOLD) <= 1e-13
+    for a in (0.5 + np.geomspace(1e-12, 1e6, 200)).tolist():
+        if abs(a - oracles.INDEX_THRESHOLD) > 1e-9:
+            assert (slope(a) > 0.0) == (a < oracles.INDEX_THRESHOLD), a
 
 
 @settings(max_examples=30, deadline=None)
