@@ -149,13 +149,18 @@ def _launch(cat: HyperbolicCatenoid, s_end: float) -> tuple[float, _State]:
     return s0, (x, v, p)
 
 
-def _ck_step(cat: HyperbolicCatenoid, y: _State, h: float) -> tuple[_State, float]:
-    """One embedded Cash-Karp step of size h; returns (5th-order state,
-    scaled error).
+def _ck_step(
+    cat: HyperbolicCatenoid, y: _State, h: float
+) -> tuple[_State, _State]:
+    """One embedded Cash-Karp step of size h; returns the 5th-order and the
+    4th-order states, whose difference each caller turns into its error
+    estimate.
 
     The system is x' = v, v' = _accel(x), phi' = _phi_rate(x): each stage's
     x-slope is its own v and phi feeds nothing back, so only x and v are
-    staged, and phi sums the six stage rates at the end.
+    staged, and phi sums the six stage rates at the end.  Every operation is
+    elementwise, so the state and h may also be float arrays, one step per
+    element; arrays report overflow as inf or nan rather than raising.
     """
     x, v, p = y
     try:
@@ -179,44 +184,102 @@ def _ck_step(cat: HyperbolicCatenoid, y: _State, h: float) -> tuple[_State, floa
         raise ProfileError(
             f"profile state overflowed in the step from x = {x!r}"
         ) from exc
-    x_hi = x + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B6 * v6)
-    v_hi = v + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B6 * a6)
-    p_hi = p + h * (_B1 * r1 + _B3 * r3 + _B4 * r4 + _B6 * r6)
-    x_lo = x + h * (_BS1 * v + _BS3 * v3 + _BS4 * v4 + _BS5 * v5 + _BS6 * v6)
-    v_lo = v + h * (_BS1 * a1 + _BS3 * a3 + _BS4 * a4 + _BS5 * a5 + _BS6 * a6)
-    p_lo = p + h * (_BS1 * r1 + _BS3 * r3 + _BS4 * r4 + _BS5 * r5 + _BS6 * r6)
-    err = max(
-        abs(x_hi - x_lo) / max(1.0, abs(x_hi)),
-        abs(v_hi - v_lo) / max(1.0, abs(v_hi)),
-        abs(p_hi - p_lo) / max(1.0, abs(p_hi)),
+    hi = (
+        x + h * (_B1 * v + _B3 * v3 + _B4 * v4 + _B6 * v6),
+        v + h * (_B1 * a1 + _B3 * a3 + _B4 * a4 + _B6 * a6),
+        p + h * (_B1 * r1 + _B3 * r3 + _B4 * r4 + _B6 * r6),
     )
-    return (x_hi, v_hi, p_hi), err
+    lo = (
+        x + h * (_BS1 * v + _BS3 * v3 + _BS4 * v4 + _BS5 * v5 + _BS6 * v6),
+        v + h * (_BS1 * a1 + _BS3 * a3 + _BS4 * a4 + _BS5 * a5 + _BS6 * a6),
+        p + h * (_BS1 * r1 + _BS3 * r3 + _BS4 * r4 + _BS5 * r5 + _BS6 * r6),
+    )
+    return hi, lo
 
 
-def _check_state(cat: HyperbolicCatenoid, s: float, x: float, v: float) -> None:
-    """Geometric sanity of an accepted state; violations are integrator bugs
-    or blow-ups, not user errors, hence ProfileError."""
-    if not (math.isfinite(x) and math.isfinite(v)):
-        raise ProfileError(f"non-finite profile state at s = {s}")
-    if x < cat.t - 1e-9 * max(1.0, cat.t):
-        raise ProfileError(f"profile height {x} fell below the neck {cat.t} at s = {s}")
-    if v < -1e-9 * max(1.0, x):
-        raise ProfileError(f"profile slope {v} went negative at s = {s}")
-    scale = max(1.0, x * x)
+# What `_check_state` rejects, in the order it tests: finiteness first, then
+# the five bounds of `_state_faults`; a partial step of a curve export is also
+# rejected for its error estimate.
+_FAULT_MESSAGES = (
+    "non-finite profile state at s = {s}",
+    "profile height {x} fell below the neck {t} at s = {s}",
+    "profile slope {v} went negative at s = {s}",
+    "first-integral drift {residual:.3e} at s = {s} exceeds tolerance",
+    "upper slope bracket violated at s = {s}",
+    "lower slope bracket violated at s = {s}",
+    "partial step to s = {s} has error estimate {err:.3e} above the step tolerance",
+)
+
+
+def _state_faults(
+    cat: HyperbolicCatenoid, x: float | np.ndarray, v: float | np.ndarray
+) -> tuple[float | np.ndarray, tuple[bool | np.ndarray, ...]]:
+    """First-integral residual and the five bound violations of a finite
+    state (neck, slope sign, first integral, upper and lower slope bracket),
+    each true where the state breaks the bound.
+
+    Written with operators only, so float states give bools and array states
+    give boolean arrays.  A bound c * max(1, y) is tested as two comparisons,
+    against c and against c * y, which is exact because rounding is
+    monotone.
+    """
+    t = cat.t
+    a_sq = cat.a * cat.a
+    x_sq = x * x
+    v_sq = v * v
+    gap = x_sq - 1.0
     # First integral; drift here means the step control failed.
-    residual = v * v - (x * x - 1.0 - cat.a * cat.a * x ** (2 - 2 * cat.n))
-    if abs(residual) > 1e-6 * scale:
-        raise ProfileError(
-            f"first-integral drift {residual:.3e} at s = {s} exceeds tolerance"
-        )
+    residual = v_sq - (gap - a_sq * x ** (2 - 2 * cat.n))
+    drift = abs(residual)
     # Slope brackets sqrt(x^2 - 1 - a^2) < x' < sqrt(x^2 - 1); checked on the
     # squares with slack for accumulated rounding, since the upper gap falls
     # under one ulp of x^2 at large s.
-    v_sq = v * v
-    if v_sq > (x * x - 1.0) * (1.0 + 1e-9) + 1e-9:
-        raise ProfileError(f"upper slope bracket violated at s = {s}")
-    if v_sq < (x * x - 1.0 - cat.a * cat.a) - 1e-9 * scale:
-        raise ProfileError(f"lower slope bracket violated at s = {s}")
+    floor = gap - a_sq
+    return residual, (
+        x < t - 1e-9 * max(1.0, t),
+        (v < -1e-9) & (v < -1e-9 * x),
+        (drift > 1e-6) & (drift > 1e-6 * x_sq),
+        v_sq > gap * (1.0 + 1e-9) + 1e-9,
+        (v_sq < floor - 1e-9) & (v_sq < floor - 1e-9 * x_sq),
+    )
+
+
+def _check_state(cat: HyperbolicCatenoid, s: float, y: _State) -> None:
+    """Geometric sanity of an accepted state; violations are integrator bugs
+    or blow-ups, not user errors, hence ProfileError."""
+    x, v, p = y
+    residual = math.nan
+    if math.isfinite(x) and math.isfinite(v) and math.isfinite(p):
+        residual, faults = _state_faults(cat, x, v)
+        if not any(faults):
+            return
+        fault = 1 + faults.index(True)
+    else:
+        fault = 0
+    raise ProfileError(
+        _FAULT_MESSAGES[fault].format(s=s, x=x, v=v, t=cat.t, residual=residual)
+    )
+
+
+def _check_rows(
+    cat: HyperbolicCatenoid, s: np.ndarray, state: np.ndarray, err: np.ndarray
+) -> None:
+    """`_check_state` on each column of a (3, k) array of states reached at
+    arclengths s by partial steps whose error estimates err must also stay
+    within DEFAULT_STEP_TOL; the first failing column raises ProfileError."""
+    x, v, _ = state
+    residual, faults = _state_faults(cat, x, v)
+    failed = np.array(
+        [~np.isfinite(state).all(axis=0), *faults, ~(err <= DEFAULT_STEP_TOL)]
+    )
+    bad = failed.any(axis=0)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ProfileError(
+            _FAULT_MESSAGES[int(failed[:, k].argmax())].format(
+                s=s[k], x=x[k], v=v[k], t=cat.t, residual=residual[k], err=err[k]
+            )
+        )
 
 
 def _advance(
@@ -235,11 +298,17 @@ def _advance(
                 f"step budget {_MAX_STEPS} exhausted at s = {s} of {s_to}"
             )
         h = min(h, s_to - s)
-        y_trial, err = _ck_step(cat, y, h)
+        y_trial, (x_lo, v_lo, p_lo) = _ck_step(cat, y, h)
+        x_hi, v_hi, p_hi = y_trial
+        err = max(
+            abs(x_hi - x_lo) / max(1.0, abs(x_hi)),
+            abs(v_hi - v_lo) / max(1.0, abs(v_hi)),
+            abs(p_hi - p_lo) / max(1.0, abs(p_hi)),
+        )
         if err <= DEFAULT_STEP_TOL:
             s = s_to if s + h >= s_to else s + h
             y = y_trial
-            _check_state(cat, s, y[0], y[1])
+            _check_state(cat, s, y)
             yield s, y
             if err > 0.0:
                 h *= min(5.0, _SAFETY * (err / DEFAULT_STEP_TOL) ** _GROW_EXP)
@@ -375,33 +444,49 @@ def generating_curve(
 def generating_curve_points(
     cat: HyperbolicCatenoid, s_values: Iterable[float]
 ) -> np.ndarray:
-    """Generating-curve points at many nonnegative arclengths in one sweep:
-    a (len(s_values), 3) float64 array whose row k is the point (x, y, z)
-    at the k-th arclength, integrated at scaled local error
-    DEFAULT_STEP_TOL (1e-10).
+    """Generating-curve points at many nonnegative arclengths: a
+    (len(s_values), 3) float64 array whose row k is the point (x, y, z) at
+    the k-th arclength.
 
-    s_values must be sorted ascending; the integration continues from one
-    target to the next instead of restarting, so a dense export costs one
-    pass over the profile.
+    s_values must be sorted ascending.  The export takes the integrator's
+    own steps: one pass to the last arclength accepts the states that
+    `integrate_profile` accepts, at scaled local error DEFAULT_STEP_TOL
+    (1e-10), however many samples there are.  Each sample is then reached
+    by one partial Cash-Karp step from the last accepted state at or before
+    it, all samples in one array step; a sample on an accepted state is
+    that state bit for bit.  Every partial step is checked like an accepted
+    one: its own error estimate must stay within DEFAULT_STEP_TOL and its
+    state must pass `_check_state`'s conditions, or ProfileError names the
+    first failing arclength.
     """
-    targets = [float(s) for s in s_values]
-    if any(s < 0.0 or not math.isfinite(s) for s in targets):
+    targets = np.fromiter(s_values, dtype=np.float64)
+    if not (np.isfinite(targets).all() and (targets >= 0.0).all()):
         raise ValueError("arclength targets must be finite and nonnegative")
-    if any(b < a for a, b in zip(targets, targets[1:])):
+    if (np.diff(targets) < 0.0).any():
         raise ValueError("arclength targets must be sorted ascending")
-    if targets and targets[-1] > S_MAX_CAP:
+    if targets.size and targets[-1] > S_MAX_CAP:
         raise ValueError(f"arclength targets must not exceed {S_MAX_CAP}")
 
-    rows: list[tuple[float, float, float]] = []
-    s_cur = 0.0
-    y: _State = (cat.t, 0.0, 0.0)
-    for s in targets:
-        if s > s_cur:
-            if s_cur == 0.0:
-                s_cur, y = _launch(cat, s)
-            for s_cur, y in _advance(cat, y, s_cur, s):
-                pass  # only the state on the target is kept
-        x, _, p = y
-        r = math.sqrt(x * x - 1.0)
-        rows.append((x, r * math.sin(p), r * math.cos(p)))
-    return np.array(rows, dtype=np.float64).reshape(-1, 3)
+    s_nodes = [0.0]
+    nodes: list[_State] = [(cat.t, 0.0, 0.0)]
+    if targets.size and targets[-1] > 0.0:
+        s_end = float(targets[-1])
+        s0, y = _launch(cat, s_end)
+        s_nodes.append(s0)
+        nodes.append(y)
+        for s, y in _advance(cat, y, s0, s_end):
+            s_nodes.append(s)
+            nodes.append(y)
+    # the last accepted state at or before each target
+    base = np.searchsorted(s_nodes, targets, side="right") - 1
+    y0 = tuple(np.array(nodes)[base].T)
+    h = targets - np.array(s_nodes)[base]
+    with np.errstate(all="ignore"):
+        hi, lo = _ck_step(cat, y0, h)
+        state = np.array(hi)
+        err = (np.abs(state - lo) / np.maximum(1.0, np.abs(state))).max(axis=0)
+        _check_rows(cat, targets, state, err)
+        x, _, p = state
+        r = np.sqrt(x * x - 1.0)
+        return np.column_stack((x, r * np.sin(p), r * np.cos(p)))
+

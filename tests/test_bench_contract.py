@@ -8,6 +8,7 @@ test under tests/ noticing.
 from __future__ import annotations
 
 import importlib
+import math
 import sys
 from pathlib import Path
 
@@ -47,6 +48,24 @@ def test_traced_operations_fill_the_spectral_spans(tmp_path):
     assert np.count_nonzero(names == "screen") == 4
     assert np.count_nonzero(names == "assemble") == 1
     assert np.count_nonzero(names == "eig") >= 1
+
+
+def test_traced_curve_export_fills_the_curve_metrics(tmp_path):
+    # the whole profile integration runs inside the one wrapped call, so
+    # us_per_point times this layer and nothing else
+    recorder = tracing.Recorder()
+    argv = ["embed-export", "--family", "hyperbolic-curve", "--samples", "301",
+            "--output", str(tmp_path / "curve.csv")]
+    with tracing.installed(recorder):
+        with recorder.operation(1):
+            assert main(argv) == EXIT_OK
+    metrics = tracing.layer_metrics(
+        recorder.spans(), recorder.names, {1: "embed-export"}, rows=301, out_bytes=1
+    )
+    assert metrics["hyperbolic_catenoid.curve_calls"] == 1
+    assert metrics["hyperbolic_catenoid.curve_points"] == 301
+    assert metrics["hyperbolic_catenoid.profile_errors"] == 0
+    assert 0.0 < metrics["hyperbolic_catenoid.us_per_point"] < math.inf
 
 
 def test_curve_span_counts_the_exported_points(tmp_path):

@@ -13,6 +13,10 @@ lowest_eigenvalues list is empty, and mode-0 eigenvalues moved in their last
 digits with the factored |A|^2.  index-unconverged was recorded again when
 the boundary-angle slope came to decide mode 0: its count of 1 is now
 converged, where a margin count on a refined grid used to disagree.
+The five curve-* digests were recorded when the curve export came to take
+the integrator's own steps and reach each sample by one partial step: the
+rows moved by at most 1.2e-9 relative, well inside the 1e-8 the profile is
+held to.
 The exports of all three families, a JSON export, the other commands that
 share the CSV renderer, and the JSON-only commands (find-c0, index,
 criteria with every certificate) are covered.  The index digests include a
@@ -48,27 +52,27 @@ GOLDEN = {
     ),
     "curve-default": (
         ["embed-export", "--family", "hyperbolic-curve"],
-        "b5801d13df0a6bcb67f733ba05e52b6f57719d5cdb464765d1739fb493b56600",
+        "1157a7bd7fd370e4fb1a02c5feaffe12fdf26295048b197fa924bbbd5439502d",
     ),
     "curve-n3": (
         ["embed-export", "--family", "hyperbolic-curve", "--n", "3", "--t", "1.2",
          "--samples", "257", "--s-max", "4"],
-        "c20e4a49902c35e1f357b42f752c055f6cc79d2d2e9a237c76cd8d76ca0d2f8a",
+        "77747b48d50a49f701d817e8c69cf582168533487b05677604cd73aaf2a4ee42",
     ),
     "curve-n6": (
         ["embed-export", "--family", "hyperbolic-curve", "--n", "6", "--t", "3",
          "--s-max", "7.5", "--samples", "1500"],
-        "01ad24de70ac15bc6ed71909b19db5f6bc172768470e058edab2e2397593914b",
+        "145742cd0211b84a027af102dfa638a370c97b9115454bf671bebc131c12a65c",
     ),
     "curve-far": (
         ["embed-export", "--family", "hyperbolic-curve", "--samples", "2001",
          "--s-max", "20"],
-        "347d95914787f18bcdd70b8cb1ab7f246e3c9512d17085211a4f4b200ec8a2c5",
+        "a0f6b1d168f7f0a0d89f2e932ac0026fa5873b8a15994c5c0366ad95ed32c066",
     ),
     "curve-near-neck-json": (
         ["embed-export", "--family", "hyperbolic-curve", "--n", "4", "--t", "1.01",
          "--s-max", "5", "--samples", "333", "--format", "json"],
-        "4641fc49f9af8ca32e842b95a6123b6b0937177f1a6f2c0b90c1905b9f8e8866",
+        "4eaf34851ccb889ac469a5d97ddacc2bd1a5245337ccee218de0667ecd3d1c12",
     ),
     "spherical-bench": (
         ["embed-export", "--family", "spherical", "--a", "0.9", "--s-max", "5",

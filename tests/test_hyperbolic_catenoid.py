@@ -3,6 +3,7 @@ closed-form geometry at the neck and the stability window."""
 
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -283,6 +284,64 @@ def test_curve_sweep_is_one_array_of_sheet_points(n, t, targets):
     assert np.abs(rows[-1] - fresh).max() <= 1e-8 * np.abs(fresh).max()
 
 
+@pytest.mark.parametrize("t", [1.01, 1.5, 3.0])
+def test_n2_export_matches_the_elementary_profile(t):
+    """At n = 2 the profile is elementary: x^2 = 1/2 + sqrt(1/4 + a^2) cosh 2s."""
+    cat = HyperbolicCatenoid(2, t)
+    s = np.linspace(0.0, 7.5, 2001)
+    want = np.sqrt(0.5 + math.sqrt(0.25 + cat.a * cat.a) * np.cosh(2.0 * s))
+    got = generating_curve_points(cat, s)[:, 0]
+    assert np.abs(got / want - 1.0).max() <= 1e-8
+
+
+def _accepted_states(cat, s_end):
+    """(s, state) at every accepted step of a pass to s_end, as the export
+    takes them."""
+    s0, y0 = hyperbolic_catenoid._launch(cat, s_end)
+    steps = hyperbolic_catenoid._advance(cat, y0, s0, s_end)
+    return [(0.0, (cat.t, 0.0, 0.0)), (s0, y0), *steps]
+
+
+@pytest.mark.parametrize(
+    "n, t, s_max, k", [(2, 1.5, 3.0, 101), (3, 1.2, 7.5, 777), (6, 3.0, 4.0, 333)]
+)
+def test_each_row_is_one_float_step_from_its_accepted_state(n, t, s_max, k):
+    cat = HyperbolicCatenoid(n, t)
+    targets = np.linspace(0.0, s_max, k)
+    rows = generating_curve_points(cat, targets)
+    accepted = _accepted_states(cat, s_max)
+    nodes = [s for s, _ in accepted]
+    for target, row in zip(targets.tolist(), rows):
+        s_node, y = accepted[np.searchsorted(nodes, target, side="right") - 1]
+        (x, _, p), _ = hyperbolic_catenoid._ck_step(cat, y, target - s_node)
+        r = math.sqrt(x * x - 1.0)
+        want = np.array([x, r * math.sin(p), r * math.cos(p)])
+        assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max(), target
+        if target == s_node:  # h = 0: the accepted state itself
+            assert row[0] == y[0]
+
+
+def test_export_work_does_not_grow_with_the_samples(monkeypatch):
+    """The export takes the integrator's own steps and one array step for
+    all samples, however many there are."""
+    ck_step = hyperbolic_catenoid._ck_step
+    calls = {"float": 0, "array": 0}
+
+    def counting(cat, y, h):
+        calls["array" if isinstance(h, np.ndarray) else "float"] += 1
+        return ck_step(cat, y, h)
+
+    monkeypatch.setattr(hyperbolic_catenoid, "_ck_step", counting)
+    cat = HyperbolicCatenoid(3, 1.2)
+    integrate_profile(cat, 7.5)
+    free = dict(calls)
+    assert free["array"] == 0
+    for k in (200, 2000):
+        calls.update(float=0, array=0)
+        generating_curve_points(cat, np.linspace(0.0, 7.5, k))
+        assert calls == {"float": free["float"], "array": 1}, k
+
+
 def test_overflow_in_a_step_is_a_profile_error(monkeypatch, tmp_path, capsys):
     phi_rate = hyperbolic_catenoid._phi_rate
 
@@ -299,6 +358,47 @@ def test_overflow_in_a_step_is_a_profile_error(monkeypatch, tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     assert "profile state overflowed" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_overflow_in_the_array_step_is_a_profile_error(monkeypatch, tmp_path, capsys):
+    """The float steps pass and only the array step overflows: a typed
+    failure naming the first failing arclength, without a RuntimeWarning."""
+    accel = hyperbolic_catenoid._accel
+
+    def overflowing(cat, x):
+        return np.full_like(x, np.inf) if isinstance(x, np.ndarray) else accel(cat, x)
+
+    monkeypatch.setattr(hyperbolic_catenoid, "_accel", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProfileError, match=r"^non-finite profile state at s = 0\.5$"):
+            generating_curve_points(HyperbolicCatenoid(2, 1.5), [0.5, 1.0, 2.0])
+        out = tmp_path / "curve.csv"
+        code = main(["embed-export", "--family", "hyperbolic-curve", "--output", str(out)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "hypstab embed-export: numerical failure: non-finite profile state at s = 0.0"
+    ]
+    assert not out.exists()
+
+
+def test_partial_step_beyond_the_step_tolerance_is_a_profile_error(monkeypatch):
+    """A partial step whose own error estimate exceeds DEFAULT_STEP_TOL is
+    rejected like a failed accepted state, naming its arclength."""
+    ck_step = hyperbolic_catenoid._ck_step
+
+    def loose(cat, y, h):
+        hi, lo = ck_step(cat, y, h)
+        if isinstance(h, np.ndarray):
+            lo = (lo[0] + np.where(h > 0.0, 1e-6, 0.0), lo[1], lo[2])
+        return hi, lo
+
+    monkeypatch.setattr(hyperbolic_catenoid, "_ck_step", loose)
+    cat = HyperbolicCatenoid(2, 1.5)
+    assert generating_curve_points(cat, [0.0, 2.0]).shape == (2, 3)  # h = 0 only
+    with pytest.raises(ProfileError, match=r"^partial step to s = 0\.5 has error estimate"):
+        generating_curve_points(cat, [0.0, 0.5, 1.0, 2.0])
 
 
 @settings(max_examples=20, deadline=None)
