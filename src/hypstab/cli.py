@@ -8,7 +8,8 @@ contains no timestamps or machine identifiers, so repeated runs with equal
 arguments are byte-identical.
 
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical
-failure (quadrature budget, profile blow-up, constraint violation, overflow).
+failure (no sign change of F on the scan window or a root bracket
+stalled above its tol, profile blow-up, constraint violation, overflow).
 """
 
 from __future__ import annotations

@@ -68,12 +68,16 @@ def lambda1_bounds(n: int) -> tuple[float, float]:
 
 def lambda1_bounds_pinched(a: float, b: float) -> tuple[float, float]:
     """Bracket (a^2/4, 4*b^2/3) under curvature pinching -b^2 <= K <= -a^2
-    of the ambient space, 0 < a <= b."""
+    of the ambient space, 0 < a <= b.  Raises OverflowError naming a and b
+    when 4*b^2/3, the larger bound, is not a finite float."""
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a <= b):
         raise ValueError(f"pinching constants need 0 < a <= b, got a={a}, b={b}")
-    return a * a / 4.0, 4.0 * b * b / 3.0
+    upper = 4.0 * b * b / 3.0
+    if math.isinf(upper):
+        raise OverflowError(f"pinched lambda1 bound 4 b^2 / 3 overflows at a = {a}, b = {b}")
+    return a * a / 4.0, upper
 
 
 def pointwise_stability_test(n: int, sup_A_sq: float) -> StabilityReport:
@@ -97,7 +101,8 @@ def sobolev_stability_test(n: int, C_s: float, A_n_norm_to_n: float) -> Stabilit
 
     With C_s the Sobolev constant of the hypersurface, int |A|^n below
     C_s^(-n/2) certifies stability.  The constant depends on the geometry
-    and must be supplied by the caller; no default is assumed.
+    and must be supplied by the caller; no default is assumed.  Raises
+    OverflowError naming n and C_s when the threshold is not a finite float.
     """
     _require_dim(n)
     if n < 3:
@@ -108,7 +113,10 @@ def sobolev_stability_test(n: int, C_s: float, A_n_norm_to_n: float) -> Stabilit
         raise ValueError(f"Sobolev constant must be positive, got {C_s}")
     if not (math.isfinite(A_n_norm_to_n) and A_n_norm_to_n >= 0.0):
         raise ValueError(f"curvature mass must be finite and >= 0, got {A_n_norm_to_n}")
-    threshold = C_s ** (-0.5 * n)
+    try:
+        threshold = C_s ** (-0.5 * n)
+    except OverflowError:
+        raise OverflowError(f"Sobolev threshold C_s^(-n/2) overflows at n = {n}, C_s = {C_s}")
     verdict = STABLE if A_n_norm_to_n <= threshold else INCONCLUSIVE
     return StabilityReport(verdict, "total-curvature-smallness", A_n_norm_to_n, threshold)
 
@@ -117,17 +125,21 @@ def grad_condition_deficit(n: int, mass_A_sq: float, mass_grad_A_sq: float) -> f
     """Deficit n^2 * int |A|^2 dv - int |grad |A||^2 dv between the total
     squared curvature and the total squared curvature gradient (both masses
     supplied by the caller).  A negative deficit certifies instability; the
-    spherical catenoid functional F equals this deficit for n = 2."""
+    spherical catenoid functional F equals this deficit for n = 2.  Raises
+    OverflowError naming the inputs when n^2 * int |A|^2 dv is not a finite
+    float."""
     _require_dim(n)
     mass_A_sq = float(mass_A_sq)
     mass_grad_A_sq = float(mass_grad_A_sq)
     if not (math.isfinite(mass_A_sq) and mass_A_sq >= 0.0):
         raise ValueError(f"mass_A_sq must be finite and >= 0, got {mass_A_sq}")
     if not (math.isfinite(mass_grad_A_sq) and mass_grad_A_sq >= 0.0):
-        raise ValueError(
-            f"mass_grad_A_sq must be finite and >= 0, got {mass_grad_A_sq}"
-        )
-    return n * n * mass_A_sq - mass_grad_A_sq
+        raise ValueError(f"mass_grad_A_sq must be finite and >= 0, got {mass_grad_A_sq}")
+    weighted = n * n * mass_A_sq
+    if math.isinf(weighted):
+        raise OverflowError("curvature-gradient deficit overflows: n^2 mass_A_sq is not finite at "
+                            f"n = {n}, mass_A_sq = {mass_A_sq}, mass_grad_A_sq = {mass_grad_A_sq}")
+    return weighted - mass_grad_A_sq
 
 
 def grad_condition_report(

@@ -80,10 +80,10 @@ class Helicoid:
         object.__setattr__(self, "alpha", alpha)
 
 
-def _overflow(h: Helicoid, s: float, t: float) -> OverflowError:
+def _overflow(h: Helicoid, s: float, t: float) -> OverflowError | None:
     """OverflowError naming alpha and what overflows at (s, t): the cosh of
     s, else of t, else the rotation angle alpha * s, else the product
-    cosh s * cosh t."""
+    cosh s * cosh t; None when every coordinate there is a finite float."""
     for name, x in (("s", s), ("t", t)):
         try:
             math.cosh(x)
@@ -95,42 +95,39 @@ def _overflow(h: Helicoid, s: float, t: float) -> OverflowError:
         return OverflowError(
             f"helicoid rotation angle alpha * s overflows at alpha = {h.alpha}, s = {s}"
         )
-    return OverflowError(f"helicoid embedding overflows at alpha = {h.alpha}, s = {s}, t = {t}")
+    if math.isinf(math.cosh(s) * math.cosh(t)):
+        return OverflowError(
+            f"helicoid embedding overflows at alpha = {h.alpha}, s = {s}, t = {t}"
+        )
+    return None
 
 
 def embed(h: Helicoid, s: float, t: float) -> tuple[float, float, float, float]:
     """Ruled embedding into the hyperboloid model; Minkowski square is -1
-    identically in (s, t).  Raises OverflowError naming alpha and the
-    coordinates when a coordinate or the rotation angle alpha * s is not a
-    finite float."""
-    rot = h.alpha * s
-    try:
-        ch_t = math.cosh(t)
-        x1 = math.cosh(s) * ch_t
-    except OverflowError:
-        x1 = math.inf
-    if math.isinf(x1) or math.isinf(rot):
-        raise _overflow(h, s, t)
-    sh_t = math.sinh(t)
-    return x1, math.sinh(s) * ch_t, math.cos(rot) * sh_t, math.sin(rot) * sh_t
+    identically in (s, t).  Row 0 of the one-point `embed_grid`; raises
+    OverflowError naming alpha and the coordinates when a coordinate or the
+    rotation angle alpha * s is not a finite float."""
+    return tuple(embed_grid(h, [s], [t])[0].tolist())
 
 
 def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]) -> np.ndarray:
     """`embed` over the grid s_values x t_values, s outer: an
-    (len(s_values) * len(t_values), 4) array whose rows equal the `embed`
-    coordinates bit for bit.
+    (len(s_values) * len(t_values), 4) array of the points.
 
     Every coordinate is a function of s times a function of t, so each
-    transcendental is evaluated once per axis value, with `math` as in
-    `embed`, and the grid is formed by outer products.  Raises
-    OverflowError as `embed` does, at the point of largest |s| and |t|.
+    transcendental is evaluated once per axis value, with `math`, and the
+    grid is formed by outer products.  Raises OverflowError through
+    `_overflow` at the point of largest |s| and |t|, where a coordinate or
+    the rotation angle alpha * s is not a finite float.
     """
     al = h.alpha
     s_axis = [float(s) for s in s_values]
     t_axis = [float(t) for t in t_values]
     # Every coordinate and angle is largest in modulus where |s| and |t|
-    # are, so embedding that one point checks the whole grid for overflow.
-    embed(h, max(s_axis, key=abs, default=0.0), max(t_axis, key=abs, default=0.0))
+    # are, so that one point decides overflow for the whole grid.
+    error = _overflow(h, max(s_axis, key=abs, default=0.0), max(t_axis, key=abs, default=0.0))
+    if error is not None:
+        raise error
     ch_t = [math.cosh(t) for t in t_axis]
     sh_t = [math.sinh(t) for t in t_axis]
     out = np.empty((len(s_axis), len(t_axis), 4))

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -282,22 +282,26 @@ def _check_rows(
         )
 
 
-def _advance(
-    cat: HyperbolicCatenoid, y: _State, s: float, s_to: float
-) -> Iterator[tuple[float, _State]]:
-    """Adaptive integration from s to s_to > s at scaled local error
-    DEFAULT_STEP_TOL, yielding each accepted (s, state) once it passes
-    `_check_state`; the final step is clipped so the last accepted state
-    lands exactly on s_to."""
-    h = min(0.1, s_to - s)
+def _profile_pass(cat: HyperbolicCatenoid, s_end: float) -> tuple[list[float], list[_State]]:
+    """Arclengths and states of one adaptive pass from the neck to s_end > 0
+    at scaled local error DEFAULT_STEP_TOL: the neck (0, (t, 0, 0)), the
+    Taylor launch, then every accepted step, the last clipped to land
+    exactly on s_end.
+
+    The launch and every accepted state pass `_check_state`, and no
+    accepted height may fall below the one before it.
+    """
+    s, y = _launch(cat, s_end)
+    _check_state(cat, s, y)
+    s_nodes = [0.0, s]
+    nodes = [(cat.t, 0.0, 0.0), y]
+    h = min(0.1, s_end - s)
     steps = 0
-    while s < s_to:
+    while s < s_end:
         steps += 1
         if steps > _MAX_STEPS:
-            raise ProfileError(
-                f"step budget {_MAX_STEPS} exhausted at s = {s} of {s_to}"
-            )
-        h = min(h, s_to - s)
+            raise ProfileError(f"step budget {_MAX_STEPS} exhausted at s = {s} of {s_end}")
+        h = min(h, s_end - s)
         y_trial, (x_lo, v_lo, p_lo) = _ck_step(cat, y, h)
         x_hi, v_hi, p_hi = y_trial
         err = max(
@@ -306,10 +310,14 @@ def _advance(
             abs(p_hi - p_lo) / max(1.0, abs(p_hi)),
         )
         if err <= DEFAULT_STEP_TOL:
-            s = s_to if s + h >= s_to else s + h
+            s = s_end if s + h >= s_end else s + h
+            _check_state(cat, s, y_trial)
+            # equal passes: too short a step leaves x unchanged in floating point
+            if x_hi < y[0]:
+                raise ProfileError(f"profile height failed to increase at s = {s}")
             y = y_trial
-            _check_state(cat, s, y)
-            yield s, y
+            s_nodes.append(s)
+            nodes.append(y)
             if err > 0.0:
                 h *= min(5.0, _SAFETY * (err / DEFAULT_STEP_TOL) ** _GROW_EXP)
             else:
@@ -318,6 +326,7 @@ def _advance(
             h *= max(0.1, _SAFETY * (err / DEFAULT_STEP_TOL) ** _SHRINK_EXP)
             if h < _MIN_STEP:
                 raise ProfileError(f"step size underflow at s = {s}")
+    return s_nodes, nodes
 
 
 def integrate_profile(
@@ -327,21 +336,16 @@ def integrate_profile(
     taken at scaled local error DEFAULT_STEP_TOL (1e-10).
 
     The first sample is exactly (0, t, 0), the last lands exactly on s_max.
-    The height is strictly increasing past the neck; each accepted state is
-    validated against the first integral and the slope brackets.  s_max is
-    capped at S_MAX_CAP because the height grows exponentially.
+    The height never decreases; it stays equal only across a step too
+    short to move it in floating point.  Each state past the neck is
+    validated against the first integral and the slope brackets.  s_max
+    is capped at S_MAX_CAP because the height grows exponentially.
     """
     s_max = float(s_max)
     if not (math.isfinite(s_max) and 0.0 < s_max <= S_MAX_CAP):
         raise ValueError(f"s_max must lie in (0, {S_MAX_CAP}], got {s_max}")
-
-    s0, y = _launch(cat, s_max)
-    samples = [ProfileSample(0.0, cat.t, 0.0), ProfileSample(s0, y[0], y[1])]
-    for s, (x, v, _) in _advance(cat, y, s0, s_max):
-        if x <= samples[-1].x:
-            raise ProfileError(f"profile height failed to increase at s = {s}")
-        samples.append(ProfileSample(s, x, v))
-    return samples
+    s_nodes, nodes = _profile_pass(cat, s_max)
+    return [ProfileSample(s, x, v) for s, (x, v, _) in zip(s_nodes, nodes)]
 
 
 def norm_A_sq(cat: HyperbolicCatenoid, sample: ProfileSample) -> float:
@@ -449,15 +453,15 @@ def generating_curve_points(
     the k-th arclength.
 
     s_values must be sorted ascending.  The export takes the integrator's
-    own steps: one pass to the last arclength accepts the states that
-    `integrate_profile` accepts, at scaled local error DEFAULT_STEP_TOL
-    (1e-10), however many samples there are.  Each sample is then reached
-    by one partial Cash-Karp step from the last accepted state at or before
-    it, all samples in one array step; a sample on an accepted state is
-    that state bit for bit.  Every partial step is checked like an accepted
-    one: its own error estimate must stay within DEFAULT_STEP_TOL and its
-    state must pass `_check_state`'s conditions, or ProfileError names the
-    first failing arclength.
+    own steps: it makes `integrate_profile`'s pass to the last arclength,
+    at scaled local error DEFAULT_STEP_TOL (1e-10), however many samples
+    there are.  Each sample is then reached by one partial Cash-Karp step
+    from the last accepted state at or before it, all samples in one array
+    step; a sample on an accepted state is that state bit for bit.  Every
+    partial step is checked like an accepted one: its own error estimate
+    must stay within DEFAULT_STEP_TOL and its state must pass
+    `_check_state`'s conditions, or ProfileError names the first failing
+    arclength.
     """
     targets = np.fromiter(s_values, dtype=np.float64)
     if not (np.isfinite(targets).all() and (targets >= 0.0).all()):
@@ -467,16 +471,9 @@ def generating_curve_points(
     if targets.size and targets[-1] > S_MAX_CAP:
         raise ValueError(f"arclength targets must not exceed {S_MAX_CAP}")
 
-    s_nodes = [0.0]
-    nodes: list[_State] = [(cat.t, 0.0, 0.0)]
+    s_nodes, nodes = [0.0], [(cat.t, 0.0, 0.0)]
     if targets.size and targets[-1] > 0.0:
-        s_end = float(targets[-1])
-        s0, y = _launch(cat, s_end)
-        s_nodes.append(s0)
-        nodes.append(y)
-        for s, y in _advance(cat, y, s0, s_end):
-            s_nodes.append(s)
-            nodes.append(y)
+        s_nodes, nodes = _profile_pass(cat, float(targets[-1]))
     # the last accepted state at or before each target
     base = np.searchsorted(s_nodes, targets, side="right") - 1
     y0 = tuple(np.array(nodes)[base].T)

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import eigvalsh_tridiagonal
 
-from .spherical_catenoid import SphericalCatenoid, boundary_angle_slope
+from .spherical_catenoid import SphericalCatenoid, _norm_A_sq, boundary_angle_slope
 
 __all__ = [
     "SturmLiouvilleDisc",
@@ -128,8 +128,7 @@ def _catenoid_profiles(cat: SphericalCatenoid, m: int):
 
     def q(s: np.ndarray) -> np.ndarray:
         inv_w = 1.0 / (a * np.cosh(2.0 * s) - 0.5)
-        # |A|^2 = 2 (a^2 - 1/4) / w^2, factored so that no a^2 overflows
-        return m * m * inv_w - 2.0 * ((a - 0.5) * inv_w) * ((a + 0.5) * inv_w) + 2.0
+        return m * m * inv_w - _norm_A_sq(a, inv_w) + 2.0
 
     return rho, q
 
@@ -140,7 +139,8 @@ def assemble_mode_operator(
     """Discretized radial form of angular mode m on [-R, R] with N cells.
 
     Requires m >= 0, 0 < R <= 300 (the profile weight overflows past that),
-    and N >= 100 so the margin analysis in the counting step applies.
+    and N >= 100, the resolution `default_count_margin` assumes when
+    count_negative_eigenvalues counts the grid; morse_index does not count.
     Raises OverflowError naming a, R and N when a cosh(2R)/h^2, the square
     of the largest stiffness entry, is not a finite float.
     """

@@ -91,29 +91,31 @@ def warp_rho(cat: SphericalCatenoid, s: float) -> float:
     return math.sqrt(_warp_sq(cat, s))
 
 
+def _norm_A_sq(a: float, inv_w: float | np.ndarray) -> float | np.ndarray:
+    """|A|^2 = 2 (a^2 - 1/4) / w^2 from a and inv_w = 1/w, factored so that
+    no a^2 and no w^2 is formed: nothing overflows, and a - 1/2 is exact
+    near a = 1/2.  Operators only, so inv_w may be an array."""
+    return 2.0 * ((a - 0.5) * inv_w) * ((a + 0.5) * inv_w)
+
+
 def norm_A_sq(cat: SphericalCatenoid, s: float) -> float:
     """Squared norm of the second fundamental form, 2*(a^2 - 1/4)/w(s)^2."""
-    w = _warp_sq(cat, s)
-    if math.isinf(w):
-        return 0.0
-    return 2.0 * (cat.a * cat.a - 0.25) / (w * w)
+    return _norm_A_sq(cat.a, 1.0 / _warp_sq(cat, s))
 
 
 def grad_norm_A(cat: SphericalCatenoid, s: float) -> float:
     """Norm of the intrinsic gradient of |A|, closed form in s.
 
-    |A|(s) = sqrt(2*(a^2 - 1/4))/w(s) gives |grad |A|| =
-    sqrt(2*(a^2 - 1/4)) * 2a*|sinh 2s| / w(s)^2; even in s and decaying
-    like exp(-2s).
+    |A|(s) = sqrt(2*(a^2 - 1/4))/w(s) and w' = 2a sinh 2s give |grad |A||
+    = |A| * 2a*|sinh 2s| / w(s), computed from `_norm_A_sq` and a/w so that
+    no a^2 and no w^2 is formed; even in s and decaying like exp(-2s).
     """
     try:
         sh = math.sinh(2.0 * s)
     except OverflowError:
         return 0.0
-    w = _warp_sq(cat, s)
-    if math.isinf(w):
-        return 0.0
-    return math.sqrt(2.0 * (cat.a * cat.a - 0.25)) * 2.0 * cat.a * abs(sh) / (w * w)
+    inv_w = 1.0 / _warp_sq(cat, s)
+    return math.sqrt(_norm_A_sq(cat.a, inv_w)) * 2.0 * (cat.a * inv_w) * abs(sh)
 
 
 def sup_norm_A_sq(cat: SphericalCatenoid) -> float:
@@ -190,57 +192,47 @@ def boundary_angle_slope(cat: SphericalCatenoid) -> QuadratureResult:
     return QuadratureResult(value, 16.0 * math.ulp(1.0) * terms / 2.0**1.5, 0)
 
 
-def _s_terms(cat: SphericalCatenoid, s_values: Sequence[float]) -> np.ndarray:
-    """(B cosh phi, B sinh phi, rho) for each s as a (len(s_values), 3)
-    array.  B cosh phi bounds every coordinate, so one check of that
-    column finds any overflow: raises OverflowError naming a and the first
-    such s."""
-    rows = []
-    for s in s_values:
-        w = _warp_sq(cat, s)
-        big = math.sqrt(w + 1.0)
-        p = phi(cat, s)
-        rows.append((big * math.cosh(p), big * math.sinh(p), math.sqrt(w)))
-    out = np.array(rows).reshape(-1, 3)
-    bad = np.flatnonzero(np.isinf(out[:, 0]))
-    if bad.size:
-        raise OverflowError(
-            f"spherical catenoid embedding overflows at a = {cat.a}, s = {s_values[bad[0]]}"
-        )
-    return out
-
-
 def embed(cat: SphericalCatenoid, s: float, theta: float) -> tuple[float, float, float, float]:
     """Isometric embedding into the hyperboloid model of hyperbolic 3-space.
 
     f(s, theta) = (B cosh phi, B sinh phi, rho cos theta, rho sin theta)
     with B(s) = sqrt(a*cosh 2s + 1/2) and rho(s) the profile radius; the
     Minkowski square is -B^2 + rho^2 = -1 identically, independent of the
-    accuracy of phi.  Raises OverflowError naming a and s when a
-    coordinate is not a finite float.
+    accuracy of phi.  Row 0 of the one-point `embed_grid`; raises
+    OverflowError naming a and s when a coordinate is not a finite float.
     """
-    x1, x2, rho = _s_terms(cat, [float(s)])[0].tolist()
-    return x1, x2, rho * math.cos(theta), rho * math.sin(theta)
+    return tuple(embed_grid(cat, [s], [theta])[0].tolist())
 
 
 def embed_grid(
     cat: SphericalCatenoid, s_values: Sequence[float], theta_values: Sequence[float]
 ) -> np.ndarray:
     """`embed` over the grid s_values x theta_values, s outer: an
-    (len(s_values) * len(theta_values), 4) array whose rows equal the
-    `embed` coordinates bit for bit.
+    (len(s_values) * len(theta_values), 4) array of the points.
 
     The first two coordinates depend on s alone and the last two are
     rho(s) times cos or sin theta, so each transcendental is evaluated once
-    per axis value, with `math` as in `embed`.  Raises OverflowError naming
-    a and the first s whose coordinates are not finite floats.
+    per axis value, with `math`.  B cosh phi bounds every coordinate, so one
+    check of that column finds any overflow: raises OverflowError naming a
+    and the first s whose coordinates are not finite floats.
     """
-    terms = _s_terms(cat, [float(s) for s in s_values])
+    s_axis = [float(s) for s in s_values]
+    rows = []
+    for s in s_axis:
+        w = _warp_sq(cat, s)
+        big = math.sqrt(w + 1.0)
+        p = phi(cat, s)
+        rows.append((big * math.cosh(p), big * math.sinh(p), math.sqrt(w)))
+    terms = np.array(rows).reshape(-1, 3)
+    bad = np.flatnonzero(np.isinf(terms[:, 0]))
+    if bad.size:
+        raise OverflowError(
+            f"spherical catenoid embedding overflows at a = {cat.a}, s = {s_axis[bad[0]]}"
+        )
     cos_t = np.array([math.cos(float(t)) for t in theta_values])
     sin_t = np.array([math.sin(float(t)) for t in theta_values])
     out = np.empty((len(terms), len(cos_t), 4))
-    out[:, :, 0] = terms[:, 0, None]
-    out[:, :, 1] = terms[:, 1, None]
+    out[:, :, :2] = terms[:, None, :2]
     out[:, :, 2] = np.multiply.outer(terms[:, 2], cos_t)
     out[:, :, 3] = np.multiply.outer(terms[:, 2], sin_t)
     return out.reshape(-1, 4)

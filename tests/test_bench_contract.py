@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import random
 import sys
 from pathlib import Path
 
@@ -19,13 +20,31 @@ BENCH = Path(__file__).resolve().parents[1] / "bench"
 sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
+import workloads  # noqa: E402
 
+from hypstab import cli  # noqa: E402
 from hypstab.cli import EXIT_OK, main  # noqa: E402
 
 
 @pytest.mark.parametrize("module, attr", sorted(tracing.WRAPPED))
 def test_every_wrapped_attribute_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+@pytest.mark.parametrize(
+    "maker",
+    [maker for makers in workloads.WORKLOADS.values() for maker, _ in makers],
+    ids=lambda maker: maker.__name__.lstrip("_"),
+)
+def test_parser_accepts_every_workload_operation(maker):
+    """bench/run.py times `cli._build_parser()` with no arguments as its
+    start-up, and its workloads pass flags such as `sweep-f --tol` and
+    `find-c0 --quad-tol` that change no output; each must still parse."""
+    op = maker(workloads._Draw(random.Random(0)))
+    args = cli._build_parser().parse_args(list(op.argv))
+    assert args.command == op.argv[0]
+    for key, value in op.params.items():
+        assert getattr(args, key) == value, key
 
 
 def test_traced_operations_fill_the_spectral_spans(tmp_path):

@@ -32,6 +32,15 @@ from hypstab.spherical_catenoid import F, SphericalCatenoid
 import oracles
 
 
+def _strict_json(text):
+    """json.loads that rejects NaN and Infinity, which RFC 8259 excludes."""
+
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def invoke(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["--output", str(out)])
@@ -331,7 +340,7 @@ def test_criteria_json_full(tmp_path):
          "--pinch-b", "1", "--mass-a-sq", "1.0", "--mass-grad-a-sq", "9.0"],
     )
     assert code == EXIT_OK
-    doc = json.loads(out.read_text())
+    doc = _strict_json(out.read_text())
     assert doc["lambda1"] == [0.25, 4.0]
     assert doc["lambda1_pinched"] == [0.25, 4.0 / 3.0]
     assert doc["pointwise"]["verdict"] == "stable-certified"
@@ -339,10 +348,49 @@ def test_criteria_json_full(tmp_path):
     assert "sobolev" not in doc
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--n", "2", "--pinch-a", "1", "--pinch-b", "1e200"],
+         "pinched lambda1 bound 4 b^2 / 3 overflows at a = 1.0, b = 1e+200"),
+        (["--n", "3", "--mass-a-sq", "1e308", "--mass-grad-a-sq", "0"],
+         "curvature-gradient deficit overflows: n^2 mass_A_sq is not finite at "
+         "n = 3, mass_A_sq = 1e+308, mass_grad_A_sq = 0.0"),
+        (["--n", "3", "--sobolev-constant", "1e-300", "--a-n-mass", "1"],
+         "Sobolev threshold C_s^(-n/2) overflows at n = 3, C_s = 1e-300"),
+    ],
+    ids=["pinched", "grad-deficit", "sobolev"],
+)
+def test_criteria_overflow_is_a_named_numerical_failure(tmp_path, capsys, argv, message):
+    # printed, these values would be the non-JSON tokens Infinity or a bare
+    # errno tuple
+    code, out = invoke(tmp_path, "big.json", ["criteria", *argv])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        f"hypstab criteria: numerical failure: {message}"
+    ]
+    assert not out.exists()
+
+
+def test_criteria_near_the_float_range_is_strict_json(tmp_path):
+    code, out = invoke(
+        tmp_path,
+        "edge.json",
+        ["criteria", "--n", "3", "--pinch-a", "1", "--pinch-b", "5e153",
+         "--mass-a-sq", "1e307", "--mass-grad-a-sq", "0",
+         "--sobolev-constant", "1e-200", "--a-n-mass", "1"],
+    )
+    assert code == EXIT_OK
+    doc = _strict_json(out.read_text())
+    assert doc["lambda1_pinched"][1] == 4.0 * 5e153 * 5e153 / 3.0
+    assert doc["grad_deficit"]["witness"] == 9e307
+    assert doc["sobolev"]["threshold"] == pytest.approx(1e300, rel=1e-15)
+
+
 def test_criteria_lambda1_only(tmp_path):
     code, out = invoke(tmp_path, "crit2.json", ["criteria", "--n", "3"])
     assert code == EXIT_OK
-    doc = json.loads(out.read_text())
+    doc = _strict_json(out.read_text())
     assert doc["lambda1"] == [1.0, 9.0]
     assert set(doc) == {"version", "command", "parameters", "lambda1"}
 
@@ -512,7 +560,7 @@ def test_run_with_unknown_command():
 def test_stdout_output(capsys):
     code = main(["criteria", "--n", "2"])
     assert code == EXIT_OK
-    doc = json.loads(capsys.readouterr().out)
+    doc = _strict_json(capsys.readouterr().out)
     assert doc["lambda1"] == [0.25, 4.0]
 
 

@@ -294,14 +294,6 @@ def test_n2_export_matches_the_elementary_profile(t):
     assert np.abs(got / want - 1.0).max() <= 1e-8
 
 
-def _accepted_states(cat, s_end):
-    """(s, state) at every accepted step of a pass to s_end, as the export
-    takes them."""
-    s0, y0 = hyperbolic_catenoid._launch(cat, s_end)
-    steps = hyperbolic_catenoid._advance(cat, y0, s0, s_end)
-    return [(0.0, (cat.t, 0.0, 0.0)), (s0, y0), *steps]
-
-
 @pytest.mark.parametrize(
     "n, t, s_max, k", [(2, 1.5, 3.0, 101), (3, 1.2, 7.5, 777), (6, 3.0, 4.0, 333)]
 )
@@ -309,16 +301,68 @@ def test_each_row_is_one_float_step_from_its_accepted_state(n, t, s_max, k):
     cat = HyperbolicCatenoid(n, t)
     targets = np.linspace(0.0, s_max, k)
     rows = generating_curve_points(cat, targets)
-    accepted = _accepted_states(cat, s_max)
-    nodes = [s for s, _ in accepted]
+    nodes, states = hyperbolic_catenoid._profile_pass(cat, s_max)
     for target, row in zip(targets.tolist(), rows):
-        s_node, y = accepted[np.searchsorted(nodes, target, side="right") - 1]
+        k_node = np.searchsorted(nodes, target, side="right") - 1
+        s_node, y = nodes[k_node], states[k_node]
         (x, _, p), _ = hyperbolic_catenoid._ck_step(cat, y, target - s_node)
         r = math.sqrt(x * x - 1.0)
         want = np.array([x, r * math.sin(p), r * math.cos(p)])
         assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max(), target
         if target == s_node:  # h = 0: the accepted state itself
             assert row[0] == y[0]
+
+
+@pytest.mark.parametrize("s_max", [1e-12, 1e-9])
+def test_profile_too_short_to_move_the_height_returns(s_max):
+    """Steps this short leave x equal to the neck height in floating point;
+    equal heights are not a decrease."""
+    for n, t in GRID:
+        samples = integrate_profile(HyperbolicCatenoid(n, t), s_max)
+        assert samples[-1].s == s_max
+        xs = [smp.x for smp in samples]
+        assert all(b >= a for a, b in zip(xs, xs[1:]))
+        assert xs[-1] == pytest.approx(t, rel=1e-15)
+
+
+def test_profile_height_may_not_decrease(monkeypatch):
+    ck_step = hyperbolic_catenoid._ck_step
+
+    def sinking(cat, y, h):
+        if y[0] <= 2.0:
+            return ck_step(cat, y, h)
+        # one ulp below the last accepted state: a valid state, err = 0
+        sunk = (math.nextafter(y[0], 0.0), y[1], y[2])
+        return sunk, sunk
+
+    monkeypatch.setattr(hyperbolic_catenoid, "_ck_step", sinking)
+    with pytest.raises(ProfileError, match="profile height failed to increase"):
+        integrate_profile(HyperbolicCatenoid(2, 1.5), 3.0)
+
+
+def test_launch_state_is_checked(monkeypatch):
+    launch = hyperbolic_catenoid._launch
+
+    def below_the_neck(cat, s_end):
+        s0, (x, v, p) = launch(cat, s_end)
+        return s0, (cat.t - 0.1, v, p)
+
+    monkeypatch.setattr(hyperbolic_catenoid, "_launch", below_the_neck)
+    with pytest.raises(ProfileError, match=r"^profile height 1\.4 fell below the neck 1\.5 at s = 0\.001$"):
+        integrate_profile(HyperbolicCatenoid(2, 1.5), 3.0)
+    with pytest.raises(ProfileError, match="fell below the neck"):
+        generating_curve_points(HyperbolicCatenoid(2, 1.5), [1.0])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 6), st.floats(1.01, 5.0), st.floats(1e-6, 15.0))
+def test_accepted_heights_are_the_export_rows(n, t, s_max):
+    """The profile and the export make one pass: at every accepted
+    arclength the export's row is the accepted height, bit for bit."""
+    cat = HyperbolicCatenoid(n, t)
+    samples = integrate_profile(cat, s_max)
+    rows = generating_curve_points(cat, [smp.s for smp in samples])
+    assert rows[:, 0].tolist() == [smp.x for smp in samples]
 
 
 def test_export_work_does_not_grow_with_the_samples(monkeypatch):

@@ -109,6 +109,24 @@ def test_grad_norm_A_matches_finite_difference():
     assert grad_norm_A(cat, 0.0) == 0.0
 
 
+@pytest.mark.parametrize("a", [0.5 + 1e-8, 1e154, 1e200, 1e300])
+def test_curvature_and_its_gradient_against_mpmath_at_extreme_a(a):
+    """Finite and within 1e-14 relative of 30-digit mpmath where a - 1/2
+    cancels in a^2 - 1/4 and where a^2 or w^2 leaves the float range."""
+    import mpmath
+
+    cat = SphericalCatenoid(a)
+    with mpmath.workdps(30):
+        am, half = mpmath.mpf(a), mpmath.mpf(0.5)
+        for s in (0.0, 0.5, 3.0):
+            w = am * mpmath.cosh(2 * mpmath.mpf(s)) - half
+            want = 2 * (am * am - half * half) / (w * w)
+            want_grad = mpmath.sqrt(want) * 2 * am * abs(mpmath.sinh(2 * mpmath.mpf(s))) / w
+            for got, ref in ((norm_A_sq(cat, s), want), (grad_norm_A(cat, s), want_grad)):
+                assert math.isfinite(got), (a, s)
+                assert abs(got - ref) <= 1e-14 * ref, (a, s)
+
+
 def test_phi_against_simpson_oracle():
     cat = SphericalCatenoid(0.6)
     assert phi(cat, 2.0) == pytest.approx(PHI_ORACLE_06_2, abs=1e-13)
