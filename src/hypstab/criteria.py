@@ -60,21 +60,27 @@ def lambda1_bounds(n: int) -> tuple[float, float]:
 
     The lower bound holds for every complete hypersurface of dimension n in
     hyperbolic space; the upper bound additionally assumes stability and
-    finite total squared curvature.
-    """
+    finite total squared curvature.  Raises OverflowError naming n when n^2
+    is not a finite float."""
     _require_dim(n)
-    return (n - 1) ** 2 / 4.0, float(n * n)
+    try:
+        return (n - 1) ** 2 / 4.0, float(n * n)
+    except OverflowError:
+        raise OverflowError(f"lambda1 bound n^2 overflows at n = {n}") from None
 
 
 def lambda1_bounds_pinched(a: float, b: float) -> tuple[float, float]:
     """Bracket (a^2/4, 4*b^2/3) under curvature pinching -b^2 <= K <= -a^2
-    of the ambient space, 0 < a <= b.  Raises OverflowError naming a and b
-    when 4*b^2/3, the larger bound, is not a finite float."""
+    of the ambient space, 0 < a <= b, with 4 (b^2 / 3) where (4 b) b alone
+    overflows.  Raises OverflowError naming a and b when 4*b^2/3, the larger
+    bound, is not a finite float."""
     a = float(a)
     b = float(b)
     if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a <= b):
         raise ValueError(f"pinching constants need 0 < a <= b, got a={a}, b={b}")
     upper = 4.0 * b * b / 3.0
+    if math.isinf(upper):
+        upper = 4.0 * (b * b / 3.0)
     if math.isinf(upper):
         raise OverflowError(f"pinched lambda1 bound 4 b^2 / 3 overflows at a = {a}, b = {b}")
     return a * a / 4.0, upper

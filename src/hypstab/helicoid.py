@@ -218,40 +218,24 @@ def normal(h: Helicoid, s: float, t: float) -> tuple[float, float, float, float]
 
 def first_fundamental_fd(h: Helicoid, s: float, t: float) -> tuple[float, float, float]:
     """(E, F, G) from central differences of the embedding with step
-    `lorentz.FD_STEP` (1e-5); agreement with the closed form certifies the
-    embedding against the metric."""
-    return lorentz.first_fundamental_fd(lambda u, v: embed(h, u, v), s, t)
+    `lorentz.FD_STEP` (1e-5), read from one 3 x 3 `embed_grid` block about
+    (s, t); agreement with the closed form certifies the embedding against
+    the metric."""
+    step = lorentz.FD_STEP
+    block = embed_grid(h, [s - step, s, s + step], [t - step, t, t + step])
+    return lorentz.first_fundamental_fd(block)
 
 
 def second_fundamental_fd(h: Helicoid, s: float, t: float) -> tuple[float, float, float]:
     """(e, f, g) from second differences of the embedding with step 3e-4,
-    paired with `normal`; agreement with the closed form certifies the
-    shape operator sign convention."""
+    read from one 3 x 3 `embed_grid` block about (s, t) and paired with
+    `normal`; agreement with the closed form certifies the shape operator
+    sign convention."""
     step = _SECOND_FD_STEP
     nrm = normal(h, s, t)
-    x_00 = embed(h, s, t)
+    x = embed_grid(h, [s - step, s, s + step], [t - step, t, t + step]).reshape(3, 3, 4)
     inv_sq = 1.0 / (step * step)
-
-    x_ss = tuple(
-        (p - 2.0 * c + m) * inv_sq
-        for p, c, m in zip(embed(h, s + step, t), x_00, embed(h, s - step, t))
-    )
-    x_tt = tuple(
-        (p - 2.0 * c + m) * inv_sq
-        for p, c, m in zip(embed(h, s, t + step), x_00, embed(h, s, t - step))
-    )
-    inv_cross = 0.25 * inv_sq
-    x_st = tuple(
-        (pp - pm - mp + mm) * inv_cross
-        for pp, pm, mp, mm in zip(
-            embed(h, s + step, t + step),
-            embed(h, s + step, t - step),
-            embed(h, s - step, t + step),
-            embed(h, s - step, t - step),
-        )
-    )
-    return (
-        minkowski_inner(x_ss, nrm),
-        minkowski_inner(x_st, nrm),
-        minkowski_inner(x_tt, nrm),
-    )
+    x_ss = (x[2, 1] - 2.0 * x[1, 1] + x[0, 1]) * inv_sq
+    x_tt = (x[1, 2] - 2.0 * x[1, 1] + x[1, 0]) * inv_sq
+    x_st = (x[2, 2] - x[2, 0] - x[0, 2] + x[0, 0]) * (0.25 * inv_sq)
+    return tuple(minkowski_inner([x_ss, x_st, x_tt], nrm).tolist())

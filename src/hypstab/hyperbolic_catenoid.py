@@ -135,12 +135,18 @@ def _launch(cat: HyperbolicCatenoid, s_end: float) -> tuple[float, _State]:
     is x = t + c s^2/2 + G'(t) c s^4/24, x' = c s + G'(t) c s^3/6, and the
     angle integrates its own rate to phi = H(t) s + H'(t) c s^3/6.  The
     truncation error is O(s0^6), far below the step tolerance at s0 = 1e-3.
+    Every pass starts here, so here a ProfileError names n and t when the
+    largest coefficient of the equation, (n - 1)(2n - 1) a^2, overflows.
     """
     n, t, a = cat.n, cat.t, cat.a
     s0 = min(_LAUNCH, 0.5 * s_end)
     a_sq = a * a
+    coef = (n - 1) * (1 - 2 * n) * a_sq
+    if not math.isfinite(coef):
+        raise ProfileError(f"profile equation overflows at n = {n}, t = {t}: "
+                           "(n - 1)(2n - 1) a^2 is not a finite float")
     c = _accel(cat, t)
-    g_prime = 1.0 + (n - 1) * (1 - 2 * n) * a_sq * t ** (-2 * n)
+    g_prime = 1.0 + coef * t ** (-2 * n)
     x = t + 0.5 * c * s0 * s0 + g_prime * c * s0**4 / 24.0
     v = c * s0 + g_prime * c * s0**3 / 6.0
     denom = t * t - 1.0
@@ -405,7 +411,7 @@ def stability_window_max_t(n: int) -> float:
     """Upper endpoint 1 + (n+1)^2 / (4 n (n-1)) of the stable neck range."""
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
         raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
-    return 1.0 + (n + 1) ** 2 / (4.0 * n * (n - 1))
+    return 1.0 + (n + 1) ** 2 / (4 * n * (n - 1))
 
 
 def is_stable_by_window(cat: HyperbolicCatenoid) -> bool:

@@ -3,16 +3,20 @@
 Vectors live in Minkowski space with signature (-, +, ..., +), timelike
 coordinate first.  Hyperbolic space of dimension d is realized as the upper
 sheet of the unit timelike hyperboloid <x, x> = -1, x1 >= 1, inside the
-(d+1)-dimensional Minkowski space.  Dimension is carried by the coordinate
-tuple itself; mixing dimensions is rejected, not broadcast.
+(d+1)-dimensional Minkowski space.  Dimension is carried by the last axis
+of the coordinates; mixing dimensions is rejected, not broadcast.
+
+`minkowski_inner` is the one Minkowski product, for points and (n, d) row
+arrays alike.  The finite-difference first fundamental form reads one 3 x 3
+block of a family's `embed_grid`, so a certificate is one grid evaluation.
 """
 
 from __future__ import annotations
 
 import sys
-from typing import Callable, Sequence
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 __all__ = [
     "FD_STEP",
@@ -36,69 +40,60 @@ ROUNDING_SLACK = 16.0
 FD_STEP = 1e-5
 
 
-def _coords(x: Sequence[float]) -> tuple[float, ...]:
-    return tuple(float(c) for c in x)
-
-
-def minkowski_inner(x: Sequence[float], y: Sequence[float]) -> float:
-    """Indefinite product -x1*y1 + sum_{i>=2} xi*yi.
-
-    Accepts any coordinate sequence.  The arguments must have equal
-    dimension; a mismatch raises ValueError.
+def minkowski_inner(x: ArrayLike, y: ArrayLike) -> float | np.ndarray:
+    """Indefinite product -x1*y1 + sum_{i>=2} xi*yi over the last axis,
+    summed left to right: a float for two vectors, n products for (n, d) row
+    arrays (leading axes broadcast).  The last axes must have equal length;
+    a mismatch raises ValueError.  Overflow gives inf or nan, as in floats.
     """
-    xc = _coords(x)
-    yc = _coords(y)
-    if len(xc) != len(yc):
-        raise ValueError(f"dimension mismatch: {len(xc)} vs {len(yc)}")
-    acc = -xc[0] * yc[0]
-    for xi, yi in zip(xc[1:], yc[1:]):
-        acc += xi * yi
-    return acc
+    xa = np.asarray(x, dtype=float)
+    ya = np.asarray(y, dtype=float)
+    if xa.ndim == 0 or ya.ndim == 0 or xa.shape[-1] != ya.shape[-1]:
+        raise ValueError(f"dimension mismatch: {xa.shape} vs {ya.shape}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        acc = -xa[..., 0] * ya[..., 0]
+        for i in range(1, xa.shape[-1]):
+            acc = acc + xa[..., i] * ya[..., i]
+    return float(acc) if np.ndim(acc) == 0 else acc
 
 
-def first_fundamental_fd(
-    embed: Callable[[float, float], Sequence[float]], u: float, v: float
-) -> tuple[float, float, float]:
-    """(E, F, G) of the metric induced by the Minkowski product on the
-    surface embed(u, v), from central differences with step FD_STEP (1e-5).
+def first_fundamental_fd(block: ArrayLike) -> tuple[float, float, float]:
+    """(E, F, G) of the induced metric at (u, v), from central differences
+    of block, a family's `embed_grid` over (u - FD_STEP, u, u + FD_STEP) x
+    (v - FD_STEP, v, v + FD_STEP) with FD_STEP = 1e-5.
 
-    Comparing the result with a family's closed form certifies its embedding
-    against its metric; the O(step^2) truncation sets the agreement floor.
+    Comparing the result with the family's closed form certifies its
+    embedding against its metric; the O(step^2) truncation sets the
+    agreement floor.
     """
+    x = np.asarray(block, dtype=float).reshape(3, 3, -1)
     inv = 0.5 / FD_STEP
-
-    def central(plus: Sequence[float], minus: Sequence[float]) -> tuple[float, ...]:
-        return tuple((p - m) * inv for p, m in zip(_coords(plus), _coords(minus)))
-
-    d_u = central(embed(u + FD_STEP, v), embed(u - FD_STEP, v))
-    d_v = central(embed(u, v + FD_STEP), embed(u, v - FD_STEP))
-    return minkowski_inner(d_u, d_u), minkowski_inner(d_u, d_v), minkowski_inner(d_v, d_v)
+    d_u = (x[2, 1] - x[0, 1]) * inv
+    d_v = (x[1, 2] - x[1, 0]) * inv
+    return tuple(minkowski_inner([d_u, d_u, d_v], [d_u, d_v, d_v]).tolist())
 
 
-def on_hyperboloid_rows(points: np.ndarray, tol: float) -> np.ndarray:
+def on_hyperboloid_rows(points: ArrayLike, tol: float) -> np.ndarray:
     """Row-wise membership of an (n, d) array of points in the upper unit
     hyperboloid; returns n booleans.
 
     A row passes when |<x, x> + 1| <= max(tol, ROUNDING_SLACK * eps *
     sum(x_i^2)) and x1 >= 1 - tol.  The second bound is the rounding scale
     of the Minkowski square, so correct points far out on the sheet pass
-    while their coordinates grow.  Non-finite rows fail.  The square is
-    summed in the order of `minkowski_inner`.
+    while their coordinates grow.  Non-finite rows fail.
     """
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError(f"points must be an (n, d) array with d >= 2, got shape {x.shape}")
+    square = minkowski_inner(x, x)
     with np.errstate(over="ignore", invalid="ignore"):
-        square = -x[:, 0] * x[:, 0]
-        for i in range(1, x.shape[1]):
-            square += x[:, i] * x[:, i]
         bound = np.maximum(tol, ROUNDING_SLACK * sys.float_info.epsilon * (x * x).sum(axis=1))
         return (np.abs(square + 1.0) <= bound) & (x[:, 0] >= 1.0 - tol)
 
 
-def on_hyperboloid(x: Sequence[float], tol: float) -> bool:
+def on_hyperboloid(x: ArrayLike, tol: float) -> bool:
     """True iff x lies on the upper unit hyperboloid within tolerance tol,
     by the rule of `on_hyperboloid_rows`."""
-    return bool(on_hyperboloid_rows([_coords(x)], tol)[0])
+    return bool(on_hyperboloid_rows([x], tol)[0])

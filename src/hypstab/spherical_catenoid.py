@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .lorentz import first_fundamental_fd
+from .lorentz import FD_STEP, first_fundamental_fd
 from .quadrature import (
     QuadratureError,
     QuadratureResult,
@@ -242,13 +242,14 @@ def metric_residual(cat: SphericalCatenoid, s: float, theta: float) -> float:
     """Worst deviation of the finite-difference first fundamental form from
     the closed form ds^2 + rho^2 dtheta^2 at (s, theta).
 
-    Central differences of the embedding with step `lorentz.FD_STEP` (1e-5);
-    the closed-form rotation angle is accurate to rounding, far below the
-    step^2 truncation error of the differences.  Small values certify that
-    the embedding, the profile radius, and the rotation angle are mutually
-    consistent.
+    Central differences of the embedding with step `lorentz.FD_STEP` (1e-5),
+    read from one 3 x 3 `embed_grid` block about (s, theta); the closed-form
+    rotation angle is accurate to rounding, far below the step^2 truncation
+    error of the differences.  Small values certify that the embedding, the
+    profile radius, and the rotation angle are mutually consistent.
     """
-    e_fd, f_fd, g_fd = first_fundamental_fd(lambda u, v: embed(cat, u, v), s, theta)
+    axes = [s - FD_STEP, s, s + FD_STEP], [theta - FD_STEP, theta, theta + FD_STEP]
+    e_fd, f_fd, g_fd = first_fundamental_fd(embed_grid(cat, *axes))
     return max(abs(e_fd - 1.0), abs(f_fd), abs(g_fd - _warp_sq(cat, s)))
 
 

@@ -14,7 +14,10 @@ cannot reach), and f_quadrature_reference and mass_quadrature_reference,
 the semi-infinite quadratures that the closed forms of F and the curvature
 mass replaced.  The *_carlson_reference functions evaluate those closed
 forms in mpmath at 50 digits, and f_integrand_mpmath_reference integrates
-F's original integrand in mpmath, independent of the closed form.
+F's original integrand in mpmath, independent of the closed form.  The
+*_fd_reference functions are the finite-difference certifiers in the form
+that the one-block versions replaced: scalar `embed` points differenced one
+coordinate at a time, multiplied by a left-to-right scalar Minkowski loop.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from typing import Callable
 
 import numpy as np
 
+from hypstab import helicoid, spherical_catenoid
+from hypstab.lorentz import FD_STEP
 from hypstab.quadrature import (
     _WG,
     _WGK,
@@ -373,3 +378,58 @@ def boundary_angle_slope_reference(a: float) -> float:
 
         am = mpmath.mpf(a)
         return float(am**1.5 * mpmath.diff(phi_inf, am))
+
+
+def _minkowski_loop(x, y) -> float:
+    acc = -x[0] * y[0]
+    for xi, yi in zip(x[1:], y[1:]):
+        acc += xi * yi
+    return acc
+
+
+def _first_fd_reference(embed, u: float, v: float) -> tuple[float, float, float]:
+    inv = 0.5 / FD_STEP
+
+    def central(plus, minus):
+        return tuple((p - m) * inv for p, m in zip(plus, minus))
+
+    d_u = central(embed(u + FD_STEP, v), embed(u - FD_STEP, v))
+    d_v = central(embed(u, v + FD_STEP), embed(u, v - FD_STEP))
+    return _minkowski_loop(d_u, d_u), _minkowski_loop(d_u, d_v), _minkowski_loop(d_v, d_v)
+
+
+def helicoid_first_fd_reference(h, s: float, t: float) -> tuple[float, float, float]:
+    return _first_fd_reference(lambda u, v: helicoid.embed(h, u, v), s, t)
+
+
+def metric_residual_fd_reference(cat, s: float, theta: float) -> float:
+    e, f, g = _first_fd_reference(lambda u, v: spherical_catenoid.embed(cat, u, v), s, theta)
+    return max(abs(e - 1.0), abs(f), abs(g - spherical_catenoid._warp_sq(cat, s)))
+
+
+def helicoid_second_fd_reference(h, s: float, t: float) -> tuple[float, float, float]:
+    """The nine-point stencil with step 3e-4, one scalar `embed` per point."""
+    step = 3e-4
+    embed = helicoid.embed
+    nrm = helicoid.normal(h, s, t)
+    x_00 = embed(h, s, t)
+    inv_sq = 1.0 / (step * step)
+    x_ss = tuple(
+        (p - 2.0 * c + m) * inv_sq
+        for p, c, m in zip(embed(h, s + step, t), x_00, embed(h, s - step, t))
+    )
+    x_tt = tuple(
+        (p - 2.0 * c + m) * inv_sq
+        for p, c, m in zip(embed(h, s, t + step), x_00, embed(h, s, t - step))
+    )
+    inv_cross = 0.25 * inv_sq
+    x_st = tuple(
+        (pp - pm - mp + mm) * inv_cross
+        for pp, pm, mp, mm in zip(
+            embed(h, s + step, t + step),
+            embed(h, s + step, t - step),
+            embed(h, s - step, t + step),
+            embed(h, s - step, t - step),
+        )
+    )
+    return _minkowski_loop(x_ss, nrm), _minkowski_loop(x_st, nrm), _minkowski_loop(x_tt, nrm)

@@ -41,6 +41,9 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+_HUGE_N = "1" + "0" * 160  # an int past the float range
+
+
 def invoke(tmp_path, name, argv):
     out = tmp_path / name
     code = main(argv + ["--output", str(out)])
@@ -250,6 +253,8 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
          "shape constant a overflows at n = 1000, t = 3.0"),
         (["hyperbolic-window", "--t-max", "1e200", "--steps", "2"],
          "shape constant a overflows at n = 2, t = 1e+200"),
+        (["hyperbolic-window", "--n", _HUGE_N, "--steps", "2"],
+         f"shape constant a overflows at n = {_HUGE_N}, t = 1.01"),
         (["embed-export", "--family", "hyperbolic-curve", "--t", "1e200", "--samples", "3"],
          "shape constant a overflows at n = 2, t = 1e+200"),
         (["helicoid", "--alpha", "1", "--t-max", "800", "--t-grid", "3"],
@@ -267,9 +272,18 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
         (["embed-export", "--family", "spherical", "--a", "0.8", "--s-max", "400",
           "--s-grid", "5", "--theta-grid", "3"],
          "spherical catenoid embedding overflows at a = 0.8, s = -400.0"),
+        # a is finite, the profile equation's (n - 1)(2n - 1) a^2 is not
+        (["embed-export", "--family", "hyperbolic-curve", "--t", "1e150", "--samples", "3"],
+         "profile equation overflows at n = 2, t = 1e+150: "
+         "(n - 1)(2n - 1) a^2 is not a finite float"),
+        (["embed-export", "--family", "hyperbolic-curve", "--n", "6", "--t", "3.5e25",
+          "--samples", "3"],
+         "profile equation overflows at n = 6, t = 3.5e+25: "
+         "(n - 1)(2n - 1) a^2 is not a finite float"),
     ],
-    ids=["window-n", "window-t", "curve-t", "helicoid-t", "export-s", "export-pitch",
-         "export-st", "export-spherical-s"],
+    ids=["window-n", "window-t", "window-huge-n", "curve-t", "helicoid-t", "export-s",
+         "export-pitch", "export-st", "export-spherical-s", "curve-profile-n2",
+         "curve-profile-n6"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_overflow_names_its_input(tmp_path, capsys, argv, message):
@@ -358,8 +372,12 @@ def test_criteria_json_full(tmp_path):
          "n = 3, mass_A_sq = 1e+308, mass_grad_A_sq = 0.0"),
         (["--n", "3", "--sobolev-constant", "1e-300", "--a-n-mass", "1"],
          "Sobolev threshold C_s^(-n/2) overflows at n = 3, C_s = 1e-300"),
+        # n is a valid int whose square is no float
+        (["--n", _HUGE_N], f"lambda1 bound n^2 overflows at n = {_HUGE_N}"),
+        (["--n", _HUGE_N, "--sup-a-sq", "1", "--mass-a-sq", "0", "--mass-grad-a-sq", "0"],
+         f"lambda1 bound n^2 overflows at n = {_HUGE_N}"),
     ],
-    ids=["pinched", "grad-deficit", "sobolev"],
+    ids=["pinched", "grad-deficit", "sobolev", "huge-n", "huge-n-all"],
 )
 def test_criteria_overflow_is_a_named_numerical_failure(tmp_path, capsys, argv, message):
     # printed, these values would be the non-JSON tokens Infinity or a bare
@@ -385,6 +403,11 @@ def test_criteria_near_the_float_range_is_strict_json(tmp_path):
     assert doc["lambda1_pinched"][1] == 4.0 * 5e153 * 5e153 / 3.0
     assert doc["grad_deficit"]["witness"] == 9e307
     assert doc["sobolev"]["threshold"] == pytest.approx(1e300, rel=1e-15)
+    # 4 b^2 overflows here, 4 b^2 / 3 does not
+    code, out = invoke(tmp_path, "edge2.json",
+                       ["criteria", "--n", "2", "--pinch-a", "1", "--pinch-b", "1.1e154"])
+    assert code == EXIT_OK
+    assert _strict_json(out.read_text())["lambda1_pinched"][1] == 4.0 * (1.1e154 * 1.1e154 / 3.0)
 
 
 def test_criteria_lambda1_only(tmp_path):

@@ -23,6 +23,10 @@ def test_lambda1_bounds_exact():
     assert lambda1_bounds(2) == (0.25, 4.0)
     assert lambda1_bounds(3) == (1.0, 9.0)
     assert lambda1_bounds(4) == (2.25, 16.0)
+    assert lambda1_bounds(10**154)[1] == 1e308
+    n = 10**160
+    with pytest.raises(OverflowError, match=f"^lambda1 bound n\\^2 overflows at n = {n}$"):
+        lambda1_bounds(n)
     with pytest.raises(ValueError):
         lambda1_bounds(1)
     with pytest.raises(ValueError):
@@ -36,6 +40,13 @@ def test_pinched_bounds():
     lo, hi = lambda1_bounds_pinched(2.0, 3.0)
     assert lo == 1.0
     assert hi == 12.0
+    # (4 b) b / 3 up to its overflow, then 4 (b^2 / 3), finite to b = 1.16e154
+    for b in (6.7e153, 6.8e153, 1.1e154, 1.16e154):
+        product = 4.0 * b * b / 3.0
+        expected = product if math.isfinite(product) else 4.0 * (b * b / 3.0)
+        assert math.isfinite(expected) and lambda1_bounds_pinched(1.0, b)[1] == expected
+    with pytest.raises(OverflowError, match=r"at a = 1\.0, b = 1\.2e\+154$"):
+        lambda1_bounds_pinched(1.0, 1.2e154)
     with pytest.raises(ValueError):
         lambda1_bounds_pinched(0.0, 1.0)
     with pytest.raises(ValueError):

@@ -3,11 +3,13 @@
 import itertools
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import hypstab.helicoid as helicoid
 from hypstab.helicoid import (
     STABLE_PITCH_SQ,
     Helicoid,
@@ -24,6 +26,8 @@ from hypstab.helicoid import (
 )
 from hypstab.lorentz import minkowski_inner, on_hyperboloid
 from hypstab.spectral import count_negative_eigenvalues, discretize, lowest_eigenvalues
+
+import oracles
 
 
 def test_pitch_validation():
@@ -240,3 +244,40 @@ def test_embed_grid_rows_equal_embed_bit_for_bit(alpha, s_max, t_max, s_grid, t_
         [embed(h, float(s), float(t)) for s in s_values for t in t_values]
     )
     assert embed_grid(h, s_values, t_values).tobytes() == expected.tobytes()
+
+
+def _bits(values):
+    return struct.pack(f"{len(values)}d", *values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(0.0, 3.0), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_fd_forms_match_the_scalar_stencils_bit_for_bit(alpha, s, t):
+    """The one-block forms reproduce the per-point stencils they replaced."""
+    h = Helicoid(alpha)
+    assert _bits(first_fundamental_fd(h, s, t)) == _bits(
+        oracles.helicoid_first_fd_reference(h, s, t)
+    )
+    assert _bits(second_fundamental_fd(h, s, t)) == _bits(
+        oracles.helicoid_second_fd_reference(h, s, t)
+    )
+
+
+def test_fd_forms_take_one_grid_block_and_no_scalar_point(monkeypatch):
+    calls = []
+    grid = helicoid.embed_grid
+
+    def counting(h, s_values, t_values):
+        calls.append((len(s_values), len(t_values)))
+        return grid(h, s_values, t_values)
+
+    def forbidden(*args):
+        raise AssertionError("scalar embed called")
+
+    monkeypatch.setattr(helicoid, "embed_grid", counting)
+    monkeypatch.setattr(helicoid, "embed", forbidden)
+    h = Helicoid(1.3)
+    for form in (first_fundamental_fd, second_fundamental_fd):
+        calls.clear()
+        form(h, 0.4, -0.7)
+        assert calls == [(3, 3)], form.__name__

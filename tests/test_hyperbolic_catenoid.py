@@ -178,6 +178,7 @@ def test_stability_window_values():
     assert stability_window_max_t(2) == 2.125  # 1 + 9/8, exact in binary
     assert stability_window_max_t(3) == pytest.approx(1.0 + 16.0 / 24.0, rel=1e-15)
     assert stability_window_max_t(4) == pytest.approx(1.0 + 25.0 / 48.0, rel=1e-15)
+    assert stability_window_max_t(10**160) == 1.25  # an int past the float range
     with pytest.raises(ValueError):
         stability_window_max_t(1)
     with pytest.raises(ValueError):
@@ -203,6 +204,28 @@ def test_shape_constant_overflow_names_n_and_t(n, t):
 
 def test_shape_constant_stays_finite_below_the_float_range():
     assert shape_constant(1000, 1.5) == pytest.approx(1.5**999 * math.sqrt(1.25), rel=1e-12)
+
+
+@pytest.mark.parametrize("n, t", [(2, 1e150), (2, 8.8e76), (3, 1.7e51), (6, 3.5e25)])
+def test_profile_equation_overflow_names_n_and_t(n, t):
+    """A neck whose shape constant is finite but too large for the profile
+    equation builds, and both sweeps fail at the launch naming n and t."""
+    cat = HyperbolicCatenoid(n, t)
+    assert stability_window_max_t(n) > 1.0 and not is_stable_by_window(cat)
+    message = re.escape(
+        f"profile equation overflows at n = {n}, t = {t}: "
+        "(n - 1)(2n - 1) a^2 is not a finite float"
+    )
+    with pytest.raises(ProfileError, match=f"^{message}$"):
+        integrate_profile(cat, 1.0)
+    with pytest.raises(ProfileError, match=f"^{message}$"):
+        generating_curve_points(cat, [0.0, 0.5, 1.0])
+
+
+@pytest.mark.parametrize("n, t", [(2, 8.7e76), (6, 3.4e25)])
+def test_profile_equation_just_below_its_overflow_integrates(n, t):
+    samples = integrate_profile(HyperbolicCatenoid(n, t), 1.0)
+    assert samples[-1].s == 1.0 and math.isfinite(samples[-1].x)
 
 
 def test_integrate_profile_validation():

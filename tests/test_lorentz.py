@@ -75,6 +75,16 @@ def test_rows_check_agrees_with_single_points():
     mask = on_hyperboloid_rows(points, 1e-9)
     assert mask.tolist() == [True, False, True, False, False, False]
     assert mask.tolist() == [on_hyperboloid(row, 1e-9) for row in points]
+    # one product for rows and points: row arrays give the per-row scalars,
+    # bit for bit, and rows against one vector broadcast
+    rows = minkowski_inner(points, points)
+    assert rows.shape == (len(points),)
+    assert rows.tobytes() == np.array([minkowski_inner(r, r) for r in points]).tobytes()
+    against = minkowski_inner(points, points[2])
+    assert against.tobytes() == np.array([minkowski_inner(r, points[2]) for r in points]).tobytes()
+    assert all(isinstance(minkowski_inner(r, r), float) for r in points)
+    with pytest.raises(ValueError):
+        minkowski_inner(points, points[:, :2])
     assert on_hyperboloid_rows(np.empty((0, 4)), 1e-9).shape == (0,)
     with pytest.raises(ValueError):
         on_hyperboloid_rows(points, 0.0)

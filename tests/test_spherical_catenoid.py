@@ -8,6 +8,7 @@ against the quadrature they replaced.
 
 import math
 import re
+import struct
 import sys
 
 import numpy as np
@@ -403,3 +404,30 @@ def test_embed_grid_rows_equal_embed_bit_for_bit(a, s_max, s_grid, theta_grid):
         [embed(cat, float(s), float(t)) for s in s_values for t in theta_values]
     )
     assert embed_grid(cat, s_values, theta_values).tobytes() == expected.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.floats(0.5001, 3.0), st.floats(-5.0, 5.0), st.floats(0.0, 2 * math.pi))
+def test_metric_residual_matches_the_scalar_stencil_bit_for_bit(a, s, theta):
+    cat = SphericalCatenoid(a)
+    got = metric_residual(cat, s, theta)
+    assert struct.pack("d", got) == struct.pack(
+        "d", oracles.metric_residual_fd_reference(cat, s, theta)
+    )
+
+
+def test_metric_residual_takes_one_grid_block_and_no_scalar_point(monkeypatch):
+    calls = []
+    grid = spherical_catenoid.embed_grid
+
+    def counting(cat, s_values, theta_values):
+        calls.append((len(s_values), len(theta_values)))
+        return grid(cat, s_values, theta_values)
+
+    def forbidden(*args):
+        raise AssertionError("scalar embed called")
+
+    monkeypatch.setattr(spherical_catenoid, "embed_grid", counting)
+    monkeypatch.setattr(spherical_catenoid, "embed", forbidden)
+    metric_residual(SphericalCatenoid(0.8), 1.2, 0.3)
+    assert calls == [(3, 3)]
