@@ -350,19 +350,76 @@ def _cmd_criteria(params: Mapping[str, Any]) -> dict[str, Any]:
     return out
 
 
-_HANDLERS: dict[str, Callable[[Mapping[str, Any]], dict[str, Any]]] = {
-    "sweep-f": _cmd_sweep_f,
-    "find-c0": _cmd_find_c0,
-    "index": _cmd_index,
-    "hyperbolic-window": _cmd_hyperbolic_window,
-    "helicoid": _cmd_helicoid,
-    "embed-export": _cmd_embed_export,
-    "criteria": _cmd_criteria,
-}
+class _Command(NamedTuple):
+    handler: Callable[[Mapping[str, Any]], dict[str, Any]]
+    help: str
+    formats: tuple[str, ...]  # accepted --format values, the default first
+    arguments: dict[str, dict[str, Any]]  # flag -> add_argument keywords, in order
 
-# Commands whose payload is a single object rather than a table; they only
-# support JSON output.
-_JSON_ONLY = frozenset({"find-c0", "index", "criteria"})
+
+# The one place a command is declared: `_build_parser` builds each subcommand
+# from it and `run` dispatches through it.  Commands whose payload is a single
+# object rather than a table list only "json".
+_COMMANDS: dict[str, _Command] = {
+    "sweep-f": _Command(
+        _cmd_sweep_f, "tabulate the instability functional F(a)", ("csv", "json"), {
+            "--a-min": dict(type=float, default=0.55),
+            "--a-max": dict(type=float, default=1.5),
+            "--step": dict(type=float, default=0.05),
+            "--tol": dict(type=float, default=DEFAULT_TOL, help=_UNUSED_TOL),
+        }),
+    "find-c0": _Command(
+        _cmd_find_c0, "locate the sign change of F along the family", ("json",), {
+            "--tol": dict(type=float, default=1e-4, help="bracket width at the root"),
+            "--quad-tol": dict(type=float, default=DEFAULT_TOL, help=_UNUSED_TOL),
+        }),
+    "index": _Command(
+        _cmd_index, "spectral Morse index of one spherical catenoid", ("json",), {
+            "--a": dict(type=float, required=True),
+            "--radius": dict(type=float, default=10.0),
+            "--nodes": dict(type=int, default=2000),
+            "--m-max": dict(type=int, default=5),
+            "--k-eigs": dict(type=int, default=3),
+        }),
+    "hyperbolic-window": _Command(
+        _cmd_hyperbolic_window, "stable neck window of hyperbolic catenoids", ("csv", "json"), {
+            "--n": dict(type=int, default=2),
+            "--t-min": dict(type=float, default=1.01),
+            "--t-max": dict(type=float, default=3.0),
+            "--steps": dict(type=int, default=50),
+        }),
+    "helicoid": _Command(
+        _cmd_helicoid, "metric and curvature profile of a helicoid", ("csv", "json"), {
+            "--alpha": dict(type=float, required=True),
+            "--t-max": dict(type=float, default=3.0),
+            "--t-grid": dict(type=int, default=101),
+        }),
+    "embed-export": _Command(
+        _cmd_embed_export, "emit surface points in hyperboloid coordinates", ("csv", "json"), {
+            "--family": dict(required=True, choices=sorted(_EXPORT_FAMILIES)),
+            "--a": dict(type=float, default=1.0, help="spherical family shape"),
+            "--alpha": dict(type=float, default=1.0, help="helicoid pitch"),
+            "--n": dict(type=int, default=2, help="hyperbolic-curve dimension"),
+            "--t": dict(type=float, default=1.5, help="hyperbolic-curve neck height"),
+            "--s-max": dict(type=float, default=3.0),
+            "--s-grid": dict(type=int, default=20),
+            "--t-max": dict(type=float, default=2.0),
+            "--t-grid": dict(type=int, default=20),
+            "--theta-grid": dict(type=int, default=20),
+            "--samples": dict(type=int, default=101),
+        }),
+    "criteria": _Command(
+        _cmd_criteria, "dimension-generic stability certificates", ("json",), {
+            "--n": dict(type=int, required=True),
+            "--sup-a-sq": dict(type=float, default=None),
+            "--pinch-a": dict(type=float, default=None),
+            "--pinch-b": dict(type=float, default=None),
+            "--sobolev-constant": dict(type=float, default=None),
+            "--a-n-mass": dict(type=float, default=None),
+            "--mass-a-sq": dict(type=float, default=None),
+            "--mass-grad-a-sq": dict(type=float, default=None),
+        }),
+}
 
 
 def _render_csv(config: RunConfig, payload: dict[str, Any]) -> str:
@@ -433,13 +490,14 @@ def _emit(output: str, text: str) -> None:
 def run(config: RunConfig) -> int:
     """Execute one resolved invocation; returns the process exit code."""
     try:
-        if config.command not in _HANDLERS:
+        command = _COMMANDS.get(config.command)
+        if command is None:
             raise ValueError(f"unknown command {config.command!r}")
         if config.fmt not in ("csv", "json"):
             raise ValueError(f"unknown format {config.fmt!r}")
-        if config.fmt == "csv" and config.command in _JSON_ONLY:
+        if config.fmt not in command.formats:
             raise ValueError(f"command {config.command} only supports JSON output")
-        payload = _HANDLERS[config.command](config.parameters)
+        payload = command.handler(config.parameters)
         render = _render_csv if config.fmt == "csv" else _render_json
         text = render(config, payload)
         try:
@@ -494,75 +552,15 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"hypstab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    def add_command(name: str, help_text: str, fmt_default: str):
-        sp = sub.add_parser(name, help=help_text)
+    for name, command in _COMMANDS.items():
+        sp = sub.add_parser(name, help=command.help)
         sp.add_argument("--output", default="-", help="output path, '-' for stdout")
-        if name in _JSON_ONLY:
-            sp.add_argument(
-                "--format", dest="fmt", default="json", choices=("json",),
-                help="output format",
-            )
-        else:
-            sp.add_argument(
-                "--format", dest="fmt", default=fmt_default,
-                choices=("csv", "json"), help="output format",
-            )
-        return sp
-
-    sp = add_command("sweep-f", "tabulate the instability functional F(a)", "csv")
-    sp.add_argument("--a-min", type=float, default=0.55)
-    sp.add_argument("--a-max", type=float, default=1.5)
-    sp.add_argument("--step", type=float, default=0.05)
-    sp.add_argument("--tol", type=float, default=DEFAULT_TOL, help=_UNUSED_TOL)
-
-    sp = add_command("find-c0", "locate the sign change of F along the family", "json")
-    sp.add_argument("--tol", type=float, default=1e-4, help="bracket width at the root")
-    sp.add_argument("--quad-tol", type=float, default=DEFAULT_TOL, help=_UNUSED_TOL)
-
-    sp = add_command("index", "spectral Morse index of one spherical catenoid", "json")
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--radius", type=float, default=10.0)
-    sp.add_argument("--nodes", type=int, default=2000)
-    sp.add_argument("--m-max", type=int, default=5)
-    sp.add_argument("--k-eigs", type=int, default=3)
-
-    sp = add_command(
-        "hyperbolic-window", "stable neck window of hyperbolic catenoids", "csv"
-    )
-    sp.add_argument("--n", type=int, default=2)
-    sp.add_argument("--t-min", type=float, default=1.01)
-    sp.add_argument("--t-max", type=float, default=3.0)
-    sp.add_argument("--steps", type=int, default=50)
-
-    sp = add_command("helicoid", "metric and curvature profile of a helicoid", "csv")
-    sp.add_argument("--alpha", type=float, required=True)
-    sp.add_argument("--t-max", type=float, default=3.0)
-    sp.add_argument("--t-grid", type=int, default=101)
-
-    sp = add_command("embed-export", "emit surface points in hyperboloid coordinates", "csv")
-    sp.add_argument(
-        "--family", required=True, choices=sorted(_EXPORT_FAMILIES),
-    )
-    sp.add_argument("--a", type=float, default=1.0, help="spherical family shape")
-    sp.add_argument("--alpha", type=float, default=1.0, help="helicoid pitch")
-    sp.add_argument("--n", type=int, default=2, help="hyperbolic-curve dimension")
-    sp.add_argument("--t", type=float, default=1.5, help="hyperbolic-curve neck height")
-    sp.add_argument("--s-max", type=float, default=3.0)
-    sp.add_argument("--s-grid", type=int, default=20)
-    sp.add_argument("--t-max", type=float, default=2.0)
-    sp.add_argument("--t-grid", type=int, default=20)
-    sp.add_argument("--theta-grid", type=int, default=20)
-    sp.add_argument("--samples", type=int, default=101)
-
-    sp = add_command("criteria", "dimension-generic stability certificates", "json")
-    sp.add_argument("--n", type=int, required=True)
-    sp.add_argument("--sup-a-sq", type=float, default=None)
-    sp.add_argument("--pinch-a", type=float, default=None)
-    sp.add_argument("--pinch-b", type=float, default=None)
-    sp.add_argument("--sobolev-constant", type=float, default=None)
-    sp.add_argument("--a-n-mass", type=float, default=None)
-    sp.add_argument("--mass-a-sq", type=float, default=None)
-    sp.add_argument("--mass-grad-a-sq", type=float, default=None)
+        sp.add_argument(
+            "--format", dest="fmt", default=command.formats[0],
+            choices=command.formats, help="output format",
+        )
+        for flag, options in command.arguments.items():
+            sp.add_argument(flag, **options)
     return parser
 
 

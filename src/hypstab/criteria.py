@@ -91,13 +91,17 @@ def pointwise_stability_test(n: int, sup_A_sq: float) -> StabilityReport:
 
     If sup |A|^2 <= (n+1)^2/4 the hypersurface is stable; above the
     threshold the test is inconclusive (larger curvature does not by itself
-    imply instability).
+    imply instability).  Raises OverflowError naming n when the threshold
+    is not a finite float.
     """
     _require_dim(n)
     sup_A_sq = float(sup_A_sq)
     if not (math.isfinite(sup_A_sq) and sup_A_sq >= 0.0):
         raise ValueError(f"sup_A_sq must be finite and >= 0, got {sup_A_sq}")
-    threshold = (n + 1) ** 2 / 4.0
+    try:  # int true division: one rounding, and no overflow while the quotient fits
+        threshold = (n + 1) ** 2 / 4
+    except OverflowError:
+        raise OverflowError(f"pointwise threshold (n + 1)^2 / 4 overflows at n = {n}") from None
     verdict = STABLE if sup_A_sq <= threshold else INCONCLUSIVE
     return StabilityReport(verdict, "pointwise-curvature-bound", sup_A_sq, threshold)
 
@@ -141,7 +145,10 @@ def grad_condition_deficit(n: int, mass_A_sq: float, mass_grad_A_sq: float) -> f
         raise ValueError(f"mass_A_sq must be finite and >= 0, got {mass_A_sq}")
     if not (math.isfinite(mass_grad_A_sq) and mass_grad_A_sq >= 0.0):
         raise ValueError(f"mass_grad_A_sq must be finite and >= 0, got {mass_grad_A_sq}")
-    weighted = n * n * mass_A_sq
+    try:
+        weighted = n * n * mass_A_sq
+    except OverflowError:  # the int n^2 is past the float range
+        weighted = math.inf
     if math.isinf(weighted):
         raise OverflowError("curvature-gradient deficit overflows: n^2 mass_A_sq is not finite at "
                             f"n = {n}, mass_A_sq = {mass_A_sq}, mass_grad_A_sq = {mass_grad_A_sq}")

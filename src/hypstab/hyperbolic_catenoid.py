@@ -203,9 +203,8 @@ def _ck_step(
     return hi, lo
 
 
-# What `_check_state` rejects, in the order it tests: finiteness first, then
-# the five bounds of `_state_faults`; a partial step of a curve export is also
-# rejected for its error estimate.
+# What `_check_rows` rejects, in the order it tests: finiteness first, then
+# the five bounds of `_state_faults`, then the step's error estimate.
 _FAULT_MESSAGES = (
     "non-finite profile state at s = {s}",
     "profile height {x} fell below the neck {t} at s = {s}",
@@ -218,16 +217,14 @@ _FAULT_MESSAGES = (
 
 
 def _state_faults(
-    cat: HyperbolicCatenoid, x: float | np.ndarray, v: float | np.ndarray
-) -> tuple[float | np.ndarray, tuple[bool | np.ndarray, ...]]:
-    """First-integral residual and the five bound violations of a finite
-    state (neck, slope sign, first integral, upper and lower slope bracket),
-    each true where the state breaks the bound.
+    cat: HyperbolicCatenoid, x: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """First-integral residual and the five bound violations of finite
+    states (neck, slope sign, first integral, upper and lower slope
+    bracket), each true where the state breaks the bound.
 
-    Written with operators only, so float states give bools and array states
-    give boolean arrays.  A bound c * max(1, y) is tested as two comparisons,
-    against c and against c * y, which is exact because rounding is
-    monotone.
+    A bound c * max(1, y) is tested as two comparisons, against c and
+    against c * y, which is exact because rounding is monotone.
     """
     t = cat.t
     a_sq = cat.a * cat.a
@@ -250,34 +247,21 @@ def _state_faults(
     )
 
 
-def _check_state(cat: HyperbolicCatenoid, s: float, y: _State) -> None:
-    """Geometric sanity of an accepted state; violations are integrator bugs
-    or blow-ups, not user errors, hence ProfileError."""
-    x, v, p = y
-    residual = math.nan
-    if math.isfinite(x) and math.isfinite(v) and math.isfinite(p):
-        residual, faults = _state_faults(cat, x, v)
-        if not any(faults):
-            return
-        fault = 1 + faults.index(True)
-    else:
-        fault = 0
-    raise ProfileError(
-        _FAULT_MESSAGES[fault].format(s=s, x=x, v=v, t=cat.t, residual=residual)
-    )
-
-
 def _check_rows(
     cat: HyperbolicCatenoid, s: np.ndarray, state: np.ndarray, err: np.ndarray
 ) -> None:
-    """`_check_state` on each column of a (3, k) array of states reached at
-    arclengths s by partial steps whose error estimates err must also stay
-    within DEFAULT_STEP_TOL; the first failing column raises ProfileError."""
+    """Geometric sanity of the columns of a (3, k) array of states reached
+    at arclengths s by steps whose error estimates err must stay within
+    DEFAULT_STEP_TOL.  This is the one state check: a profile pass checks
+    its accepted states with err zero, a curve export its partial steps.
+    Violations are integrator bugs or blow-ups, not user errors, so the
+    first failing column raises ProfileError naming its arclength."""
     x, v, _ = state
-    residual, faults = _state_faults(cat, x, v)
-    failed = np.array(
-        [~np.isfinite(state).all(axis=0), *faults, ~(err <= DEFAULT_STEP_TOL)]
-    )
+    with np.errstate(all="ignore"):
+        residual, faults = _state_faults(cat, x, v)
+        failed = np.array(
+            [~np.isfinite(state).all(axis=0), *faults, ~(err <= DEFAULT_STEP_TOL)]
+        )
     bad = failed.any(axis=0)
     if bad.any():
         k = int(bad.argmax())
@@ -288,17 +272,18 @@ def _check_rows(
         )
 
 
-def _profile_pass(cat: HyperbolicCatenoid, s_end: float) -> tuple[list[float], list[_State]]:
-    """Arclengths and states of one adaptive pass from the neck to s_end > 0
-    at scaled local error DEFAULT_STEP_TOL: the neck (0, (t, 0, 0)), the
-    Taylor launch, then every accepted step, the last clipped to land
-    exactly on s_end.
+def _profile_pass(cat: HyperbolicCatenoid, s_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """Arclengths, shape (k,), and states (x, x', phi), shape (k, 3), of one
+    adaptive pass from the neck to s_end > 0 at scaled local error
+    DEFAULT_STEP_TOL: the neck (0, (t, 0, 0)), the Taylor launch, then
+    every accepted step, the last clipped to land exactly on s_end.
 
-    The launch and every accepted state pass `_check_state`, and no
-    accepted height may fall below the one before it.
+    No accepted height may fall below the one before it.  Once the pass
+    reaches s_end, the launch and every accepted state are checked together
+    by one `_check_rows` call; an error of the pass itself (step budget,
+    step underflow, height decrease, overflow) comes first.
     """
     s, y = _launch(cat, s_end)
-    _check_state(cat, s, y)
     s_nodes = [0.0, s]
     nodes = [(cat.t, 0.0, 0.0), y]
     h = min(0.1, s_end - s)
@@ -317,7 +302,6 @@ def _profile_pass(cat: HyperbolicCatenoid, s_end: float) -> tuple[list[float], l
         )
         if err <= DEFAULT_STEP_TOL:
             s = s_end if s + h >= s_end else s + h
-            _check_state(cat, s, y_trial)
             # equal passes: too short a step leaves x unchanged in floating point
             if x_hi < y[0]:
                 raise ProfileError(f"profile height failed to increase at s = {s}")
@@ -332,6 +316,8 @@ def _profile_pass(cat: HyperbolicCatenoid, s_end: float) -> tuple[list[float], l
             h *= max(0.1, _SAFETY * (err / DEFAULT_STEP_TOL) ** _SHRINK_EXP)
             if h < _MIN_STEP:
                 raise ProfileError(f"step size underflow at s = {s}")
+    s_nodes, nodes = np.array(s_nodes), np.array(nodes)
+    _check_rows(cat, s_nodes[1:], nodes[1:].T, np.zeros(len(nodes) - 1))
     return s_nodes, nodes
 
 
@@ -351,7 +337,7 @@ def integrate_profile(
     if not (math.isfinite(s_max) and 0.0 < s_max <= S_MAX_CAP):
         raise ValueError(f"s_max must lie in (0, {S_MAX_CAP}], got {s_max}")
     s_nodes, nodes = _profile_pass(cat, s_max)
-    return [ProfileSample(s, x, v) for s, (x, v, _) in zip(s_nodes, nodes)]
+    return [ProfileSample(s, x, v) for s, (x, v, _) in zip(s_nodes.tolist(), nodes.tolist())]
 
 
 def norm_A_sq(cat: HyperbolicCatenoid, sample: ProfileSample) -> float:
@@ -465,9 +451,8 @@ def generating_curve_points(
     from the last accepted state at or before it, all samples in one array
     step; a sample on an accepted state is that state bit for bit.  Every
     partial step is checked like an accepted one: its own error estimate
-    must stay within DEFAULT_STEP_TOL and its state must pass
-    `_check_state`'s conditions, or ProfileError names the first failing
-    arclength.
+    must stay within DEFAULT_STEP_TOL and its state must pass the checks
+    of `_check_rows`, or ProfileError names the first failing arclength.
     """
     targets = np.fromiter(s_values, dtype=np.float64)
     if not (np.isfinite(targets).all() and (targets >= 0.0).all()):
@@ -477,13 +462,13 @@ def generating_curve_points(
     if targets.size and targets[-1] > S_MAX_CAP:
         raise ValueError(f"arclength targets must not exceed {S_MAX_CAP}")
 
-    s_nodes, nodes = [0.0], [(cat.t, 0.0, 0.0)]
+    s_nodes, nodes = np.zeros(1), np.array([[cat.t, 0.0, 0.0]])
     if targets.size and targets[-1] > 0.0:
         s_nodes, nodes = _profile_pass(cat, float(targets[-1]))
     # the last accepted state at or before each target
     base = np.searchsorted(s_nodes, targets, side="right") - 1
-    y0 = tuple(np.array(nodes)[base].T)
-    h = targets - np.array(s_nodes)[base]
+    y0 = tuple(nodes[base].T)
+    h = targets - s_nodes[base]
     with np.errstate(all="ignore"):
         hi, lo = _ck_step(cat, y0, h)
         state = np.array(hi)

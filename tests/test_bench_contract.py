@@ -7,6 +7,7 @@ test under tests/ noticing.
 
 from __future__ import annotations
 
+import ast
 import importlib
 import math
 import random
@@ -16,7 +17,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-BENCH = Path(__file__).resolve().parents[1] / "bench"
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = ROOT / "bench"
 sys.path.insert(0, str(BENCH))
 
 import tracing  # noqa: E402
@@ -29,6 +31,37 @@ from hypstab.cli import EXIT_OK, main  # noqa: E402
 @pytest.mark.parametrize("module, attr", sorted(tracing.WRAPPED))
 def test_every_wrapped_attribute_resolves(module, attr):
     assert callable(getattr(importlib.import_module(module), attr))
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names a module imports at its top level and never reads, nor lists in
+    its __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import) or (
+            isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        ):
+            imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+        ):
+            used.update(ast.literal_eval(node.value))
+    return sorted(name for name in imported if name not in used)
+
+
+@pytest.mark.parametrize(
+    "path", sorted((ROOT / "src" / "hypstab").glob("*.py")), ids=lambda path: path.name
+)
+def test_every_import_is_used_or_wrapped(path):
+    """The project runs no linter, so this stands in for one on unused imports.
+    A name only `tracing.WRAPPED` needs stays importable for the tracer; once
+    the tracer stops wrapping it, the import is named here for deletion."""
+    module = f"hypstab.{path.stem}" if path.stem != "__init__" else "hypstab"
+    unused = [name for name in _unused_imports(path) if (module, name) not in tracing.WRAPPED]
+    assert unused == [], f"{path.name} imports but never uses {unused}"
 
 
 @pytest.mark.parametrize(

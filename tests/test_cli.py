@@ -574,10 +574,23 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
-def test_run_with_unknown_command():
+def test_run_with_unknown_command(capsys):
     assert run(RunConfig(command="bogus")) == EXIT_USAGE
     assert run(RunConfig(command="find-c0", parameters={"tol": 1e-4,
                "quad_tol": 1e-9}, fmt="csv")) == EXIT_USAGE
+    # the format is checked before the handler reads any parameter
+    for command in ("index", "criteria"):
+        assert run(RunConfig(command=command, fmt="csv")) == EXIT_USAGE
+    for command in ("sweep-f", "index"):
+        assert run(RunConfig(command=command, fmt="xml")) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "hypstab bogus: invalid parameters: unknown command 'bogus'",
+        "hypstab find-c0: invalid parameters: command find-c0 only supports JSON output",
+        "hypstab index: invalid parameters: command index only supports JSON output",
+        "hypstab criteria: invalid parameters: command criteria only supports JSON output",
+        "hypstab sweep-f: invalid parameters: unknown format 'xml'",
+        "hypstab index: invalid parameters: unknown format 'xml'",
+    ]
 
 
 def test_stdout_output(capsys):

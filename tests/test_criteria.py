@@ -66,6 +66,11 @@ def test_pointwise_threshold():
         pointwise_stability_test(1, 1.0)
     with pytest.raises(ValueError):
         pointwise_stability_test(2, math.inf)
+    assert pointwise_stability_test(2 * 10**154, 1.0).threshold == 1e308  # (n + 1)^2 is not a float
+    n = 10**160
+    message = f"^pointwise threshold \\(n \\+ 1\\)\\^2 / 4 overflows at n = {n}$"
+    with pytest.raises(OverflowError, match=message):
+        pointwise_stability_test(n, 1.0)
 
 
 def test_pointwise_report_fields():
@@ -102,6 +107,14 @@ def test_grad_deficit_value():
         grad_condition_deficit(2, -1.0, 3.0)
     with pytest.raises(ValueError):
         grad_condition_deficit(2, 1.0, math.nan)
+    # the int n^2 past the float range gets the deficit's own overflow message
+    n = 10**160
+    message = (f"^curvature-gradient deficit overflows: n\\^2 mass_A_sq is not finite at "
+               f"n = {n}, mass_A_sq = 1.0, mass_grad_A_sq = 2.0$")
+    with pytest.raises(OverflowError, match=message):
+        grad_condition_deficit(n, 1.0, 2.0)
+    with pytest.raises(OverflowError, match=message):
+        grad_condition_report(n, 1.0, 2.0)
 
 
 def test_grad_report_certifies_only_instability():

@@ -146,6 +146,31 @@ GOLDEN = {
 }
 
 
+# `--help` of the top level and of every command at COLUMNS=100, recorded
+# before the commands came to be declared in one table (Python 3.11's
+# argparse layout); each flag, default, choice and help text shows here.
+HELP_GOLDEN = {
+    "": "a4f55e5bae1a652fb982292df47e8cbb2bee154f635ff2d118b749022fa9c574",
+    "sweep-f": "9ba79dab824529a1c95aa1881c6c4be178c31db4afea93ae85c36b7804c9dfe2",
+    "find-c0": "55fa1c59979eb39f76ce7e652548e5f71e8149a30566454420da4575bb95ee19",
+    "index": "b18bcfb7259a8681fc809e0744386d517d7c31a7f5a711e72603b69460955670",
+    "hyperbolic-window": "fd8474be6bb66c23170644fe18d8a449bf14099d55843498a74e45799e002c62",
+    "helicoid": "ee41125b83142d810a7d828171e5c7bc3ce6addcd763f1630a03e1b07c3078b1",
+    "embed-export": "3c858fccee236f78c13311e52fda194b96334670ecbde3af948faca4e0415a10",
+    "criteria": "9ebc1d84862dd51ee63a9a84657c3d7268cc9b3cbfe83a6662b1dc991d5c01b4",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_GOLDEN))
+def test_help_matches_golden_digest(monkeypatch, capsys, command):
+    monkeypatch.setenv("COLUMNS", "100")
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"] if command else ["--help"])
+    assert exc.value.code == 0
+    got = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert got == HELP_GOLDEN[command], f"{command or 'hypstab'} --help: got digest {got}"
+
+
 @pytest.mark.parametrize("name", sorted(GOLDEN))
 def test_output_matches_golden_digest(tmp_path, name):
     argv, digest = GOLDEN[name]

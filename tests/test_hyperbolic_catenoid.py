@@ -363,6 +363,56 @@ def test_profile_height_may_not_decrease(monkeypatch):
         integrate_profile(HyperbolicCatenoid(2, 1.5), 3.0)
 
 
+def test_accepted_state_breaking_the_first_integral_is_named(monkeypatch):
+    """Once x > 2 every step returns its state with the slope raised by half,
+    with err 0, so it is accepted; the first such state names its arclength."""
+    cat = HyperbolicCatenoid(2, 1.5)
+    heights = {smp.x: smp.s for smp in integrate_profile(cat, 3.0)}
+    ck_step = hyperbolic_catenoid._ck_step
+    first = []
+
+    def drifting(cat, y, h):
+        hi, lo = ck_step(cat, y, h)
+        if y[0] <= 2.0:
+            return hi, lo
+        bad = (hi[0], 1.5 * hi[1], hi[2])
+        if not first:
+            first.append((heights[y[0]] + h, bad))
+        return bad, bad
+
+    monkeypatch.setattr(hyperbolic_catenoid, "_ck_step", drifting)
+    for integrate in (lambda: integrate_profile(cat, 3.0),
+                      lambda: generating_curve_points(cat, [1.0, 3.0])):
+        first.clear()
+        with pytest.raises(ProfileError) as info:
+            integrate()
+        s, (x, v, _) = first[0]
+        residual = v * v - (x * x - 1.0 - cat.a * cat.a * x ** -2)
+        assert str(info.value) == (
+            f"first-integral drift {residual:.3e} at s = {s} exceeds tolerance"
+        )
+
+
+def test_one_state_check_per_pass_and_two_per_export(monkeypatch):
+    check_rows = hyperbolic_catenoid._check_rows
+    calls = []
+
+    def counting(cat, s, state, err):
+        calls.append(len(s))
+        return check_rows(cat, s, state, err)
+
+    monkeypatch.setattr(hyperbolic_catenoid, "_check_rows", counting)
+    cat = HyperbolicCatenoid(3, 1.2)
+    samples = integrate_profile(cat, 7.5)
+    assert calls == [len(samples) - 1]  # every state past the neck, at once
+    calls.clear()
+    generating_curve_points(cat, np.linspace(0.0, 7.5, 500))
+    assert calls == [len(samples) - 1, 500]
+    calls.clear()
+    generating_curve_points(cat, [0.0, 0.0])  # no pass: the neck only
+    assert calls == [2]
+
+
 def test_launch_state_is_checked(monkeypatch):
     launch = hyperbolic_catenoid._launch
 
