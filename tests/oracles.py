@@ -18,6 +18,8 @@ F's original integrand in mpmath, independent of the closed form.  The
 *_fd_reference functions are the finite-difference certifiers in the form
 that the one-block versions replaced: scalar `embed` points differenced one
 coordinate at a time, multiplied by a left-to-right scalar Minkowski loop.
+profile_reference integrates the hyperbolic profile's first integral in
+mpmath, in its own variable, independent of the package's quadrature.
 """
 
 from __future__ import annotations
@@ -273,6 +275,58 @@ def rk4_profile_oracle(
         x += hh * (k1x + 2.0 * k2x + 2.0 * k3x + k4x) / 6.0
         v += hh * (k1v + 2.0 * k2v + 2.0 * k3v + k4v) / 6.0
     return x, v
+
+
+def profile_reference(n: int, t: float, s_end: float, dps: int = 20) -> tuple[float, float]:
+    """Height x and rotation angle phi of the hyperbolic catenoid profile at
+    arclength s_end, from the first integral x'^2 = f(x) = x^2 - 1 -
+    a^2 x^(2-2n), a = t^(n-1) sqrt(t^2 - 1), in mpmath at dps digits.
+
+    The substitution x = t + u^2 removes the square-root endpoint: with
+    r = (t/x)^2, f = u^2 (x + t)(1 + (t^2 - 1)/x^2 sum_{j<n-1} r^j), so
+    ds = 2 du / sqrt(f/u^2) and dphi = a x^(1-n) ds / (x^2 - 1), where
+    x^2 - 1 = (t^2 - 1) + u^2 (x + t).  The angle's peak has width
+    sqrt(t - 1) in u, so both integrals are split at sqrt(t - 1) 4^k.
+    Newton's method in log x solves s(x) = s_end, adding the integral over
+    each correction to the running arclength.
+    """
+    import mpmath
+
+    with mpmath.workdps(dps):
+        t = mpmath.mpf(t)
+        w_sq = t * t - 1
+        a = t ** (n - 1) * mpmath.sqrt(w_sq)
+
+        def height_and_root(u):
+            x = t + u * u
+            r = (t / x) ** 2
+            return x, mpmath.sqrt((x + t) * (1 + w_sq / (x * x) * mpmath.fsum(r**j for j in range(n - 1))))
+
+        def ds(u):
+            return 2 / height_and_root(u)[1]
+
+        def dphi(u):
+            x, root = height_and_root(u)
+            return 2 * a * x ** (1 - n) / ((w_sq + u * u * (x + t)) * root)
+
+        def splits(u_end):
+            scale = mpmath.sqrt(t - 1)
+            inner = [scale * mpmath.mpf(4) ** k for k in range(-1, 100) if scale * mpmath.mpf(4) ** k < u_end]
+            return [mpmath.mpf(0), *inner, u_end]
+
+        log_x = mpmath.log(t * mpmath.cosh(mpmath.mpf(s_end)))
+        u = mpmath.sqrt(mpmath.exp(log_x) - t)
+        s = mpmath.quad(ds, splits(u))
+        for _ in range(100):
+            x, root = height_and_root(u)
+            step = (s - s_end) * u * root / x  # (s - s_end) / (ds / dlog x)
+            log_x -= step
+            u_next = mpmath.sqrt(mpmath.exp(log_x) - t)
+            s += mpmath.quad(ds, [u, u_next])
+            u = u_next
+            if abs(step) < mpmath.mpf(10) ** (5 - dps):
+                break
+        return float(t + u * u), float(mpmath.quad(dphi, splits(u)))
 
 
 def csv_rows_oracle(rows, ncols: int) -> str:

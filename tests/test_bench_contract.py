@@ -52,9 +52,10 @@ def _unused_imports(path: Path) -> list[str]:
     return sorted(name for name in imported if name not in used)
 
 
-@pytest.mark.parametrize(
-    "path", sorted((ROOT / "src" / "hypstab").glob("*.py")), ids=lambda path: path.name
-)
+_PACKAGE = sorted((ROOT / "src" / "hypstab").glob("*.py"))
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda path: path.name)
 def test_every_import_is_used_or_wrapped(path):
     """The project runs no linter, so this stands in for one on unused imports.
     A name only `tracing.WRAPPED` needs stays importable for the tracer; once
@@ -62,6 +63,43 @@ def test_every_import_is_used_or_wrapped(path):
     module = f"hypstab.{path.stem}" if path.stem != "__init__" else "hypstab"
     unused = [name for name in _unused_imports(path) if (module, name) not in tracing.WRAPPED]
     assert unused == [], f"{path.name} imports but never uses {unused}"
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Single-underscore names a module binds at its top level: functions,
+    classes and assignment targets, but not the throwaway `_`."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
+    return {name for name in names if name.startswith("_") and not name.startswith("__") and name != "_"}
+
+
+def _names_read(tree: ast.Module) -> set[str]:
+    """Names a module loads, as bare names, as attributes or by import."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda path: path.name)
+def test_every_private_name_is_read(path):
+    """Dead code stands out here: a module-level private name (a helper, a
+    constant, a tableau entry left behind by a removed routine) that no
+    module of the package reads."""
+    read = set().union(*(_names_read(ast.parse(p.read_text(encoding="utf-8"))) for p in _PACKAGE))
+    unread = sorted(_private_definitions(ast.parse(path.read_text(encoding="utf-8"))) - read)
+    assert unread == [], f"{path.name} defines but nothing reads {unread}"
 
 
 @pytest.mark.parametrize(

@@ -272,14 +272,16 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
         (["embed-export", "--family", "spherical", "--a", "0.8", "--s-max", "400",
           "--s-grid", "5", "--theta-grid", "3"],
          "spherical catenoid embedding overflows at a = 0.8, s = -400.0"),
-        # a is finite, the profile equation's (n - 1)(2n - 1) a^2 is not
-        (["embed-export", "--family", "hyperbolic-curve", "--t", "1e150", "--samples", "3"],
-         "profile equation overflows at n = 2, t = 1e+150: "
-         "(n - 1)(2n - 1) a^2 is not a finite float"),
-        (["embed-export", "--family", "hyperbolic-curve", "--n", "6", "--t", "3.5e25",
+        # a and the coordinates are finite, x^2 is not: from s = 9.9 on at
+        # n = 2, from s = 238 on at n = 6
+        (["embed-export", "--family", "hyperbolic-curve", "--t", "1e150", "--s-max", "15",
           "--samples", "3"],
-         "profile equation overflows at n = 6, t = 3.5e+25: "
-         "(n - 1)(2n - 1) a^2 is not a finite float"),
+         "profile point overflows at n = 2, t = 1e+150, s = 15.0: "
+         "x^2 is not a finite float"),
+        (["embed-export", "--family", "hyperbolic-curve", "--n", "6", "--t", "1.7e51",
+          "--s-max", "300", "--samples", "3"],
+         "profile point overflows at n = 6, t = 1.7e+51, s = 300.0: "
+         "x^2 is not a finite float"),
     ],
     ids=["window-n", "window-t", "window-huge-n", "curve-t", "helicoid-t", "export-s",
          "export-pitch", "export-st", "export-spherical-s", "curve-profile-n2",
@@ -293,6 +295,35 @@ def test_overflow_names_its_input(tmp_path, capsys, argv, message):
     assert f"numerical failure: {message}" in err
     assert "RuntimeWarning" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("n, t", [(2, "8.8e76"), (6, "3.5e25")])
+def test_curve_exports_where_a_squared_overflows(tmp_path, n, t):
+    """(n - 1)(2n - 1) a^2 is not a finite float at these necks; the profile
+    never forms it, so the default export runs and stays on the sheet."""
+    code, out = invoke(tmp_path, "curve.csv", ["embed-export", "--family", "hyperbolic-curve",
+                                               "--n", str(n), "--t", t])
+    assert code == EXIT_OK
+    _, _, rows = read_table(out)
+    assert len(rows) == 101
+    assert all(on_hyperboloid(row[1:], 1e-8) for row in rows)
+
+
+def test_near_neck_curve_turns_toward_a_quarter_circle(tmp_path):
+    """At t = 1 + 1e-8 the rotation angle jumps toward pi/2 within
+    s ~ 1e-4 of the neck: every row past the neck has z > 0 and an angle
+    that rises inside [0, pi/2), and the neck row is (t, 0, sqrt(t^2 - 1))."""
+    t = 1.00000001
+    code, out = invoke(tmp_path, "neck.csv", ["embed-export", "--family", "hyperbolic-curve",
+                                              "--t", str(t), "--s-max", "12", "--samples", "7"])
+    assert code == EXIT_OK
+    _, _, rows = read_table(out)
+    neck = math.sqrt((t - 1.0) * (t + 1.0))
+    assert rows[0] == [0.0, t, 0.0, float("%.15g" % neck)]
+    assert all(row[3] > 0.0 for row in rows)
+    phi = [math.atan2(row[2], row[3]) for row in rows]
+    assert all(0.0 <= a <= b < math.pi / 2 for a, b in zip(phi, phi[1:]))
+    assert phi[-1] > 1.57
 
 
 @pytest.mark.parametrize("target", ["missing/x.json", "."])

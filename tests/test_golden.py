@@ -13,10 +13,11 @@ lowest_eigenvalues list is empty, and mode-0 eigenvalues moved in their last
 digits with the factored |A|^2.  index-unconverged was recorded again when
 the boundary-angle slope came to decide mode 0: its count of 1 is now
 converged, where a margin count on a refined grid used to disagree.
-The five curve-* digests were recorded when the curve export came to take
-the integrator's own steps and reach each sample by one partial step: the
-rows moved by at most 1.2e-9 relative, well inside the 1e-8 the profile is
-held to.
+The five curve-* digests were recorded when the profile became a
+Gauss-Legendre quadrature in the height, with each sample interpolated on
+its panel's nodes: the rows moved by at most 7.7e-10 relative, the global
+error of the Cash-Karp integration it replaced; the new rows agree with an
+mpmath integration of the first integral to a few units of 1e-15.
 The exports of all three families, a JSON export, the other commands that
 share the CSV renderer, and the JSON-only commands (find-c0, index,
 criteria with every certificate) are covered.  The index digests include a
@@ -52,27 +53,27 @@ GOLDEN = {
     ),
     "curve-default": (
         ["embed-export", "--family", "hyperbolic-curve"],
-        "1157a7bd7fd370e4fb1a02c5feaffe12fdf26295048b197fa924bbbd5439502d",
+        "61b8ca91f195424423f2ee99b9bc94d69a1424f8224a89f516c138326dfe9648",
     ),
     "curve-n3": (
         ["embed-export", "--family", "hyperbolic-curve", "--n", "3", "--t", "1.2",
          "--samples", "257", "--s-max", "4"],
-        "77747b48d50a49f701d817e8c69cf582168533487b05677604cd73aaf2a4ee42",
+        "e8492fdeacafe41ebacb4fe3e99009af0da4bb714bb3b1157ae22d0e163ad154",
     ),
     "curve-n6": (
         ["embed-export", "--family", "hyperbolic-curve", "--n", "6", "--t", "3",
          "--s-max", "7.5", "--samples", "1500"],
-        "145742cd0211b84a027af102dfa638a370c97b9115454bf671bebc131c12a65c",
+        "34576f01bc73d2490ed4ef806605a94ab01530da042aad1302adc7cc90a2a366",
     ),
     "curve-far": (
         ["embed-export", "--family", "hyperbolic-curve", "--samples", "2001",
          "--s-max", "20"],
-        "a0f6b1d168f7f0a0d89f2e932ac0026fa5873b8a15994c5c0366ad95ed32c066",
+        "ba21c9f4bd37c9149ad80b10eb7d7c51163e70159959d2ff5771d624c318133b",
     ),
     "curve-near-neck-json": (
         ["embed-export", "--family", "hyperbolic-curve", "--n", "4", "--t", "1.01",
          "--s-max", "5", "--samples", "333", "--format", "json"],
-        "4eaf34851ccb889ac469a5d97ddacc2bd1a5245337ccee218de0667ecd3d1c12",
+        "3a39bed309e263daa3e7de823817a3ce619906d8266d335b87ca85bca29849a0",
     ),
     "spherical-bench": (
         ["embed-export", "--family", "spherical", "--a", "0.9", "--s-max", "5",

@@ -1,5 +1,6 @@
-"""Hyperbolic catenoid profiles against a fixed-step RK4 oracle, plus the
-closed-form geometry at the neck and the stability window."""
+"""Hyperbolic catenoid profiles against a fixed-step RK4 oracle, an mpmath
+profile reference and the n = 2 closed form, plus the closed-form geometry
+at the neck and the stability window."""
 
 import math
 import re
@@ -69,11 +70,14 @@ def test_catenoid_constructor():
 
 
 def test_profile_endpoints_are_exact():
+    """The samples are the pass's panel edges below s_max, then s_max."""
     cat = HyperbolicCatenoid(2, 1.5)
     samples = integrate_profile(cat, 3.0)
     assert samples[0] == ProfileSample(0.0, 1.5, 0.0)
     assert samples[-1].s == 3.0
-    assert len(samples) > 10
+    edges = hyperbolic_catenoid._profile_pass(cat, 3.0).s0
+    assert [smp.s for smp in samples[:-1]] == edges[edges < 3.0].tolist()
+    assert len(samples) >= 3
 
 
 def test_profile_height_strictly_increases():
@@ -159,13 +163,27 @@ def test_principal_curvatures_neck_and_trace():
     assert lam1 == pytest.approx(-math.sqrt(3.0) / 2.0, rel=1e-14)
     for n, t in GRID:
         cat = HyperbolicCatenoid(n, t)
-        for smp in integrate_profile(cat, 2.0)[::7]:
+        eps = math.sqrt((t - 1.0) * (t + 1.0)) / t
+        for smp in integrate_profile(cat, 40.0):
             lam1, lam2 = principal_curvatures(cat, smp)
-            assert lam1 + (n - 1) * lam2 == pytest.approx(0.0, abs=1e-13)
-            # curvature norm consistency with the two eigenvalues
+            kappa = eps * (t / smp.x) ** n  # a x^(-n)
+            assert lam2 == pytest.approx(kappa, rel=1e-13)
+            assert lam1 == pytest.approx(-(n - 1) * kappa, rel=1e-13)
             assert lam1 * lam1 + (n - 1) * lam2 * lam2 == pytest.approx(
-                norm_A_sq(cat, smp), abs=1e-8
+                norm_A_sq(cat, smp), rel=1e-13
             )
+
+
+@pytest.mark.parametrize("n, t, s, want", [(4, 2.0, 10.0, 1.01e-17), (2, 1.5, 15.0, 1.79e-13)])
+def test_orbit_curvature_far_from_the_neck(n, t, s, want):
+    """The radicand x^2 - x'^2 - 1 cancels to rounding here; the closed
+    form a x^(-n) does not."""
+    cat = HyperbolicCatenoid(n, t)
+    smp = integrate_profile(cat, s)[-1]
+    kappa = cat.a * smp.x ** -n
+    assert kappa == pytest.approx(want, rel=0.01)
+    assert principal_curvatures(cat, smp)[1] == pytest.approx(kappa, rel=1e-13)
+    assert norm_A_sq(cat, smp) == pytest.approx(n * (n - 1) * kappa**2, rel=1e-13)
 
 
 def test_principal_curvatures_degenerate_radicand():
@@ -206,20 +224,31 @@ def test_shape_constant_stays_finite_below_the_float_range():
     assert shape_constant(1000, 1.5) == pytest.approx(1.5**999 * math.sqrt(1.25), rel=1e-12)
 
 
-@pytest.mark.parametrize("n, t", [(2, 1e150), (2, 8.8e76), (3, 1.7e51), (6, 3.5e25)])
-def test_profile_equation_overflow_names_n_and_t(n, t):
-    """A neck whose shape constant is finite but too large for the profile
-    equation builds, and both sweeps fail at the launch naming n and t."""
+@pytest.mark.parametrize("n, t", [(2, 8.8e76), (3, 1.7e51), (6, 3.5e25)])
+def test_former_equation_overflows_integrate(n, t):
+    """(n - 1)(2n - 1) a^2 is not a finite float at these necks, and no part
+    of the profile forms it: both sweeps run, and the rows are on the sheet."""
     cat = HyperbolicCatenoid(n, t)
     assert stability_window_max_t(n) > 1.0 and not is_stable_by_window(cat)
-    message = re.escape(
-        f"profile equation overflows at n = {n}, t = {t}: "
-        "(n - 1)(2n - 1) a^2 is not a finite float"
-    )
-    with pytest.raises(ProfileError, match=f"^{message}$"):
-        integrate_profile(cat, 1.0)
-    with pytest.raises(ProfileError, match=f"^{message}$"):
-        generating_curve_points(cat, [0.0, 0.5, 1.0])
+    assert not math.isfinite((n - 1) * (2 * n - 1) * cat.a * cat.a)
+    samples = integrate_profile(cat, 1.0)
+    assert samples[-1].s == 1.0 and math.isfinite(samples[-1].x)
+    rows = generating_curve_points(cat, np.linspace(0.0, 15.0, 31))
+    assert on_hyperboloid_rows(rows, 1e-8).all()
+    assert (np.diff(rows[:, 0]) > 0.0).all()
+
+
+@pytest.mark.parametrize("n, t", [(2, 1e150)])
+def test_profile_point_overflow_names_n_t_and_s(n, t):
+    """From s = 9.9 on the height exceeds 1.3e154, so x^2 and the point's
+    Minkowski square are not finite floats; the first such row is named."""
+    cat = HyperbolicCatenoid(n, t)
+    assert integrate_profile(cat, 9.0)[-1].s == 9.0
+    message = re.escape(f"profile point overflows at n = {n}, t = {t}, s = ")
+    with pytest.raises(ProfileError, match=f"^{message}\\S+: x\\^2 is not a finite float$"):
+        integrate_profile(cat, 15.0)
+    with pytest.raises(ProfileError, match=f"^{message}15\\.0: x\\^2 is not a finite float$"):
+        generating_curve_points(cat, [0.0, 7.5, 15.0])
 
 
 @pytest.mark.parametrize("n, t", [(2, 8.7e76), (6, 3.4e25)])
@@ -307,33 +336,29 @@ def test_curve_sweep_is_one_array_of_sheet_points(n, t, targets):
     assert np.abs(rows[-1] - fresh).max() <= 1e-8 * np.abs(fresh).max()
 
 
-@pytest.mark.parametrize("t", [1.01, 1.5, 3.0])
+@pytest.mark.parametrize("t", [1.0001, 1.01, 1.5, 3.0])
 def test_n2_export_matches_the_elementary_profile(t):
     """At n = 2 the profile is elementary: x^2 = 1/2 + sqrt(1/4 + a^2) cosh 2s."""
     cat = HyperbolicCatenoid(2, t)
     s = np.linspace(0.0, 7.5, 2001)
     want = np.sqrt(0.5 + math.sqrt(0.25 + cat.a * cat.a) * np.cosh(2.0 * s))
     got = generating_curve_points(cat, s)[:, 0]
-    assert np.abs(got / want - 1.0).max() <= 1e-8
+    assert np.abs(got / want - 1.0).max() <= 1e-13
 
 
-@pytest.mark.parametrize(
-    "n, t, s_max, k", [(2, 1.5, 3.0, 101), (3, 1.2, 7.5, 777), (6, 3.0, 4.0, 333)]
-)
-def test_each_row_is_one_float_step_from_its_accepted_state(n, t, s_max, k):
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("t_minus_1", [1e-12, 1e-8, 1e-6, 1e-4, 0.05, 0.5])
+def test_profile_matches_the_mpmath_reference_near_the_neck(n, t_minus_1):
+    """Height and rotation angle at s = 12 against an mpmath integration of
+    the first integral; near t = 1 the angle's peak at the neck has width
+    sqrt(t^2 - 1)/t, and the angle tends to pi/2."""
+    t = 1.0 + t_minus_1
+    x_want, phi_want = oracles.profile_reference(n, t, 12.0)
     cat = HyperbolicCatenoid(n, t)
-    targets = np.linspace(0.0, s_max, k)
-    rows = generating_curve_points(cat, targets)
-    nodes, states = hyperbolic_catenoid._profile_pass(cat, s_max)
-    for target, row in zip(targets.tolist(), rows):
-        k_node = np.searchsorted(nodes, target, side="right") - 1
-        s_node, y = nodes[k_node], states[k_node]
-        (x, _, p), _ = hyperbolic_catenoid._ck_step(cat, y, target - s_node)
-        r = math.sqrt(x * x - 1.0)
-        want = np.array([x, r * math.sin(p), r * math.cos(p)])
-        assert np.abs(row - want).max() <= 1e-14 * np.abs(want).max(), target
-        if target == s_node:  # h = 0: the accepted state itself
-            assert row[0] == y[0]
+    x, y, z = generating_curve_points(cat, [0.0, 12.0])[1]
+    assert x == pytest.approx(x_want, rel=1e-12)
+    assert math.atan2(y, z) == pytest.approx(phi_want, abs=1e-12)
+    assert integrate_profile(cat, 12.0)[-1].x == pytest.approx(x_want, rel=1e-12)
 
 
 @pytest.mark.parametrize("s_max", [1e-12, 1e-9])
@@ -348,52 +373,55 @@ def test_profile_too_short_to_move_the_height_returns(s_max):
         assert xs[-1] == pytest.approx(t, rel=1e-15)
 
 
-def test_profile_height_may_not_decrease(monkeypatch):
-    ck_step = hyperbolic_catenoid._ck_step
-
-    def sinking(cat, y, h):
-        if y[0] <= 2.0:
-            return ck_step(cat, y, h)
-        # one ulp below the last accepted state: a valid state, err = 0
-        sunk = (math.nextafter(y[0], 0.0), y[1], y[2])
-        return sunk, sunk
-
-    monkeypatch.setattr(hyperbolic_catenoid, "_ck_step", sinking)
-    with pytest.raises(ProfileError, match="profile height failed to increase"):
-        integrate_profile(HyperbolicCatenoid(2, 1.5), 3.0)
+def test_profile_height_may_not_decrease():
+    """Arclengths one ulp apart interpolate to heights that may round
+    either way; the rows' heights still never step back."""
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        n = int(rng.integers(2, 7))
+        t = 1.0 + 10.0 ** rng.uniform(-12.0, 0.3)
+        base = np.sort(rng.uniform(0.0, 7.5, 20))
+        s = np.sort(np.concatenate((base, np.nextafter(base, np.inf), base[:3])))
+        rows = generating_curve_points(HyperbolicCatenoid(n, t), s)
+        assert (np.diff(rows[:, 0]) >= 0.0).all(), (n, t)
 
 
 def test_accepted_state_breaking_the_first_integral_is_named(monkeypatch):
-    """Once x > 2 every step returns its state with the slope raised by half,
-    with err 0, so it is accepted; the first such state names its arclength."""
+    """Every row with x > t sqrt(2) gets its slope raised by half after the
+    pass; the first such row names its arclength and its drift."""
     cat = HyperbolicCatenoid(2, 1.5)
-    heights = {smp.x: smp.s for smp in integrate_profile(cat, 3.0)}
-    ck_step = hyperbolic_catenoid._ck_step
-    first = []
+    sweeps = {
+        "profile": (lambda: integrate_profile(cat, 3.0),
+                    np.array([smp.s for smp in integrate_profile(cat, 3.0)])),
+        "export": (lambda: generating_curve_points(cat, np.linspace(0.0, 3.0, 7)),
+                   np.linspace(0.0, 3.0, 7)),
+    }
+    first = {}
+    for name, (_, s) in sweeps.items():
+        x = generating_curve_points(cat, s)[:, 0]
+        k = int(np.argmax(x > 1.5 * math.sqrt(2.0)))
+        slope = 1.5 * math.sqrt(x[k] ** 2 - 1.0 - cat.a**2 / x[k] ** 2)
+        residual = (slope / x[k]) ** 2 - (1.0 - 1.0 / x[k] ** 2 - cat.a**2 / x[k] ** 4)
+        first[name] = (s[k], residual)
+    slope_factor = hyperbolic_catenoid._slope_factor
 
-    def drifting(cat, y, h):
-        hi, lo = ck_step(cat, y, h)
-        if y[0] <= 2.0:
-            return hi, lo
-        bad = (hi[0], 1.5 * hi[1], hi[2])
-        if not first:
-            first.append((heights[y[0]] + h, bad))
-        return bad, bad
+    def drifting(cat, eps, sinh_sq):
+        q = slope_factor(cat, eps, sinh_sq)
+        # the rows ask for one dimension, the pass for a (panels, nodes) grid
+        return np.where(sinh_sq > 1.0, 1.5 * q, q) if sinh_sq.ndim == 1 else q
 
-    monkeypatch.setattr(hyperbolic_catenoid, "_ck_step", drifting)
-    for integrate in (lambda: integrate_profile(cat, 3.0),
-                      lambda: generating_curve_points(cat, [1.0, 3.0])):
-        first.clear()
+    monkeypatch.setattr(hyperbolic_catenoid, "_slope_factor", drifting)
+    for name, (sweep, _) in sweeps.items():
+        s, residual = first[name]
         with pytest.raises(ProfileError) as info:
-            integrate()
-        s, (x, v, _) = first[0]
-        residual = v * v - (x * x - 1.0 - cat.a * cat.a * x ** -2)
-        assert str(info.value) == (
-            f"first-integral drift {residual:.3e} at s = {s} exceeds tolerance"
-        )
+            sweep()
+        named = re.fullmatch(r"first-integral drift (\S+) at s = (\S+) exceeds tolerance",
+                             str(info.value))
+        assert named and named[2] == str(s), name
+        assert float(named[1]) == pytest.approx(residual, rel=1e-3), name
 
 
-def test_one_state_check_per_pass_and_two_per_export(monkeypatch):
+def test_one_row_check_per_pass(monkeypatch):
     check_rows = hyperbolic_catenoid._check_rows
     calls = []
 
@@ -404,34 +432,21 @@ def test_one_state_check_per_pass_and_two_per_export(monkeypatch):
     monkeypatch.setattr(hyperbolic_catenoid, "_check_rows", counting)
     cat = HyperbolicCatenoid(3, 1.2)
     samples = integrate_profile(cat, 7.5)
-    assert calls == [len(samples) - 1]  # every state past the neck, at once
+    assert calls == [len(samples)]  # every sample, the neck included, at once
     calls.clear()
     generating_curve_points(cat, np.linspace(0.0, 7.5, 500))
-    assert calls == [len(samples) - 1, 500]
+    assert calls == [500]
     calls.clear()
     generating_curve_points(cat, [0.0, 0.0])  # no pass: the neck only
     assert calls == [2]
 
 
-def test_launch_state_is_checked(monkeypatch):
-    launch = hyperbolic_catenoid._launch
-
-    def below_the_neck(cat, s_end):
-        s0, (x, v, p) = launch(cat, s_end)
-        return s0, (cat.t - 0.1, v, p)
-
-    monkeypatch.setattr(hyperbolic_catenoid, "_launch", below_the_neck)
-    with pytest.raises(ProfileError, match=r"^profile height 1\.4 fell below the neck 1\.5 at s = 0\.001$"):
-        integrate_profile(HyperbolicCatenoid(2, 1.5), 3.0)
-    with pytest.raises(ProfileError, match="fell below the neck"):
-        generating_curve_points(HyperbolicCatenoid(2, 1.5), [1.0])
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 6), st.floats(1.01, 5.0), st.floats(1e-6, 15.0))
 def test_accepted_heights_are_the_export_rows(n, t, s_max):
-    """The profile and the export make one pass: at every accepted
-    arclength the export's row is the accepted height, bit for bit."""
+    """The profile and the export make one pass: at every sample's
+    arclength (panel edges and s_max) the export's row is the sample's
+    height, bit for bit."""
     cat = HyperbolicCatenoid(n, t)
     samples = integrate_profile(cat, s_max)
     rows = generating_curve_points(cat, [smp.s for smp in samples])
@@ -439,82 +454,66 @@ def test_accepted_heights_are_the_export_rows(n, t, s_max):
 
 
 def test_export_work_does_not_grow_with_the_samples(monkeypatch):
-    """The export takes the integrator's own steps and one array step for
-    all samples, however many there are."""
-    ck_step = hyperbolic_catenoid._ck_step
-    calls = {"float": 0, "array": 0}
+    """The export makes the profile's one pass, whose rates are evaluated
+    at the panel nodes only, however many samples it asks for."""
+    rates = hyperbolic_catenoid._rates
+    calls = []
 
-    def counting(cat, y, h):
-        calls["array" if isinstance(h, np.ndarray) else "float"] += 1
-        return ck_step(cat, y, h)
+    def counting(cat, v):
+        calls.append(v.size)
+        return rates(cat, v)
 
-    monkeypatch.setattr(hyperbolic_catenoid, "_ck_step", counting)
+    monkeypatch.setattr(hyperbolic_catenoid, "_rates", counting)
     cat = HyperbolicCatenoid(3, 1.2)
     integrate_profile(cat, 7.5)
-    free = dict(calls)
-    assert free["array"] == 0
+    free = list(calls)
+    assert len(free) == 1
     for k in (200, 2000):
-        calls.update(float=0, array=0)
+        calls.clear()
         generating_curve_points(cat, np.linspace(0.0, 7.5, k))
-        assert calls == {"float": free["float"], "array": 1}, k
+        assert calls == free, k
 
 
-def test_overflow_in_a_step_is_a_profile_error(monkeypatch, tmp_path, capsys):
-    phi_rate = hyperbolic_catenoid._phi_rate
+def test_overflow_in_the_pass_is_a_profile_error(monkeypatch, tmp_path, capsys):
+    """Rates that overflow past v = 1 make every later row non-finite: a
+    typed failure naming the first such arclength, without a RuntimeWarning."""
+    rates = hyperbolic_catenoid._rates
 
-    def overflowing(cat, x):
-        if x > 2.0:  # the launch at the neck and the first steps still pass
-            raise OverflowError("math range error")
-        return phi_rate(cat, x)
+    def overflowing(cat, v):
+        ds, dphi = rates(cat, v)
+        return ds, np.where(v > 1.0, np.inf, dphi)
 
-    monkeypatch.setattr(hyperbolic_catenoid, "_phi_rate", overflowing)
-    with pytest.raises(ProfileError, match="profile state overflowed"):
-        generating_curve_points(HyperbolicCatenoid(2, 1.5), [0.5, 1.0, 2.0])
-    out = tmp_path / "curve.csv"
-    code = main(["embed-export", "--family", "hyperbolic-curve", "--output", str(out)])
-    assert code == EXIT_NUMERICAL
-    assert "profile state overflowed" in capsys.readouterr().err
-    assert not out.exists()
-
-
-def test_overflow_in_the_array_step_is_a_profile_error(monkeypatch, tmp_path, capsys):
-    """The float steps pass and only the array step overflows: a typed
-    failure naming the first failing arclength, without a RuntimeWarning."""
-    accel = hyperbolic_catenoid._accel
-
-    def overflowing(cat, x):
-        return np.full_like(x, np.inf) if isinstance(x, np.ndarray) else accel(cat, x)
-
-    monkeypatch.setattr(hyperbolic_catenoid, "_accel", overflowing)
+    monkeypatch.setattr(hyperbolic_catenoid, "_rates", overflowing)
+    cat = HyperbolicCatenoid(2, 1.5)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ProfileError, match=r"^non-finite profile state at s = 0\.5$"):
-            generating_curve_points(HyperbolicCatenoid(2, 1.5), [0.5, 1.0, 2.0])
+        assert generating_curve_points(cat, [0.0, 0.5]).shape == (2, 3)
+        with pytest.raises(ProfileError, match=r"^non-finite profile state at s = 1\.0$"):
+            generating_curve_points(cat, [0.5, 1.0, 2.0])
         out = tmp_path / "curve.csv"
-        code = main(["embed-export", "--family", "hyperbolic-curve", "--output", str(out)])
+        code = main(["embed-export", "--family", "hyperbolic-curve", "--s-max", "2",
+                     "--samples", "3", "--output", str(out)])
     assert code == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert err.splitlines() == [
-        "hypstab embed-export: numerical failure: non-finite profile state at s = 0.0"
+    assert capsys.readouterr().err.splitlines() == [
+        "hypstab embed-export: numerical failure: non-finite profile state at s = 1.0"
     ]
     assert not out.exists()
 
 
-def test_partial_step_beyond_the_step_tolerance_is_a_profile_error(monkeypatch):
-    """A partial step whose own error estimate exceeds DEFAULT_STEP_TOL is
-    rejected like a failed accepted state, naming its arclength."""
-    ck_step = hyperbolic_catenoid._ck_step
+def test_row_beyond_the_error_tolerance_is_a_profile_error(monkeypatch):
+    """A ripple in the angle's rate past v = 1 leaves a Legendre tail far
+    above the row tolerance in those panels: the first row there is named,
+    and rows before it pass."""
+    rates = hyperbolic_catenoid._rates
 
-    def loose(cat, y, h):
-        hi, lo = ck_step(cat, y, h)
-        if isinstance(h, np.ndarray):
-            lo = (lo[0] + np.where(h > 0.0, 1e-6, 0.0), lo[1], lo[2])
-        return hi, lo
+    def rippled(cat, v):
+        ds, dphi = rates(cat, v)
+        return ds, dphi + np.where(v > 1.0, 1e-6 * np.cos(300.0 * v), 0.0)
 
-    monkeypatch.setattr(hyperbolic_catenoid, "_ck_step", loose)
+    monkeypatch.setattr(hyperbolic_catenoid, "_rates", rippled)
     cat = HyperbolicCatenoid(2, 1.5)
-    assert generating_curve_points(cat, [0.0, 2.0]).shape == (2, 3)  # h = 0 only
-    with pytest.raises(ProfileError, match=r"^partial step to s = 0\.5 has error estimate"):
+    assert generating_curve_points(cat, [0.0, 0.5]).shape == (2, 3)
+    with pytest.raises(ProfileError, match=r"^profile row at s = 1\.0 has error estimate \S+ above"):
         generating_curve_points(cat, [0.0, 0.5, 1.0, 2.0])
 
 
