@@ -474,9 +474,10 @@ def test_export_work_does_not_grow_with_the_samples(monkeypatch):
         assert calls == free, k
 
 
-def test_overflow_in_the_pass_is_a_profile_error(monkeypatch, tmp_path, capsys):
-    """Rates that overflow past v = 1 make every later row non-finite: a
-    typed failure naming the first such arclength, without a RuntimeWarning."""
+def test_overflow_in_a_step_is_a_profile_error(monkeypatch, tmp_path, capsys):
+    """Rates that overflow past v = 1 in the quadrature pass make every
+    later row non-finite: a typed failure naming the first such arclength,
+    without a RuntimeWarning."""
     rates = hyperbolic_catenoid._rates
 
     def overflowing(cat, v):
@@ -496,6 +497,31 @@ def test_overflow_in_the_pass_is_a_profile_error(monkeypatch, tmp_path, capsys):
     assert code == EXIT_NUMERICAL
     assert capsys.readouterr().err.splitlines() == [
         "hypstab embed-export: numerical failure: non-finite profile state at s = 1.0"
+    ]
+    assert not out.exists()
+
+
+def test_overflow_in_the_array_step_is_a_profile_error(monkeypatch, tmp_path, capsys):
+    """The pass stays finite and only the array evaluation of the rows
+    overflows: a typed failure naming the first failing arclength, without
+    a RuntimeWarning."""
+    slope_factor = hyperbolic_catenoid._slope_factor
+
+    def overflowing(cat, eps, sinh_sq):
+        # the rows ask for one dimension, the pass for a (panels, nodes) grid
+        q = slope_factor(cat, eps, sinh_sq)
+        return np.full_like(q, np.inf) if sinh_sq.ndim == 1 else q
+
+    monkeypatch.setattr(hyperbolic_catenoid, "_slope_factor", overflowing)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ProfileError, match=r"^non-finite profile state at s = 0\.5$"):
+            generating_curve_points(HyperbolicCatenoid(2, 1.5), [0.5, 1.0, 2.0])
+        out = tmp_path / "curve.csv"
+        code = main(["embed-export", "--family", "hyperbolic-curve", "--output", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        "hypstab embed-export: numerical failure: non-finite profile state at s = 0.0"
     ]
     assert not out.exists()
 
