@@ -35,8 +35,6 @@ from .quadrature import (
     QuadratureError,
     QuadratureResult,
     find_root_bracketed,
-    integrate_adaptive,
-    integrate_semi_infinite,
 )
 from .spectral import (
     IndexReport,
@@ -62,8 +60,6 @@ __all__ = [
     "on_hyperboloid",
     "QuadratureError",
     "QuadratureResult",
-    "integrate_adaptive",
-    "integrate_semi_infinite",
     "find_root_bracketed",
     "SphericalCatenoid",
     "F",

@@ -88,7 +88,7 @@ def shape_constant(n: int, t: float) -> float:
     if not (math.isfinite(t) and t >= 1.0):
         raise ValueError(f"neck height t must satisfy t >= 1, got {t}")
     try:
-        a = t ** (n - 1) * math.sqrt(t * t - 1.0)
+        a = t ** (n - 1) * math.sqrt((t - 1.0) * (t + 1.0))
     except OverflowError:
         a = math.inf
     if not math.isfinite(a):
@@ -344,8 +344,7 @@ def integrate_profile(
 def norm_A_sq(cat: HyperbolicCatenoid, sample: ProfileSample) -> float:
     """Squared norm n(n-1) kappa^2 of the second fundamental form at a
     profile sample, kappa = eps (t/x)^n the orbit curvature; a sample that
-    fails the radicand cross-check of `principal_curvatures` raises
-    ProfileError."""
+    fails the state check of `principal_curvatures` raises ProfileError."""
     return cat.n * (cat.n - 1) * principal_curvatures(cat, sample)[1] ** 2
 
 
@@ -364,26 +363,18 @@ def principal_curvatures(
 
     The orbit curvature is the closed form kappa = eps (t/x)^n = a x^(-n),
     of multiplicity n - 1, and the profile curvature is -(n-1) kappa, so
-    the trace vanishes.  The radicand x^2 - x'^2 - 1 equals (kappa x)^2 on
-    the profile but cancels to rounding far from the neck, so it only
-    cross-checks the sample: with g = 1/x, 1 - (x'g)^2 - g^2 must match
-    kappa^2 within 1e-9 and must not be negative beyond rounding, or the
-    sample does not come from this profile and ProfileError says so.
+    the trace vanishes.  The sample is checked as the state (x, |x'|) by
+    `_check_rows`, whose first-integral residual is kappa^2 minus the
+    radicand 1 - (x'/x)^2 - 1/x^2, so a sample that does not come from this
+    profile raises ProfileError; |x'| admits the mirrored branch s < 0.
     """
     t, _, eps = _neck(cat)
-    x, v = sample.x, sample.x_prime
+    x = sample.x
     if not (math.isfinite(x) and x >= 1.0):
         raise ValueError(f"sample height must satisfy x >= 1, got {x}")
-    g = 1.0 / x
-    kappa = eps * (t * g) ** cat.n
-    radicand = (1.0 - (v * g) ** 2) - g * g
-    if radicand < -1e-9:
-        raise ProfileError(f"degenerate curvature radicand {radicand:.3e} at s = {sample.s}")
-    if abs(radicand - kappa * kappa) > 1e-9:
-        raise ProfileError(
-            f"curvature cross-check failed at s = {sample.s}: radicand "
-            f"{radicand:.12e} vs {kappa * kappa:.12e} from the closed form"
-        )
+    state = np.array([[x], [abs(sample.x_prime)], [0.0]])
+    _check_rows(cat, np.array([sample.s]), state, np.zeros(1))
+    kappa = eps * (t / x) ** cat.n
     return -(cat.n - 1) * kappa, kappa
 
 

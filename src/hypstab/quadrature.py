@@ -1,10 +1,15 @@
-"""Adaptive quadrature with error estimates, plus bracketed root finding.
+"""Quadrature results and errors, bracketed root finding, and the G7/K15
+integrators kept as references.
 
-Finite intervals use a 7-point Gauss / 15-point Kronrod pair with adaptive
-panel bisection: the worst panel (largest error estimate) is split until the
-summed estimate meets the tolerance or the evaluation budget runs out.
-Semi-infinite integrals of exponentially decaying integrands are truncated at
-a point where a probe-based tail bound certifies the discarded mass.
+No command integrates: F, the curvature mass and the rotation angle are
+closed forms.  The package uses QuadratureResult, QuadratureError and the
+bracketed root finder.  The integrators stay as the tests' references and
+are importable from this module only.  Finite intervals use a 7-point
+Gauss / 15-point Kronrod pair with adaptive panel bisection: the worst panel
+(largest error estimate) is split until the summed estimate meets the
+tolerance or the evaluation budget runs out.  Semi-infinite integrals of
+exponentially decaying integrands are truncated at a point where a
+probe-based tail bound certifies the discarded mass.
 
 All failures raise QuadratureError and carry enough context (offending
 abscissa, partial result) to diagnose the integrand.
@@ -59,10 +64,6 @@ _WG = (
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
 )
-
-_X0, _X1, _X2, _X3, _X4, _X5, _X6, _ = _XGK
-_K0, _K1, _K2, _K3, _K4, _K5, _K6, _K7 = _WGK
-_G0, _G1, _G2, _G3 = _WG
 
 _EVALS_PER_PANEL = 15
 
@@ -129,28 +130,16 @@ def _kronrod_panel(
     All 15 values are computed before the one finiteness check, which
     reports the first non-finite value in that order; an integrand that
     raises after an earlier non-finite value therefore surfaces its own
-    exception.  A panel whose value or error estimate overflows raises
+    exception.  The Kronrod sum, the Gauss sum (odd j) and resasc are then
+    accumulated in loops over j = 0..6, left to right after the midpoint
+    term.  A panel whose value or error estimate overflows raises
     QuadratureError naming [lo, hi].
     """
     half = 0.5 * (hi - lo)
     mid = 0.5 * (hi + lo)
-    d0 = half * _X0
-    d1 = half * _X1
-    d2 = half * _X2
-    d3 = half * _X3
-    d4 = half * _X4
-    d5 = half * _X5
-    d6 = half * _X6
-    xs = (
-        mid,
-        mid - d0, mid + d0,
-        mid - d1, mid + d1,
-        mid - d2, mid + d2,
-        mid - d3, mid + d3,
-        mid - d4, mid + d4,
-        mid - d5, mid + d5,
-        mid - d6, mid + d6,
-    )
+    xs = [mid]
+    for x in _XGK[:7]:
+        xs += (mid - half * x, mid + half * x)
     ys = list(map(f, xs))
     if not math.isfinite(sum(ys)):
         # the sum of finite values may overflow: only a non-finite value fails
@@ -160,27 +149,18 @@ def _kronrod_panel(
                     f"integrand returned non-finite value {y!r} at abscissa {x!r}",
                     abscissa=x,
                 )
-    fm, l0, h0, l1, h1, l2, h2, l3, h3, l4, h4, l5, h5, l6, h6 = ys
 
-    s1 = l1 + h1
-    s3 = l3 + h3
-    s5 = l5 + h5
-    resk = (
-        _K7 * fm + _K0 * (l0 + h0) + _K1 * s1 + _K2 * (l2 + h2) + _K3 * s3
-        + _K4 * (l4 + h4) + _K5 * s5 + _K6 * (l6 + h6)
-    )
-    resg = _G3 * fm + _G0 * s1 + _G1 * s3 + _G2 * s5
+    pairs = list(zip(ys[1::2], ys[2::2]))  # (f(mid - d_j), f(mid + d_j))
+    resk = _WGK[7] * ys[0]
+    resg = _WG[3] * ys[0]
+    for j, (f_lo, f_hi) in enumerate(pairs):
+        resk += _WGK[j] * (f_lo + f_hi)
+        if j % 2 == 1:
+            resg += _WG[j // 2] * (f_lo + f_hi)
     reskh = 0.5 * resk
-    resasc = (
-        _K7 * abs(fm - reskh)
-        + _K0 * (abs(l0 - reskh) + abs(h0 - reskh))
-        + _K1 * (abs(l1 - reskh) + abs(h1 - reskh))
-        + _K2 * (abs(l2 - reskh) + abs(h2 - reskh))
-        + _K3 * (abs(l3 - reskh) + abs(h3 - reskh))
-        + _K4 * (abs(l4 - reskh) + abs(h4 - reskh))
-        + _K5 * (abs(l5 - reskh) + abs(h5 - reskh))
-        + _K6 * (abs(l6 - reskh) + abs(h6 - reskh))
-    )
+    resasc = _WGK[7] * abs(ys[0] - reskh)
+    for j, (f_lo, f_hi) in enumerate(pairs):
+        resasc += _WGK[j] * (abs(f_lo - reskh) + abs(f_hi - reskh))
 
     value = resk * half
     resasc *= abs(half)

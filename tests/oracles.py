@@ -4,8 +4,9 @@ Everything here deliberately avoids the package's own quadrature and ODE
 machinery: integrals use composite Simpson on a fixed truncated interval,
 profile integration uses classical fixed-step RK4.  Oracle values frozen
 into the tests were produced by exactly these routines.  The exceptions are
-frozen copies of replaced code: kronrod_panel_oracle, the loop-form G7/K15
-panel that the straight-line panel must reproduce bit for bit,
+frozen copies of replaced code: kronrod_panel_oracle, the G7/K15 panel
+with each value checked as it is computed, which the package's panel (one
+check after all 15 values) must reproduce bit for bit,
 sampled_mode_screen, the sampled positivity screen that the closed-form
 screen must agree with wherever the sampled one is sharp,
 rotation_angle_reference, the quadrature of the rotation-angle integrand

@@ -65,6 +65,18 @@ def test_every_import_is_used_or_wrapped(path):
     assert unused == [], f"{path.name} imports but never uses {unused}"
 
 
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda path: path.name)
+def test_star_import_binds_all_of_dunder_all(path):
+    """`from module import *` succeeds and binds every name the module
+    lists in its __all__, so a removal that drops a name's import but
+    leaves the name in __all__ fails here."""
+    module = f"hypstab.{path.stem}" if path.stem != "__init__" else "hypstab"
+    namespace: dict = {}
+    exec(f"from {module} import *", namespace)
+    missing = [name for name in importlib.import_module(module).__all__ if name not in namespace]
+    assert missing == [], f"{module} lists {missing} in __all__ but does not bind them"
+
+
 def _private_definitions(tree: ast.Module) -> set[str]:
     """Single-underscore names a module binds at its top level: functions,
     classes and assignment targets, but not the throwaway `_`."""

@@ -60,6 +60,20 @@ def test_shape_constant_values_and_validation():
         shape_constant(True, 1.5)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("t_minus_1", [1e-12, 1e-9, 1e-6, 1e-4])
+def test_shape_constant_is_free_of_cancellation_near_the_neck(n, t_minus_1):
+    """a = t^(n-1) sqrt(t^2 - 1) against 40-digit mpmath at the same float t;
+    forming t*t - 1 in floats loses up to 1e-10 relative here."""
+    import mpmath
+
+    t = 1.0 + t_minus_1
+    with mpmath.workdps(40):
+        exact = mpmath.mpf(t) ** (n - 1) * mpmath.sqrt(mpmath.mpf(t) ** 2 - 1)
+        rel = abs((shape_constant(n, t) - exact) / exact)
+    assert rel <= 1e-15
+
+
 def test_catenoid_constructor():
     cat = HyperbolicCatenoid(3, 1.5)
     assert cat.a == pytest.approx(shape_constant(3, 1.5), rel=1e-15)
@@ -190,6 +204,16 @@ def test_principal_curvatures_degenerate_radicand():
     cat = HyperbolicCatenoid(2, 1.5)
     with pytest.raises(ProfileError):
         principal_curvatures(cat, ProfileSample(1.0, 1.0, 0.9))
+
+
+def test_principal_curvatures_accept_the_mirrored_branch():
+    """The catenoid is symmetric about its neck: the sample (-s, x, -x')
+    lies on the profile and has the curvatures of (s, x, x')."""
+    cat = HyperbolicCatenoid(3, 1.5)
+    for smp in integrate_profile(cat, 8.0)[1:]:
+        assert smp.x_prime > 0.0
+        mirrored = ProfileSample(-smp.s, smp.x, -smp.x_prime)
+        assert principal_curvatures(cat, mirrored) == principal_curvatures(cat, smp)
 
 
 def test_stability_window_values():
