@@ -198,6 +198,8 @@ def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
         raise ValueError(f"t_min must exceed 1, got {t_min}")
     if not t_max >= t_min:
         raise ValueError(f"need t_max >= t_min, got [{t_min}, {t_max}]")
+    if not math.isfinite(t_max):
+        raise ValueError(f"t_max must be finite, got {t_max}")
     max_t = stability_window_max_t(n)
     rows = []
     for t in np.linspace(t_min, t_max, steps):

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import eigvalsh_tridiagonal
 
 from .spherical_catenoid import SphericalCatenoid, _norm_A_sq, boundary_angle_slope
 
@@ -250,13 +249,18 @@ def count_negative_eigenvalues(
 
 
 def lowest_eigenvalues(disc: SturmLiouvilleDisc, k: int = 3) -> tuple[float, ...]:
-    """The k smallest eigenvalues of the discretized form, ascending.
+    """The min(k, N - 1) smallest eigenvalues of the discretized form,
+    ascending: a grid of N cells has only N - 1 interior nodes.
 
     Solves the symmetric standard form D^{-1/2} K D^{-1/2} of the pencil
     (K, M); the mass matrix is diagonal, so the transformation is exact.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
+    # Imported on first use: at module level scipy.linalg would add about
+    # 0.3 s to every `import hypstab.cli`, and only `index` needs it.
+    from scipy.linalg import eigvalsh_tridiagonal
+
     k_diag, k_off, m_diag = _tridiagonal_system(disc)
     scale = 1.0 / np.sqrt(m_diag)
     d = k_diag * scale * scale

@@ -147,7 +147,7 @@ def phi(cat: SphericalCatenoid, s: float) -> float:
     if s == 0.0:
         return 0.0
     # Imported on first use: at module level scipy.special would add about
-    # 75 ms to every `import hypstab.cli`, whatever the command.
+    # 0.3 s to every `import hypstab.cli`, whatever the command.
     from scipy.special import elliprf, elliprj
 
     a = cat.a

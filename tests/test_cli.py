@@ -129,6 +129,18 @@ def test_hyperbolic_window_table(tmp_path):
         assert bound == pytest.approx(2.0 * (1.0 - 1.0 / (t * t)), rel=1e-12)
 
 
+@pytest.mark.parametrize("t_max", ["inf", "1e400"])
+def test_hyperbolic_window_rejects_an_infinite_t_max(tmp_path, capsys, t_max):
+    # np.linspace to inf warns and fills the grid with NaN
+    code, out = invoke(tmp_path, "inf.csv", ["hyperbolic-window", "--n", "2",
+                                             "--t-max", t_max])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "invalid parameters: t_max must be finite, got inf" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 def test_hyperbolic_window_unstable_region(tmp_path):
     code, out = invoke(
         tmp_path,
@@ -573,13 +585,19 @@ def test_sweep_f_at_large_a_is_certified(tmp_path, a):
     assert err <= 1e-13 * abs(f_val)  # a bound that holds and is also tight
 
 
-def test_module_entry_point_runs_without_warnings():
+def _fresh_python(*args):
+    """Run the interpreter on args in a new process that imports hypstab
+    from this checkout."""
     src = str(Path(hypstab.__file__).resolve().parents[1])
     path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run(
-        [sys.executable, "-W", "error::RuntimeWarning", "-m", "hypstab.cli", "--version"],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
     )
+
+
+def test_module_entry_point_runs_without_warnings():
+    proc = _fresh_python("-W", "error::RuntimeWarning", "-m", "hypstab.cli", "--version")
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     assert proc.stdout == f"hypstab {hypstab.__version__}\n"
@@ -588,15 +606,49 @@ def test_module_entry_point_runs_without_warnings():
 def test_cli_import_leaves_scipy_special_unloaded():
     # the rotation angle, F and the curvature mass import scipy.special on
     # first use, keeping it out of the start-up cost of every command
-    src = str(Path(hypstab.__file__).resolve().parents[1])
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    code = "import sys, hypstab.cli; print('scipy.special' in sys.modules)"
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path}, timeout=60,
-    )
+    proc = _fresh_python("-c", "import sys, hypstab.cli; print('scipy.special' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "False\n"
+
+
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # only `index` needs the eigen-solver, so it is imported on first use
+    code = ("import sys, hypstab; print('scipy.linalg' in sys.modules); "
+            "import hypstab.cli; print('scipy.linalg' in sys.modules)")
+    proc = _fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\nFalse\n"
+
+
+def test_curve_and_window_commands_load_no_scipy(tmp_path):
+    code = (
+        "import sys, hypstab.cli as cli\n"
+        "out = sys.argv[1]\n"
+        "print(cli.main(['embed-export', '--family', 'hyperbolic-curve', "
+        "'--output', out + '/curve.csv']), "
+        "cli.main(['hyperbolic-window', '--output', out + '/window.csv']), "
+        "[m for m in ('scipy.linalg', 'scipy.special') if m in sys.modules])\n"
+    )
+    proc = _fresh_python("-c", code, str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "0 0 []\n"
+    assert proc.stderr == ""
+
+
+def test_index_in_a_fresh_process_loads_scipy_linalg_on_first_use(tmp_path):
+    argv = ["index", "--a", "0.9", "--radius", "6", "--nodes", "400", "--m-max", "2"]
+    code = (
+        "import sys, hypstab.cli as cli\n"
+        "print('scipy.linalg' in sys.modules, cli.main(sys.argv[1:]), "
+        "'scipy.linalg' in sys.modules)\n"
+    )
+    fresh = tmp_path / "fresh.json"
+    proc = _fresh_python("-c", code, *argv, "--output", str(fresh))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False 0 True\n"
+    status, here = invoke(tmp_path, "here.json", argv)
+    assert status == EXIT_OK
+    assert fresh.read_bytes() == here.read_bytes()
 
 
 def test_numerical_failure_exit_code(tmp_path):

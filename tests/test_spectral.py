@@ -97,6 +97,14 @@ def test_zero_pivot_retry():
     assert lams[2] == pytest.approx(math.sqrt(2.0), abs=1e-12)
 
 
+def test_lowest_eigenvalues_stop_at_the_interior_nodes():
+    # N cells leave N - 1 interior unknowns, so k past that returns them all
+    disc = flat_disc(0.0, math.pi, 100)
+    lams = lowest_eigenvalues(disc, 5000)
+    assert len(lams) == 99
+    assert list(lams) == sorted(lams)
+
+
 def test_discretize_validation():
     with pytest.raises(ValueError):
         discretize(lambda s: 1.0, lambda s: 0.0, 0.0, 100)
