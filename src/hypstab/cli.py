@@ -138,6 +138,24 @@ def _positive(params: Mapping[str, Any], key: str) -> float:
     return value
 
 
+def _count(params: Mapping[str, Any], key: str, least: int) -> int:
+    value = int(params[key])
+    if value < least:
+        raise ValueError(f"{key} must be >= {least}, got {value}")
+    return value
+
+
+def _together(params: Mapping[str, Any], *keys: str) -> list[float] | None:
+    """The float values of flags that go together: None when none is given."""
+    values = [params.get(key) for key in keys]
+    if values.count(None) == len(values):
+        return None
+    if None in values:
+        flags = " and ".join("--" + key.replace("_", "-") for key in keys)
+        raise ValueError(f"{flags} must be given together")
+    return [float(value) for value in values]
+
+
 # ---------------------------------------------------------------------------
 # command handlers: params dict in, payload dict out.  Tabular payloads carry
 # "columns" and "rows"; everything else is scalar metadata.
@@ -147,12 +165,10 @@ def _cmd_sweep_f(params: Mapping[str, Any]) -> dict[str, Any]:
     a_min = float(params["a_min"])
     a_max = float(params["a_max"])
     step = float(params["step"])
-    tol = float(params["tol"])
     if a_min <= 0.5:
         raise ValueError(f"a_min must exceed 1/2, got {a_min}")
     grid = _float_grid(a_min, a_max, step)
-    if not tol > 0.0:  # validated, though the closed-form F does not use it
-        raise ValueError(f"tol must be positive, got {tol}")
+    _positive(params, "tol")  # validated, though the closed-form F does not use it
     rows = []
     for a in grid:
         res = F(SphericalCatenoid(a))
@@ -161,12 +177,8 @@ def _cmd_sweep_f(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _cmd_find_c0(params: Mapping[str, Any]) -> dict[str, Any]:
-    tol = float(params["tol"])
-    quad_tol = float(params["quad_tol"])
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not quad_tol > 0.0:  # validated, though the closed-form F does not use it
-        raise ValueError(f"quad_tol must be positive, got {quad_tol}")
+    tol = _positive(params, "tol")
+    _positive(params, "quad_tol")  # validated, though the closed-form F does not use it
     root, lo, hi = _locate_c0(tol)
     return {"c0": root, "bracket": [lo, hi]}
 
@@ -190,9 +202,7 @@ def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
     n = int(params["n"])
     t_min = float(params["t_min"])
     t_max = float(params["t_max"])
-    steps = int(params["steps"])
-    if steps < 2:
-        raise ValueError(f"steps must be >= 2, got {steps}")
+    steps = _count(params, "steps", 2)
     _bounded_rows(steps, f"steps {steps}")
     if not t_min > 1.0:
         raise ValueError(f"t_min must exceed 1, got {t_min}")
@@ -218,9 +228,7 @@ def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def _cmd_helicoid(params: Mapping[str, Any]) -> dict[str, Any]:
     h = Helicoid(float(params["alpha"]))
-    t_grid = int(params["t_grid"])
-    if t_grid < 2:
-        raise ValueError(f"t_grid must be >= 2, got {t_grid}")
+    t_grid = _count(params, "t_grid", 2)
     _bounded_rows(t_grid, f"t_grid {t_grid}")
     t_max = _positive(params, "t_max")
     rows = []
@@ -245,10 +253,8 @@ def _outer_grid(s: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 def _spherical_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
     cat = SphericalCatenoid(float(params["a"]))
-    s_grid = int(params["s_grid"])
-    theta_grid = int(params["theta_grid"])
-    if s_grid < 2 or theta_grid < 1:
-        raise ValueError("need s_grid >= 2 and theta_grid >= 1")
+    s_grid = _count(params, "s_grid", 2)
+    theta_grid = _count(params, "theta_grid", 1)
     _bounded_rows(s_grid * theta_grid, f"s_grid {s_grid} x theta_grid {theta_grid}")
     s_max = _positive(params, "s_max")
     s = np.linspace(-s_max, s_max, s_grid)
@@ -258,10 +264,8 @@ def _spherical_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray
 
 def _helicoid_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
     h = Helicoid(float(params["alpha"]))
-    s_grid = int(params["s_grid"])
-    t_grid = int(params["t_grid"])
-    if s_grid < 2 or t_grid < 2:
-        raise ValueError("need s_grid >= 2 and t_grid >= 2")
+    s_grid = _count(params, "s_grid", 2)
+    t_grid = _count(params, "t_grid", 2)
     _bounded_rows(s_grid * t_grid, f"s_grid {s_grid} x t_grid {t_grid}")
     s_max = _positive(params, "s_max")
     t_max = _positive(params, "t_max")
@@ -272,9 +276,7 @@ def _helicoid_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]
 
 def _hyperbolic_curve_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
     cat = HyperbolicCatenoid(int(params["n"]), float(params["t"]))
-    samples = int(params["samples"])
-    if samples < 2:
-        raise ValueError(f"samples must be >= 2, got {samples}")
+    samples = _count(params, "samples", 2)
     _bounded_rows(samples, f"samples {samples}")
     s = np.linspace(0.0, _positive(params, "s_max"), samples)
     return s[:, None], generating_curve_points(cat, s)
@@ -320,35 +322,14 @@ def _cmd_embed_export(params: Mapping[str, Any]) -> dict[str, Any]:
 def _cmd_criteria(params: Mapping[str, Any]) -> dict[str, Any]:
     n = int(params["n"])
     out: dict[str, Any] = {"lambda1": list(lambda1_bounds(n))}
-
-    pinch_a = params.get("pinch_a")
-    pinch_b = params.get("pinch_b")
-    if (pinch_a is None) != (pinch_b is None):
-        raise ValueError("--pinch-a and --pinch-b must be given together")
-    if pinch_a is not None:
-        out["lambda1_pinched"] = list(
-            lambda1_bounds_pinched(float(pinch_a), float(pinch_b))
-        )
-
-    sup_a_sq = params.get("sup_a_sq")
-    if sup_a_sq is not None:
-        out["pointwise"] = asdict(pointwise_stability_test(n, float(sup_a_sq)))
-
-    c_s = params.get("sobolev_constant")
-    mass_n = params.get("a_n_mass")
-    if (c_s is None) != (mass_n is None):
-        raise ValueError("--sobolev-constant and --a-n-mass must be given together")
-    if c_s is not None:
-        out["sobolev"] = asdict(sobolev_stability_test(n, float(c_s), float(mass_n)))
-
-    mass_a = params.get("mass_a_sq")
-    mass_g = params.get("mass_grad_a_sq")
-    if (mass_a is None) != (mass_g is None):
-        raise ValueError("--mass-a-sq and --mass-grad-a-sq must be given together")
-    if mass_a is not None:
-        out["grad_deficit"] = asdict(
-            grad_condition_report(n, float(mass_a), float(mass_g))
-        )
+    if pinch := _together(params, "pinch_a", "pinch_b"):
+        out["lambda1_pinched"] = list(lambda1_bounds_pinched(*pinch))
+    if sup := _together(params, "sup_a_sq"):
+        out["pointwise"] = asdict(pointwise_stability_test(n, *sup))
+    if sobolev := _together(params, "sobolev_constant", "a_n_mass"):
+        out["sobolev"] = asdict(sobolev_stability_test(n, *sobolev))
+    if mass := _together(params, "mass_a_sq", "mass_grad_a_sq"):
+        out["grad_deficit"] = asdict(grad_condition_report(n, *mass))
     return out
 
 

@@ -387,11 +387,13 @@ def stability_window_max_t(n: int) -> float:
 
 def is_stable_by_window(cat: HyperbolicCatenoid) -> bool:
     """True iff the neck height lies strictly inside the stable window
-    1 < t < stability_window_max_t(n).
+    1 < t < stability_window_max_t(n).  The window is one sufficient test:
+    False means it is silent, not that the neck is unstable.
 
     The pointwise test backs the window only for n = 2 and 3, where the
     exact neck value n(n-1)(1 - 1/t^2) of |A|^2 stays at or below
-    (n+1)^2 / 4 across it.  For n >= 4 the top of the window, past the
+    (n+1)^2 / 4 across it, and reaches past it there: every neck at n = 2,
+    up to t = sqrt(3) at n = 3.  For n >= 4 the top of the window, past the
     pointwise edge (t from 1.4446 to 1.5208 at n = 4), rests on no
     certificate in this package.
     """

@@ -198,14 +198,23 @@ def default_count_margin(disc: SturmLiouvilleDisc) -> float:
     return h * h * q_scale * q_scale / 6.0
 
 
-def _inertia(disc: SturmLiouvilleDisc, margin: float) -> int:
-    """Count eigenvalues below -margin.
+def count_negative_eigenvalues(
+    disc: SturmLiouvilleDisc, margin: float | None = None
+) -> int:
+    """Number of eigenvalues of the discretized form below -margin.
 
-    By Sylvester inertia the count is the number of negative pivots in the
-    LDL factorization of the tridiagonal K + margin M.  An exactly zero pivot
-    abandons that count for a second one with the shift margin + 1e-12, in
-    which a zero pivot is taken as +1e-300.
+    margin defaults to default_count_margin(disc); pass margin = 0.0 for the
+    raw discrete count.  By Sylvester inertia the count is the number of
+    negative pivots in the LDL factorization of the tridiagonal K + margin M.
+    If a pivot is exactly zero, the count is redone once with the shift
+    margin + 1e-12, and any zero pivot in that second count is taken as
+    +1e-300.
     """
+    if margin is None:
+        margin = default_count_margin(disc)
+    margin = float(margin)
+    if not (math.isfinite(margin) and margin >= 0.0):
+        raise ValueError(f"margin must be finite and >= 0, got {margin}")
     k_diag, k_off, m_diag = _tridiagonal_system(disc)
     # A zero off-diagonal against an infinite pivot ahead of the first row
     # makes the first pivot the first diagonal entry, bit for bit.  The
@@ -227,25 +236,6 @@ def _inertia(disc: SturmLiouvilleDisc, margin: float) -> int:
         else:
             return count
         perturbed = True
-
-
-def count_negative_eigenvalues(
-    disc: SturmLiouvilleDisc, margin: float | None = None
-) -> int:
-    """Number of eigenvalues of the discretized form below -margin.
-
-    margin defaults to default_count_margin(disc); pass margin = 0.0 for the
-    raw discrete count.  The count is the number of negative LDL pivots of
-    K + margin M.  If a pivot is exactly zero, the count is redone once with
-    the shift margin + 1e-12, and any zero pivot in that second count is
-    taken as +1e-300.
-    """
-    if margin is None:
-        margin = default_count_margin(disc)
-    margin = float(margin)
-    if not (math.isfinite(margin) and margin >= 0.0):
-        raise ValueError(f"margin must be finite and >= 0, got {margin}")
-    return _inertia(disc, margin)
 
 
 def lowest_eigenvalues(disc: SturmLiouvilleDisc, k: int = 3) -> tuple[float, ...]:

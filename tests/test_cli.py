@@ -141,6 +141,52 @@ def test_hyperbolic_window_rejects_an_infinite_t_max(tmp_path, capsys, t_max):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["hyperbolic-window", "--steps", "1"], "steps must be >= 2, got 1"),
+        (["helicoid", "--alpha", "1", "--t-grid", "1"], "t_grid must be >= 2, got 1"),
+        (["embed-export", "--family", "hyperbolic-curve", "--samples", "1"],
+         "samples must be >= 2, got 1"),
+        (["embed-export", "--family", "spherical", "--s-grid", "1"],
+         "s_grid must be >= 2, got 1"),
+        (["embed-export", "--family", "spherical", "--theta-grid", "0"],
+         "theta_grid must be >= 1, got 0"),
+        (["embed-export", "--family", "helicoid", "--s-grid", "1"],
+         "s_grid must be >= 2, got 1"),
+        (["embed-export", "--family", "helicoid", "--t-grid", "1"],
+         "t_grid must be >= 2, got 1"),
+    ],
+    ids=["window-steps", "helicoid-t", "curve-samples", "spherical-s", "spherical-theta",
+         "export-helicoid-s", "export-helicoid-t"],
+)
+def test_counts_below_their_minimum_are_usage_errors(tmp_path, capsys, argv, message):
+    code, out = invoke(tmp_path, "few.csv", argv)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"hypstab {argv[0]}: invalid parameters: {message}"
+    ]
+    assert not out.exists()
+
+
+def test_window_is_one_sufficient_test_not_the_verdict(tmp_path):
+    # past the window edge the pointwise certificate still decides: every
+    # neck at n = 2 (sup|A|^2 < 2 <= 9/4), and up to t = sqrt(3) at n = 3
+    code, out = invoke(tmp_path, "n2.csv", ["hyperbolic-window", "--n", "2",
+                                            "--t-max", "1e6", "--steps", "5"])
+    assert code == EXIT_OK
+    _, _, rows = read_table(out)
+    assert [row[2] for row in rows] == [1.0, 0.0, 0.0, 0.0, 0.0]
+    assert [row[4] for row in rows] == [1.0] * 5
+    code, out = invoke(tmp_path, "n3.csv", ["hyperbolic-window", "--n", "3", "--t-min",
+                                            "1.6", "--t-max", "1.8", "--steps", "9"])
+    assert code == EXIT_OK
+    _, _, rows = read_table(out)
+    assert [row[0] for row in rows] == pytest.approx([1.6 + 0.025 * k for k in range(9)])
+    assert [row[2] for row in rows] == [1.0] * 3 + [0.0] * 6
+    assert [row[4] for row in rows] == [1.0] * 6 + [0.0] * 3
+
+
 def test_hyperbolic_window_unstable_region(tmp_path):
     code, out = invoke(
         tmp_path,
@@ -433,6 +479,21 @@ def test_criteria_overflow_is_a_named_numerical_failure(tmp_path, capsys, argv, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "flag, partner",
+    [("--pinch-a", "--pinch-b"), ("--pinch-b", "--pinch-a"),
+     ("--sobolev-constant", "--a-n-mass"), ("--a-n-mass", "--sobolev-constant"),
+     ("--mass-a-sq", "--mass-grad-a-sq"), ("--mass-grad-a-sq", "--mass-a-sq")],
+)
+def test_criteria_pair_rejects_a_lone_flag(tmp_path, capsys, flag, partner):
+    code, out = invoke(tmp_path, "lone.json", ["criteria", "--n", "3", flag, "1"])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "must be given together" in err
+    assert flag in err and partner in err
+    assert not out.exists()
+
+
 def test_criteria_near_the_float_range_is_strict_json(tmp_path):
     code, out = invoke(
         tmp_path,
@@ -561,14 +622,40 @@ def test_find_c0_rejects_a_nan_tolerance_before_any_F(tmp_path, capsys, monkeypa
     assert not out.exists()
 
 
-@pytest.mark.parametrize("value", ["-1", "nan"])
-def test_sweep_f_rejects_a_bad_tolerance(tmp_path, capsys, value):
-    # F no longer takes a tolerance; the flag is still validated
+@pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--quad-tol", "quad_tol")])
+def test_find_c0_rejects_an_infinite_tolerance_before_any_F(tmp_path, capsys, monkeypatch,
+                                                           flag, name):
+    # an infinite --tol used to return the unrefined scan bracket as c0
+    calls = []
+
+    def counted(cat):
+        calls.append(cat.a)
+        return F(cat)
+
+    monkeypatch.setattr(spherical_catenoid, "F", counted)
+    code, out = invoke(tmp_path, "c0.json", ["find-c0", flag, "inf"])
+    assert code == EXIT_USAGE
+    assert f"invalid parameters: {name} must be positive, got inf" in capsys.readouterr().err
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", ["-1", "nan", "inf"])
+def test_sweep_f_rejects_a_bad_tolerance(tmp_path, capsys, monkeypatch, value):
+    # F no longer takes a tolerance; the flag is still validated, before any F
+    calls = []
+
+    def counted(cat):
+        calls.append(cat.a)
+        return F(cat)
+
+    monkeypatch.setattr(cli, "F", counted)
     code, out = invoke(tmp_path, "sweep.csv", ["sweep-f", "--tol", value])
     assert code == EXIT_USAGE
     assert f"invalid parameters: tol must be positive, got {float(value)}" in (
         capsys.readouterr().err
     )
+    assert calls == []
     assert not out.exists()
 
 

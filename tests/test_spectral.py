@@ -432,7 +432,7 @@ def test_morse_index_discretizes_mode_zero_only(monkeypatch):
         raise AssertionError("mode 0 is decided without an inertia count")
 
     monkeypatch.setattr(spectral, "assemble_mode_operator", recording_assemble)
-    monkeypatch.setattr(spectral, "_inertia", no_inertia)
+    monkeypatch.setattr(spectral, "count_negative_eigenvalues", no_inertia)
     rep = morse_index(SphericalCatenoid(0.6), R=6.0, N=600, m_max=3)
     assert calls == [(0, 6.0, 600)]
     assert [(s.negative_count, s.lowest_eigenvalues) for s in rep.modes[1:]] == [(0, ())] * 3
