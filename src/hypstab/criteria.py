@@ -147,8 +147,11 @@ def grad_condition_deficit(n: int, mass_A_sq: float, mass_grad_A_sq: float) -> f
         raise ValueError(f"mass_grad_A_sq must be finite and >= 0, got {mass_grad_A_sq}")
     try:
         weighted = n * n * mass_A_sq
-    except OverflowError:  # the int n^2 is past the float range
-        weighted = math.inf
+    except OverflowError:  # the int n^2 is past the float range; n may not be
+        try:
+            weighted = n * (n * mass_A_sq)
+        except OverflowError:  # n is past it too
+            weighted = math.inf
     if math.isinf(weighted):
         raise OverflowError("curvature-gradient deficit overflows: n^2 mass_A_sq is not finite at "
                             f"n = {n}, mass_A_sq = {mass_A_sq}, mass_grad_A_sq = {mass_grad_A_sq}")

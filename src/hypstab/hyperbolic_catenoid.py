@@ -175,9 +175,10 @@ def _profile_pass(cat: HyperbolicCatenoid, s_end: float) -> _Pass:
     min(q0 s_end, s_end + ln 2).  The panels in v have edges h 2^(k/2 - 1)
     below 1, then every integer, with h = min(eps, 1/sqrt(n - 1)): the
     angle's peak at v = 0 has width eps, and sech^(n-1) v has width
-    1/sqrt(n - 1) there.  On a grid of n from 2 to 1195 and t from 1 + 1e-9
-    to 50, run to s = 15, this grading keeps every error estimate under
-    4e-12.
+    1/sqrt(n - 1) there.  Run to s = 15 on every neck of a grid of n from 2
+    to 1195 and t from 1 + 1e-9 to 50 that has a finite shape constant (so
+    n <= 181 at t = 50, n <= 308 at t = 10, n <= 1024 at t = 2), this
+    grading keeps every error estimate under 4e-12.
     The arclength and angle at each node come from the integration matrix
     of the rule.  A row's error estimate adds two parts: the Legendre tail
     of both rates' interpolants, summed over the panels up to the row's, and

@@ -205,10 +205,12 @@ def count_negative_eigenvalues(
 
     margin defaults to default_count_margin(disc); pass margin = 0.0 for the
     raw discrete count.  By Sylvester inertia the count is the number of
-    negative pivots in the LDL factorization of the tridiagonal K + margin M.
-    If a pivot is exactly zero, the count is redone once with the shift
-    margin + 1e-12, and any zero pivot in that second count is taken as
-    +1e-300.
+    negative pivots in the LDL factorization of the tridiagonal K + margin M,
+    made in one pass.  A pivot that is exactly zero is taken as +1e-300: with
+    coupling o to the next row it drives the next pivot to about -o^2/1e-300
+    (or -inf), so the block [[0, o], [o, d]], whose determinant is -o^2 < 0,
+    adds the one negative pivot of its inertia; a trailing zero pivot is a
+    zero eigenvalue, which is not below -margin.
     """
     if margin is None:
         margin = default_count_margin(disc)
@@ -220,22 +222,15 @@ def count_negative_eigenvalues(
     # makes the first pivot the first diagonal entry, bit for bit.  The
     # memoryviews yield Python floats without copying the arrays into lists.
     off = memoryview(np.concatenate(([0.0], k_off)))
-    perturbed = False
-    while True:
-        shift = margin + 1e-12 if perturbed else margin
-        count = 0
-        pivot = math.inf
-        for d, o in zip(memoryview(k_diag + shift * m_diag), off):
-            pivot = d - o * o / pivot
-            if pivot == 0.0:
-                if not perturbed:
-                    break
-                pivot = 1e-300
-            if pivot < 0.0:
-                count += 1
-        else:
-            return count
-        perturbed = True
+    count = 0
+    pivot = math.inf
+    for d, o in zip(memoryview(k_diag + margin * m_diag), off):
+        pivot = d - o * o / pivot
+        if pivot == 0.0:
+            pivot = 1e-300
+        elif pivot < 0.0:
+            count += 1
+    return count
 
 
 def lowest_eigenvalues(disc: SturmLiouvilleDisc, k: int = 3) -> tuple[float, ...]:

@@ -117,6 +117,19 @@ def test_grad_deficit_value():
         grad_condition_report(n, 1.0, 2.0)
 
 
+def test_grad_deficit_of_a_finite_product_past_a_float_n_squared():
+    # n^2 = 1e310 is no float, but n^2 mass_A_sq is: form it as n (n mass_A_sq)
+    n = 10**155
+    assert grad_condition_deficit(n, 1e-10, 0.0) == pytest.approx(1e300, rel=1e-15)
+    assert grad_condition_deficit(n, 0.0, 0.0) == 0.0
+    # a product past the float range, or an n that is no float, still overflows by name
+    for n, mass in ((10**155, 1.0), (10**400, 1e-10)):
+        message = (f"^curvature-gradient deficit overflows: n\\^2 mass_A_sq is not finite at "
+                   f"n = {n}, mass_A_sq = {mass}, mass_grad_A_sq = 0.0$")
+        with pytest.raises(OverflowError, match=message):
+            grad_condition_deficit(n, mass, 0.0)
+
+
 def test_grad_report_certifies_only_instability():
     rep = grad_condition_report(2, 1.0, 9.0)
     assert rep.verdict == UNSTABLE

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import hypstab.spectral as spectral
 from hypstab.quadrature import QuadratureResult, find_root_bracketed
@@ -86,15 +86,39 @@ def test_count_matches_eigenvalue_signs():
 
 
 def test_zero_pivot_retry():
-    # R = 2, N = 4, q = -2: h = 1, every diagonal entry is exactly zero and
-    # the factorization must fall back to the perturbed shift.  Spectrum of
-    # the resulting 3x3 system is -sqrt(2), 0, sqrt(2).
+    # R = 2, N = 4, q = -2: h = 1, every diagonal entry is exactly zero, so
+    # the first pivot is zero and is taken as +1e-300.  Spectrum of the
+    # resulting 3x3 system is -sqrt(2), 0, sqrt(2).
     disc = flat_disc(-2.0, 2.0, 4)
     assert count_negative_eigenvalues(disc, margin=0.0) == 1
     lams = lowest_eigenvalues(disc, 3)
     assert lams[0] == pytest.approx(-math.sqrt(2.0), abs=1e-12)
     assert lams[1] == pytest.approx(0.0, abs=1e-12)
     assert lams[2] == pytest.approx(math.sqrt(2.0), abs=1e-12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_count_is_the_inertia_of_the_pencil(data):
+    # small pencils with weights and potentials exact in binary, so that
+    # pivots are often exactly zero; the count must be the number of
+    # negative eigenvalues of D^-1/2 K D^-1/2 (dense eigvalsh)
+    halves = st.sampled_from([0.5, 1.0, 2.0])
+    N = data.draw(st.integers(4, 9), label="cells")
+    h = data.draw(halves, label="h")
+    weight = np.array(data.draw(st.lists(halves, min_size=N + 1, max_size=N + 1)))
+    weight_mid = np.array(data.draw(st.lists(halves, min_size=N, max_size=N)))
+    q_h2 = st.sampled_from([-8.0, -4.0, -2.0, -1.0, 0.0, 1.0, 2.0])
+    potential = np.array(data.draw(st.lists(q_h2, min_size=N + 1, max_size=N + 1))) / (h * h)
+    grid = np.linspace(-0.5 * N * h, 0.5 * N * h, N + 1)
+    disc = SturmLiouvilleDisc(grid, weight, weight_mid, potential)
+    w = weight[1:-1]
+    stiffness = (np.diag((weight_mid[:-1] + weight_mid[1:]) / h + potential[1:-1] * w * h)
+                 - np.diag(weight_mid[1:-1] / h, 1) - np.diag(weight_mid[1:-1] / h, -1))
+    scale = 1.0 / np.sqrt(w * h)
+    lams = np.linalg.eigvalsh(stiffness * np.outer(scale, scale))
+    assume(np.min(np.abs(lams)) > 1e-9 * np.max(np.abs(lams)))
+    assert count_negative_eigenvalues(disc, margin=0.0) == int(np.sum(lams < 0.0))
 
 
 def test_lowest_eigenvalues_stop_at_the_interior_nodes():
