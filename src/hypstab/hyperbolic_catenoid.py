@@ -27,7 +27,7 @@ independently (`_check_rows`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -43,7 +43,6 @@ __all__ = [
     "principal_curvatures",
     "stability_window_max_t",
     "is_stable_by_window",
-    "generating_curve",
     "generating_curve_points",
     "DEFAULT_S_MAX",
     "S_MAX_CAP",
@@ -75,6 +74,11 @@ class ProfileError(RuntimeError):
     """Profile integration failed or produced geometrically invalid state."""
 
 
+def _check_dimension(n: int) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
+        raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
+
+
 def shape_constant(n: int, t: float) -> float:
     """Conserved flux constant a = t^(n-1) * sqrt(t^2 - 1) of the profile.
 
@@ -82,8 +86,7 @@ def shape_constant(n: int, t: float) -> float:
     degenerate cylinder-free limit) and is strictly increasing in t.
     Raises OverflowError when a is not a finite float.
     """
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
+    _check_dimension(n)
     t = float(t)
     if not (math.isfinite(t) and t >= 1.0):
         raise ValueError(f"neck height t must satisfy t >= 1, got {t}")
@@ -98,18 +101,29 @@ def shape_constant(n: int, t: float) -> float:
 
 @dataclass(frozen=True)
 class HyperbolicCatenoid:
-    """Catenoid with neck height t > 1 in hyperbolic (n+1)-space, n >= 2."""
+    """Catenoid with neck height t > 1 in hyperbolic (n+1)-space, n >= 2,
+    whose neck constants (t - 1)(t + 1) and n(n - 1) are finite floats."""
 
     n: int
     t: float
-    a: float = field(init=False)
 
     def __post_init__(self) -> None:
         t = float(self.t)
         if not (math.isfinite(t) and t > 1.0):
             raise ValueError(f"neck height must satisfy t > 1, got {self.t}")
         object.__setattr__(self, "t", t)
-        object.__setattr__(self, "a", shape_constant(self.n, t))
+        _check_dimension(self.n)
+        try:
+            finite = math.isfinite((t - 1.0) * (t + 1.0)) and math.isfinite(
+                float(self.n * (self.n - 1))
+            )
+        except OverflowError:  # float() of an int n(n - 1) past the float range
+            finite = False
+        if not finite:
+            raise OverflowError(
+                f"catenoid neck overflows at n = {self.n}, t = {t}: "
+                "(t - 1)(t + 1) or n(n - 1) is not a finite float"
+            )
 
 
 @dataclass(frozen=True)
@@ -176,9 +190,8 @@ def _profile_pass(cat: HyperbolicCatenoid, s_end: float) -> _Pass:
     below 1, then every integer, with h = min(eps, 1/sqrt(n - 1)): the
     angle's peak at v = 0 has width eps, and sech^(n-1) v has width
     1/sqrt(n - 1) there.  Run to s = 15 on every neck of a grid of n from 2
-    to 1195 and t from 1 + 1e-9 to 50 that has a finite shape constant (so
-    n <= 181 at t = 50, n <= 308 at t = 10, n <= 1024 at t = 2), this
-    grading keeps every error estimate under 4e-12.
+    to 1195 and t from 1 + 1e-9 to 50, this grading keeps every error
+    estimate under 4e-12.
     The arclength and angle at each node come from the integration matrix
     of the rule.  A row's error estimate adds two parts: the Legendre tail
     of both rates' interpolants, summed over the panels up to the row's, and
@@ -381,8 +394,7 @@ def principal_curvatures(
 
 def stability_window_max_t(n: int) -> float:
     """Upper endpoint 1 + (n+1)^2 / (4 n (n-1)) of the stable neck range."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
+    _check_dimension(n)
     return 1.0 + (n + 1) ** 2 / (4 * n * (n - 1))
 
 
@@ -399,30 +411,6 @@ def is_stable_by_window(cat: HyperbolicCatenoid) -> bool:
     certificate in this package.
     """
     return cat.t < stability_window_max_t(cat.n)
-
-
-def generating_curve(
-    cat: HyperbolicCatenoid, sample: ProfileSample
-) -> tuple[float, float, float]:
-    """Point of the generating curve at the sample's arclength, as a point of
-    the hyperbolic plane slice in hyperboloid coordinates (x, y, z).
-
-    The curve is (x, sqrt(x^2 - 1) sin phi, sqrt(x^2 - 1) cos phi) with phi
-    the accumulated rotation angle; the Minkowski square is -1 identically.
-    The point at |s| comes from `generating_curve_points`, mirrored for
-    negative s, and the sample's height is cross-checked against it so
-    samples from a different catenoid are rejected.
-    """
-    s = sample.s
-    if not (math.isfinite(s) and abs(s) <= S_MAX_CAP):
-        raise ValueError(f"sample arclength must lie in [-{S_MAX_CAP}, {S_MAX_CAP}]")
-    [(x, y, z)] = generating_curve_points(cat, [abs(s)]).tolist()
-    if abs(x - sample.x) > 1e-6 * max(1.0, abs(sample.x)):
-        raise ValueError(
-            f"sample height {sample.x} does not match this catenoid's profile "
-            f"height {x} at s = {s}"
-        )
-    return (x, -y, z) if s < 0.0 else (x, y, z)
 
 
 def generating_curve_points(

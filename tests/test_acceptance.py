@@ -33,6 +33,7 @@ from hypstab.hyperbolic_catenoid import (
     integrate_profile,
     is_stable_by_window,
     norm_A_sq as hyperbolic_norm_A_sq,
+    shape_constant,
     stability_window_max_t,
 )
 from hypstab.lorentz import on_hyperboloid
@@ -177,7 +178,7 @@ def test_criterion_06_hyperbolic_profiles_verified():
             for smp in samples[1:]:
                 upper = smp.x**2 - 1.0
                 assert smp.x_prime**2 < upper
-                assert smp.x_prime**2 > upper - cat.a**2
+                assert smp.x_prime**2 > upper - shape_constant(n, t) ** 2
                 closed = hyperbolic_norm_A_sq(cat, smp)
                 state = n * (n - 1) * (smp.x**2 - smp.x_prime**2 - 1.0) / smp.x**2
                 worst_gap = max(worst_gap, abs(closed - state))

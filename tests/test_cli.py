@@ -156,9 +156,11 @@ def test_hyperbolic_window_rejects_an_infinite_t_max(tmp_path, capsys, t_max):
          "s_grid must be >= 2, got 1"),
         (["embed-export", "--family", "helicoid", "--t-grid", "1"],
          "t_grid must be >= 2, got 1"),
+        (["embed-export", "--family", "hyperbolic-curve", "--n", "1"],
+         "dimension n must be an integer >= 2, got 1"),
     ],
     ids=["window-steps", "helicoid-t", "curve-samples", "spherical-s", "spherical-theta",
-         "export-helicoid-s", "export-helicoid-t"],
+         "export-helicoid-s", "export-helicoid-t", "curve-n"],
 )
 def test_counts_below_their_minimum_are_usage_errors(tmp_path, capsys, argv, message):
     code, out = invoke(tmp_path, "few.csv", argv)
@@ -307,14 +309,15 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["hyperbolic-window", "--n", "1000", "--steps", "3"],
-         "shape constant a overflows at n = 1000, t = 3.0"),
         (["hyperbolic-window", "--t-max", "1e200", "--steps", "2"],
-         "shape constant a overflows at n = 2, t = 1e+200"),
+         "catenoid neck overflows at n = 2, t = 1e+200: "
+         "(t - 1)(t + 1) or n(n - 1) is not a finite float"),
         (["hyperbolic-window", "--n", _HUGE_N, "--steps", "2"],
-         f"shape constant a overflows at n = {_HUGE_N}, t = 1.01"),
+         f"catenoid neck overflows at n = {_HUGE_N}, t = 1.01: "
+         "(t - 1)(t + 1) or n(n - 1) is not a finite float"),
         (["embed-export", "--family", "hyperbolic-curve", "--t", "1e200", "--samples", "3"],
-         "shape constant a overflows at n = 2, t = 1e+200"),
+         "catenoid neck overflows at n = 2, t = 1e+200: "
+         "(t - 1)(t + 1) or n(n - 1) is not a finite float"),
         (["helicoid", "--alpha", "1", "--t-max", "800", "--t-grid", "3"],
          "helicoid metric E overflows at alpha = 1.0, t = -800.0"),
         (["embed-export", "--family", "helicoid", "--s-max", "800", "--s-grid", "3",
@@ -341,7 +344,7 @@ def test_overflow_is_a_numerical_failure(tmp_path, capsys):
          "profile point overflows at n = 6, t = 1.7e+51, s = 300.0: "
          "x^2 is not a finite float"),
     ],
-    ids=["window-n", "window-t", "window-huge-n", "curve-t", "helicoid-t", "export-s",
+    ids=["window-t", "window-huge-n", "curve-t", "helicoid-t", "export-s",
          "export-pitch", "export-st", "export-spherical-s", "curve-profile-n2",
          "curve-profile-n6"],
 )
@@ -361,6 +364,24 @@ def test_curve_exports_where_a_squared_overflows(tmp_path, n, t):
     never forms it, so the default export runs and stays on the sheet."""
     code, out = invoke(tmp_path, "curve.csv", ["embed-export", "--family", "hyperbolic-curve",
                                                "--n", str(n), "--t", t])
+    assert code == EXIT_OK
+    _, _, rows = read_table(out)
+    assert len(rows) == 101
+    assert all(on_hyperboloid(row[1:], 1e-8) for row in rows)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_window_builds_where_the_shape_constant_overflows(tmp_path):
+    """a = t^(n-1) sqrt(t^2 - 1) is past the float range at n = 1000, t = 3;
+    the window never forms it, and the neck's curve exports on the sheet."""
+    code, out = invoke(tmp_path, "window.csv", ["hyperbolic-window", "--n", "1000",
+                                                "--steps", "3"])
+    assert code == EXIT_OK
+    _, _, rows = read_table(out)
+    assert [row[0] for row in rows] == [1.01, 2.005, 3.0]
+    assert all(math.isfinite(cell) for row in rows for cell in row)
+    code, out = invoke(tmp_path, "curve.csv", ["embed-export", "--family", "hyperbolic-curve",
+                                               "--n", "1000", "--t", "3"])
     assert code == EXIT_OK
     _, _, rows = read_table(out)
     assert len(rows) == 101
