@@ -608,6 +608,15 @@ def test_index_overflow_is_a_named_numerical_failure(tmp_path, capsys, a):
     assert not out.exists()
 
 
+def test_index_eigenvalue_count_is_a_usage_error_before_assembly(tmp_path, capsys):
+    # at a = 1e300 the mode operator overflows; a bad --k-eigs is still
+    # reported as what it is
+    code, out = invoke(tmp_path, "k.json", ["index", "--a", "1e300", "--k-eigs", "0"])
+    assert code == EXIT_USAGE
+    assert "k_eigs must be a positive integer, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_index_radius_error_names_the_given_radius(tmp_path, capsys):
     code, _ = invoke(tmp_path, "r.json", ["index", "--a", "0.6", "--radius", "301"])
     assert code == EXIT_USAGE

@@ -13,6 +13,12 @@ lowest_eigenvalues list is empty, and mode-0 eigenvalues moved in their last
 digits with the factored |A|^2.  index-unconverged was recorded again when
 the boundary-angle slope came to decide mode 0: its count of 1 is now
 converged, where a margin count on a refined grid used to disagree.
+All four index digests were recorded again when discretize's grid became
+its own mirror image and lowest_eigenvalues came to solve mode 0 as its
+even and odd parity sectors: the nodes moved by an ulp, and the mode-0
+eigenvalues by at most 4.4e-11 (index-bench), which is the bisection
+tolerance eps ||T||_inf of the 8000-node grid; every count, total_index,
+converged flag and note is unchanged.
 The five curve-* digests were recorded when the profile became a
 Gauss-Legendre quadrature in the height, with each sample interpolated on
 its panel's nodes: the rows moved by at most 7.7e-10 relative, the global
@@ -119,24 +125,24 @@ GOLDEN = {
     ),
     "index": (
         ["index", "--a", "0.6", "--radius", "8", "--nodes", "600", "--m-max", "1"],
-        "483adb9ef340a87812328e465e0e1e22a0a8033c6d47faf801984a271fe5ee87",
+        "4279358bf28cf661a3c66d6b9be82b203aeee21de620bdf4b1e9eb062f2d8575",
     ),
     "index-unconverged": (
         ["index", "--a", "0.76", "--radius", "3", "--nodes", "100", "--m-max", "2"],
-        "fb07a8ce0bf27758f2e9b97b5b8021f821fcb19e9c8c7043751155d59622b310",
+        "773751dc8222a58d556ab7df2042b488e4d74d39f8c7a8506e119a8475ea3c3a",
     ),
     # modes 1-6 are screened, so their lowest_eigenvalues lists are empty;
     # mode 1 was last counted here, every count is unchanged
     "index-screened": (
         ["index", "--a", "0.51", "--radius", "6", "--nodes", "400", "--m-max", "6",
          "--k-eigs", "4"],
-        "2610d7569da9d86799fa081ccebb530d0bd50de7af8c72754e1c61ec05ea748e",
+        "9756b79ab20658adde097f2bd3ee8e24dc261bb5f08e57e071252756e944e897",
     ),
     # the largest morse-index benchmark sizes: 8000 nodes, modes 0..8
     "index-bench": (
         ["index", "--a", "1.7", "--radius", "12", "--nodes", "8000", "--m-max", "8",
          "--k-eigs", "5"],
-        "2a0d7e66054e1cd67ecb74af3c49febe6b73f72b14e3850dc24670e7797735b5",
+        "0317ec140424f6fdd66af5f34bc407c3e4de2bc1701191bd4f50a4543cbb5f9b",
     ),
     "criteria-all": (
         ["criteria", "--n", "3", "--sup-a-sq", "2.5", "--pinch-a", "0.5",

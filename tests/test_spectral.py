@@ -3,9 +3,11 @@ spherical catenoids.  Constant-coefficient and exponential-weight problems
 with known spectra anchor the machinery before it touches the catenoid."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings, strategies as st
 
 import hypstab.spectral as spectral
@@ -127,6 +129,118 @@ def test_lowest_eigenvalues_stop_at_the_interior_nodes():
     lams = lowest_eigenvalues(disc, 5000)
     assert len(lams) == 99
     assert list(lams) == sorted(lams)
+
+
+EPS = np.finfo(float).eps
+
+
+def _standard_form(disc):
+    """(d, e) of D^-1/2 K D^-1/2 from the disc's fields, written out here
+    rather than taken from the module."""
+    h = disc.h
+    w = disc.weight[1:-1]
+    wm = disc.weight_mid
+    scale = 1.0 / np.sqrt(w * h)
+    d = ((wm[:-1] + wm[1:]) / h + disc.potential[1:-1] * w * h) * scale * scale
+    e = -wm[1:-1] / h * (scale[:-1] * scale[1:])
+    return d, e
+
+
+def _inf_norm(d, e):
+    pad = np.concatenate(([0.0], np.abs(e), [0.0]))
+    return float(np.max(np.abs(d) + pad[:-1] + pad[1:]))
+
+
+@pytest.mark.parametrize("R", [1.0, 8.0, 10.0, 12.345, 15.0])
+@pytest.mark.parametrize("N", [4, 5, 777, 2000, 2001, 14000, 20000])
+def test_discretize_grid_is_its_own_mirror_image(N, R):
+    # linspace alone is not, for every N here from 777 up
+    grid = discretize(lambda s: 1.0, lambda s: 0.0, R, N).grid
+    assert np.array_equal(grid, -grid[::-1])
+    assert (grid[0], grid[-1]) == (-R, R)
+
+
+def _recording(sizes):
+    # eigvalsh_tridiagonal, noting the size of every matrix it is given
+    solve = scipy.linalg.eigvalsh_tridiagonal
+
+    def recording(diag, off, **kwargs):
+        sizes.append(len(diag))
+        return solve(diag, off, **kwargs)
+
+    return recording
+
+
+def _mirrored(values, size):
+    # the first ceil(size/2) values, followed by their mirror image
+    half = np.array(values[: (size + 1) // 2])
+    return np.concatenate((half, half[: size // 2][::-1]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_folded_eigenvalues_are_the_spectrum(data):
+    # mirror-symmetric pencils with 3-12 interior nodes, odd and even: the
+    # parity sectors give the k lowest eigenvalues of the whole matrix.  The
+    # reference is 30-digit mpmath: dense eigvalsh was itself 4.1 eps ||T||
+    # off on one drawn 9-node matrix, where the fold was exact.
+    import mpmath as mp
+
+    n = data.draw(st.integers(3, 12), label="interior nodes")
+    k = data.draw(st.integers(1, n), label="k")
+    R = data.draw(st.floats(0.5, 5.0), label="R")
+    weights = st.lists(st.floats(0.25, 4.0), min_size=n + 2, max_size=n + 2)
+    potentials = st.lists(st.floats(-20.0, 20.0), min_size=n + 2, max_size=n + 2)
+    grid = np.linspace(-R, R, n + 2)
+    grid = 0.5 * (grid - grid[::-1])
+    disc = SturmLiouvilleDisc(
+        grid,
+        _mirrored(data.draw(weights, label="weight"), n + 2),
+        _mirrored(data.draw(weights, label="weight_mid"), n + 1),
+        _mirrored(data.draw(potentials, label="potential"), n + 2),
+    )
+    d, e = _standard_form(disc)
+    sizes = []
+    with mock.patch.object(scipy.linalg, "eigvalsh_tridiagonal", _recording(sizes)):
+        got = lowest_eigenvalues(disc, k)
+    assert max(sizes) == (n + 1) // 2  # the fold ran
+    with mp.workdps(30):
+        full = mp.matrix(n, n)
+        for i in range(n):
+            full[i, i] = d[i]
+        for i in range(n - 1):
+            full[i, i + 1] = full[i + 1, i] = e[i]
+        want = np.array(sorted(float(v) for v in mp.eigsy(full, eigvals_only=True))[:k])
+    assert np.max(np.abs(np.array(got) - want)) <= 4.0 * EPS * _inf_norm(d, e)
+
+
+@pytest.mark.parametrize("N", [2000, 2001, 20000])
+@pytest.mark.parametrize("a", [0.55, 0.7666, 1.7, 3.0])
+def test_folded_catenoid_eigenvalues_match_the_full_solve(a, N):
+    disc = assemble_mode_operator(SphericalCatenoid(a), 0, 10.0, N)
+    d, e = _standard_form(disc)
+    full = scipy.linalg.eigvalsh_tridiagonal(d, e, select="i", select_range=(0, 4))
+    got = np.array(lowest_eigenvalues(disc, 5))
+    assert np.max(np.abs(got - full)) <= 4.0 * EPS * _inf_norm(d, e)
+
+
+@pytest.mark.parametrize("N, k, sizes", [
+    (2000, 1, [1000]),
+    (2000, 2, [1000, 999]),
+    (2000, 5, [1000, 999]),
+    (2001, 2, [1000, 1000]),
+    (2001, 4, [1000, 1000]),
+])
+def test_mode_zero_is_solved_as_two_half_size_sectors(monkeypatch, N, k, sizes):
+    # a lost mirror image would bring back the full-size solve unnoticed
+    calls = []
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", _recording(calls))
+    lowest_eigenvalues(assemble_mode_operator(SphericalCatenoid(0.9), 0, 10.0, N), k)
+    assert calls == sizes
+    calls.clear()
+    # an odd weight has no mirror image: one solve on all N - 1 nodes
+    lowest_eigenvalues(discretize(lambda s: np.exp(2.0 * s), lambda s: 0.0, 10.0, N), k)
+    assert calls == [N - 1]
 
 
 def test_discretize_validation():
