@@ -8,8 +8,8 @@ contains no timestamps or machine identifiers, so repeated runs with equal
 arguments are byte-identical.
 
 Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical
-failure (no sign change of F on the scan window or a root bracket
-stalled above its tol, profile blow-up, constraint violation, overflow).
+failure (a root bracket stalled above its tol, profile blow-up,
+constraint violation, overflow).
 """
 
 from __future__ import annotations
@@ -138,6 +138,14 @@ def _positive(params: Mapping[str, Any], key: str) -> float:
     return value
 
 
+def _half_width(params: Mapping[str, Any], key: str) -> float:
+    """A positive half-width x whose grid span [-x, x] of width 2x is finite."""
+    value = _positive(params, key)
+    if not math.isfinite(2.0 * value):
+        raise ValueError(f"{key} must be at most half the float maximum, got {value}")
+    return value
+
+
 def _count(params: Mapping[str, Any], key: str, least: int) -> int:
     value = int(params[key])
     if value < least:
@@ -230,7 +238,7 @@ def _cmd_helicoid(params: Mapping[str, Any]) -> dict[str, Any]:
     h = Helicoid(float(params["alpha"]))
     t_grid = _count(params, "t_grid", 2)
     _bounded_rows(t_grid, f"t_grid {t_grid}")
-    t_max = _positive(params, "t_max")
+    t_max = _half_width(params, "t_max")
     rows = []
     for t in np.linspace(-t_max, t_max, t_grid):
         e_coef, _, _ = first_fundamental(h, float(t))
@@ -256,7 +264,7 @@ def _spherical_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray
     s_grid = _count(params, "s_grid", 2)
     theta_grid = _count(params, "theta_grid", 1)
     _bounded_rows(s_grid * theta_grid, f"s_grid {s_grid} x theta_grid {theta_grid}")
-    s_max = _positive(params, "s_max")
+    s_max = _half_width(params, "s_max")
     s = np.linspace(-s_max, s_max, s_grid)
     theta = np.linspace(0.0, 2.0 * math.pi, theta_grid, endpoint=False)
     return _outer_grid(s, theta), catenoid_embed_grid(cat, s, theta)
@@ -267,8 +275,8 @@ def _helicoid_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]
     s_grid = _count(params, "s_grid", 2)
     t_grid = _count(params, "t_grid", 2)
     _bounded_rows(s_grid * t_grid, f"s_grid {s_grid} x t_grid {t_grid}")
-    s_max = _positive(params, "s_max")
-    t_max = _positive(params, "t_max")
+    s_max = _half_width(params, "s_max")
+    t_max = _half_width(params, "t_max")
     s = np.linspace(-s_max, s_max, s_grid)
     t = np.linspace(-t_max, t_max, t_grid)
     return _outer_grid(s, t), helicoid_embed_grid(h, s, t)

@@ -293,21 +293,17 @@ def _root_with_bracket(
     lo: float,
     hi: float,
     tol: float,
-    ends: tuple[float, float] | None = None,
 ) -> tuple[float, float, float]:
     """Shared refinement loop; returns (root, bracket_lo, bracket_hi).
 
-    ends holds (g(lo), g(hi)) when the caller has already evaluated them;
-    otherwise both are evaluated here, after the bracket is validated.
+    g is evaluated at both ends only after the bracket and tol are validated.
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise ValueError(f"need a finite bracket with lo < hi, got [{lo}, {hi}]")
     if not tol > 0.0:
         raise ValueError(f"tol must be positive, got {tol}")
 
-    if ends is None:
-        ends = _eval_checked(g, lo), _eval_checked(g, hi)
-    fa, fb = ends
+    fa, fb = _eval_checked(g, lo), _eval_checked(g, hi)
     if fa == 0.0:
         return lo, lo, lo
     if fb == 0.0:

@@ -110,6 +110,8 @@ def discretize(
     """
     if not (math.isfinite(R) and R > 0.0):
         raise ValueError(f"radius must be positive, got {R}")
+    if not math.isfinite(2.0 * R):
+        raise ValueError(f"radius R must be at most half the float maximum, got {R}")
     if not isinstance(N, int) or isinstance(N, bool) or N < 4:
         raise ValueError(f"cell count must be an integer >= 4, got {N!r}")
     grid = np.linspace(-R, R, N + 1)

@@ -32,7 +32,6 @@ import numpy as np
 
 from .lorentz import FD_STEP, first_fundamental_fd
 from .quadrature import (
-    QuadratureError,
     QuadratureResult,
     _root_with_bracket,
     integrate_adaptive,
@@ -59,10 +58,9 @@ __all__ = [
     "find_c0",
 ]
 
-# Coarse scan that brackets the sign change of F before root refinement.
+# Window on which F changes sign exactly once: the root finder's bracket.
 SCAN_LO = 0.55
 SCAN_HI = 1.50
-SCAN_STEP = 0.05
 
 
 @dataclass(frozen=True)
@@ -281,8 +279,8 @@ def F(cat: SphericalCatenoid) -> QuadratureResult:
 
     F(a) = 32*pi*(a^2 - 1/4) * int_0^inf [w^{-3/2} - a^2 sinh^2(2s) w^{-7/2}] ds,
     which equals 4*int |A|^2 dv - int |grad |A||^2 dv.  Negative F
-    certifies an unstable member; F changes sign exactly once on the scan
-    window, at the threshold located by find_c0.  By parts and in Carlson's
+    certifies an unstable member; F changes sign exactly once on find_c0's
+    window, at its threshold c0.  By parts and in Carlson's
     forms (module docstring), F = (32 pi / 45)(t1 - t2) with t1 = (9 (a +
     1/2) / sqrt(alpha) - 2 / alpha^{3/2}) R_D(0, r, 1) and t2 = 3 R_F(0, r,
     1) / sqrt(alpha), each product finite up to the float maximum.  Its
@@ -298,42 +296,20 @@ def F(cat: SphericalCatenoid) -> QuadratureResult:
 
 
 def _locate_c0(tol: float) -> tuple[float, float, float]:
-    """Scan for the sign change of F, then refine; returns (root, lo, hi)."""
-    steps = int(round((SCAN_HI - SCAN_LO) / SCAN_STEP))
-    grid = [SCAN_LO + SCAN_STEP * k for k in range(steps + 1)]
-    bracket = None
-    prev_a = grid[0]
-    prev_f = F(SphericalCatenoid(prev_a)).value
-    for a in grid[1:]:
-        cur_f = F(SphericalCatenoid(a)).value
-        if prev_f == 0.0:
-            return prev_a, prev_a, prev_a
-        if (prev_f < 0.0) != (cur_f < 0.0):
-            bracket = (prev_a, a, (prev_f, cur_f))
-            break
-        prev_a, prev_f = a, cur_f
-    if bracket is None:
-        raise QuadratureError(
-            f"no sign change of F on the scan window "
-            f"[{SCAN_LO}, {grid[-1]}] with step {SCAN_STEP}"
-        )
-
-    lo, hi, ends = bracket
-    root, b_lo, b_hi = _root_with_bracket(
-        lambda a: F(SphericalCatenoid(a)).value, lo, hi, tol, ends
+    """Refine F's sign change on [SCAN_LO, SCAN_HI]; returns (root, lo, hi)."""
+    return _root_with_bracket(
+        lambda a: F(SphericalCatenoid(a)).value, SCAN_LO, SCAN_HI, tol
     )
-    return root, b_lo, b_hi
 
 
 def find_c0(tol: float = 1e-4) -> float:
     """Shape parameter at which F changes sign, to bracket width tol.
 
-    Scans a in [0.55, 1.50] with step 0.05 for a sign change of F, then
-    refines with the bracketed root finder.  Near the root F's error bound
-    is about 1e-13 and its slope about 260, so its sign is right wherever
-    a is more than a few ulps from the root.
+    Refines the window a in [0.55, 1.50], where F changes sign exactly once,
+    with the bracketed root finder, which rejects a tol that is not positive
+    before any F.  Near the root F's error bound is about 1e-13 and its
+    slope about 260, so its sign is right wherever a is more than a few ulps
+    from the root.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
     root, _, _ = _locate_c0(tol)
     return root

@@ -655,7 +655,7 @@ def test_find_c0_rejects_a_nan_tolerance_before_any_F(tmp_path, capsys, monkeypa
 @pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--quad-tol", "quad_tol")])
 def test_find_c0_rejects_an_infinite_tolerance_before_any_F(tmp_path, capsys, monkeypatch,
                                                            flag, name):
-    # an infinite --tol used to return the unrefined scan bracket as c0
+    # an infinite --tol used to return an unrefined bracket as c0
     calls = []
 
     def counted(cat):
@@ -870,6 +870,38 @@ def test_huge_tables_are_usage_errors_before_allocation(tmp_path, capsys, monkey
     err = capsys.readouterr().err
     assert "table rows, more than 1000000" in err
     assert not out.exists()
+
+
+OVERFLOWING_HALF_WIDTHS = {
+    "spherical-s-max": (["embed-export", "--family", "spherical", "--s-max"], "s_max"),
+    "helicoid-export-s-max": (["embed-export", "--family", "helicoid", "--s-max"], "s_max"),
+    "helicoid-export-t-max": (["embed-export", "--family", "helicoid", "--t-max"], "t_max"),
+    "helicoid-t-max": (["helicoid", "--alpha", "1", "--t-max"], "t_max"),
+}
+
+
+@pytest.mark.parametrize("argv, key", list(OVERFLOWING_HALF_WIDTHS.values()),
+                         ids=list(OVERFLOWING_HALF_WIDTHS))
+@pytest.mark.parametrize("value", ["1e308", "8.98846567431158e307"])
+def test_a_half_width_whose_span_overflows_is_a_usage_error(tmp_path, capsys, argv, key,
+                                                            value):
+    # np.linspace(-x, x, n) forms 2x, which is inf past half the float maximum
+    code, out = invoke(tmp_path, "wide.csv", argv + [value])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert f"{key} must be at most half the float maximum, got {float(value)}" in err
+    assert "Warning" not in err
+    assert not out.exists()
+
+
+def test_the_widest_finite_span_is_not_a_usage_error(tmp_path, capsys):
+    # half the float maximum spans exactly the float maximum: the grid is
+    # built, and the helicoid's metric overflows by name
+    code, _ = invoke(tmp_path, "wide.csv",
+                     ["helicoid", "--alpha", "1", "--t-max", repr(sys.float_info.max / 2)])
+    assert code == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "helicoid metric E overflows at alpha = 1.0, t = -8.988465674311579e+307" in err
 
 
 @pytest.mark.parametrize("flag", ["--nodes", "--m-max"])

@@ -19,6 +19,11 @@ even and odd parity sectors: the nodes moved by an ulp, and the mode-0
 eigenvalues by at most 4.4e-11 (index-bench), which is the bisection
 tolerance eps ||T||_inf of the 8000-node grid; every count, total_index,
 converged flag and note is unchanged.
+Both find-c0 digests were recorded again when the root finder came to
+start from the fixed window [0.55, 1.5] instead of a bracket from a coarse
+scan: the secant steps visit other points, so c0 moved by 2.6e-7 at the
+default tol 1e-4 (within it) and by 1.1e-14 at tol 1e-12, where it now
+equals the mpmath root of the closed form.
 The five curve-* digests were recorded when the profile became a
 Gauss-Legendre quadrature in the height, with each sample interpolated on
 its panel's nodes: the rows moved by at most 7.7e-10 relative, the global
@@ -117,11 +122,11 @@ GOLDEN = {
     ),
     "find-c0-tight": (
         ["find-c0", "--tol", "1e-12", "--quad-tol", "1e-12"],
-        "3f0b7fa7a550ba224860b875b72d8bbafac00c3b018d2ef6c9ec0a1b7362bb93",
+        "aa21cddfa3bd5444760ac0e443702185572a92a76c1f379fdfe6a047b09143a9",
     ),
     "find-c0": (
         ["find-c0"],
-        "aac1e9fe7486e3ba6989c4e8872298f5af4964c2ae4a096638dfe1d4b9520280",
+        "c17c729dcdbc8f9d7318afdc2b543d65d92361b2a9164993ad03074f5de7882e",
     ),
     "index": (
         ["index", "--a", "0.6", "--radius", "8", "--nodes", "600", "--m-max", "1"],

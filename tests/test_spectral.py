@@ -250,6 +250,9 @@ def test_discretize_validation():
         discretize(lambda s: 1.0, lambda s: 0.0, 1.0, 3)
     with pytest.raises(ValueError):
         discretize(lambda s: 1.0, lambda s: 0.0, 1.0, 100.0)
+    # the span 2R of [-R, R] is past the float range
+    with pytest.raises(ValueError, match="radius R"):
+        discretize(lambda s: 1.0, lambda s: 0.0, 1e308, 10)
 
 
 def test_disc_field_validation():

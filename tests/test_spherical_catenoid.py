@@ -265,8 +265,8 @@ def test_find_c0_matches_bisection_oracle():
 
 
 def test_find_c0_evaluates_each_a_once(monkeypatch):
-    # the bracket ends found by the scan are handed to the root finder, not
-    # evaluated again
+    # the root finder evaluates the ends of the fixed window first and once,
+    # then only points inside the shrinking bracket
     seen = []
 
     def counting_F(cat):
@@ -278,6 +278,16 @@ def test_find_c0_evaluates_each_a_once(monkeypatch):
         seen.clear()
         find_c0(tol)
         assert len(seen) == len(set(seen)), tol
+        assert seen[:2] == [spherical_catenoid.SCAN_LO, spherical_catenoid.SCAN_HI]
+
+
+@pytest.mark.parametrize("tol", [1e-4, 1e-8, 1e-12])
+def test_locate_c0_brackets_the_reference_root(tol):
+    root, lo, hi = spherical_catenoid._locate_c0(tol)
+    assert lo <= root <= hi
+    assert hi - lo <= tol
+    reference = oracles.c0_carlson_reference()
+    assert lo - 1e-15 <= reference <= hi + 1e-15
 
 
 def test_find_c0_deterministic():
@@ -292,7 +302,7 @@ def test_find_c0_validation():
 
 
 def test_find_c0_needs_resolvable_sign():
-    # the error of F must not flip the scan bracket at a loose root tolerance
+    # the error of F must not flip the root bracket at a loose root tolerance
     assert find_c0(1e-3) == pytest.approx(C0_ORACLE, abs=2e-3)
 
 
