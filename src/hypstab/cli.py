@@ -7,9 +7,10 @@ one object that embeds the same version and parameter block.  Output
 contains no timestamps or machine identifiers, so repeated runs with equal
 arguments are byte-identical.
 
-Exit codes: 0 success, 2 invalid arguments or parameters, 3 numerical
+Exit codes: 0 success, 2 invalid arguments or parameters (a NaN or
+infinite float flag among them, read by the command or not), 3 numerical
 failure (a root bracket stalled above its tol, profile blow-up,
-constraint violation, overflow).
+constraint violation, overflow, a grid too fine for h^2).
 """
 
 from __future__ import annotations
@@ -468,7 +469,7 @@ def _render_json(config: RunConfig, payload: dict[str, Any]) -> str:
     document.update(payload)
     if isinstance(document.get("rows"), np.ndarray):
         document["rows"] = document["rows"].tolist()
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
+    return json.dumps(document, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _emit(output: str, text: str) -> None:
@@ -489,6 +490,11 @@ def run(config: RunConfig) -> int:
         if config.fmt not in command.formats:
             raise ValueError(f"command {config.command} only supports JSON output")
         payload = command.handler(config.parameters)
+        # a flag the command does not read is echoed, never checked, by it
+        for key in sorted(config.parameters):
+            value = config.parameters[key]
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
         render = _render_csv if config.fmt == "csv" else _render_json
         text = render(config, payload)
         try:

@@ -13,6 +13,7 @@ block of a family's `embed_grid`, so a certificate is one grid evaluation.
 
 from __future__ import annotations
 
+import math
 import sys
 
 import numpy as np
@@ -64,13 +65,18 @@ def first_fundamental_fd(block: ArrayLike) -> tuple[float, float, float]:
 
     Comparing the result with the family's closed form certifies its
     embedding against its metric; the O(step^2) truncation sets the
-    agreement floor.
+    agreement floor.  Raises OverflowError when E, F or G is not a finite
+    float, which can happen where the closed form is still finite.
     """
     x = np.asarray(block, dtype=float).reshape(3, 3, -1)
     inv = 0.5 / FD_STEP
-    d_u = (x[2, 1] - x[0, 1]) * inv
-    d_v = (x[1, 2] - x[1, 0]) * inv
-    return tuple(minkowski_inner([d_u, d_u, d_v], [d_u, d_v, d_v]).tolist())
+    with np.errstate(over="ignore", invalid="ignore"):
+        d_u = (x[2, 1] - x[0, 1]) * inv
+        d_v = (x[1, 2] - x[1, 0]) * inv
+    efg = tuple(minkowski_inner([d_u, d_u, d_v], [d_u, d_v, d_v]).tolist())
+    if not all(map(math.isfinite, efg)):
+        raise OverflowError(f"finite-difference metric (E, F, G) = {efg} is not finite")
+    return efg
 
 
 def on_hyperboloid_rows(points: ArrayLike, tol: float) -> np.ndarray:

@@ -17,6 +17,7 @@ reported uncertified; LDL inertia counts a grid's eigenvalues below a margin.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -66,9 +67,9 @@ class SturmLiouvilleDisc:
             raise ValueError("weight and potential must match the grid size")
         if weight_mid.shape != (grid.size - 1,):
             raise ValueError("weight_mid must have one entry per grid cell")
-        h = (grid[-1] - grid[0]) / (grid.size - 1)
-        if not h > 0.0:
-            raise ValueError("grid must be increasing")
+        h = float((grid[-1] - grid[0]) / (grid.size - 1))
+        if not (h > 0.0 and math.isfinite(h * h)):
+            raise ValueError(f"grid must be increasing, with h^2 a finite float, got h = {h}")
         if np.max(np.abs(np.diff(grid) - h)) > 1e-12 * max(1.0, abs(h)):
             raise ValueError("grid must be uniform")
         if not (np.all(np.isfinite(weight)) and np.all(weight > 0.0)):
@@ -146,8 +147,8 @@ def assemble_mode_operator(
     Requires m >= 0, 0 < R <= 300 (the profile weight overflows past that),
     and N >= 100, the resolution `default_count_margin` assumes when
     count_negative_eigenvalues counts the grid; morse_index does not count.
-    Raises OverflowError naming a, R and N when a cosh(2R)/h^2, the square
-    of the largest stiffness entry, is not a finite float.
+    Raises OverflowError naming a and R when the largest weight a cosh(2R)
+    is not a finite float; _tridiagonal_system scales out the grid spacing.
     """
     if not isinstance(m, int) or isinstance(m, bool) or m < 0:
         raise ValueError(f"mode must be a nonnegative integer, got {m!r}")
@@ -155,37 +156,33 @@ def assemble_mode_operator(
         raise ValueError(f"radius must lie in (0, {_MAX_RADIUS:g}], got {R}")
     if not isinstance(N, int) or isinstance(N, bool) or N < 100:
         raise ValueError(f"cell count must be an integer >= 100, got {N!r}")
-    # the LDL count squares the largest off-diagonal entry, sqrt(w(R))/h
-    h = 2.0 * R / N
-    if math.isinf(cat.a * math.cosh(2.0 * R) / (h * h)):
-        raise OverflowError(
-            f"mode operator overflows: a cosh(2R)/h^2 is not finite at "
-            f"a = {cat.a}, R = {R}, N = {N}"
-        )
+    if math.isinf(cat.a * math.cosh(2.0 * R)):
+        raise OverflowError(f"mode operator overflows: a cosh(2R) is not finite at "
+                            f"a = {cat.a}, R = {R}")
     rho, q = _catenoid_profiles(cat, m)
     return discretize(rho, q, float(R), N)
 
 
-def _tridiagonal_system(
-    disc: SturmLiouvilleDisc,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stiffness diagonal, stiffness off-diagonal, and mass diagonal of the
-    interior system.  The flux stencil uses the analytic midpoint weights:
+def _tridiagonal_system(disc: SturmLiouvilleDisc) -> tuple[np.ndarray, np.ndarray, float]:
+    """(d, e, h^2): diagonal and off-diagonal of T = h^2 M^{-1/2} K M^{-1/2},
+    the one matrix form both solvers read.  K and M = diag(rho_i h) are the
+    stiffness and mass of the standard self-adjoint second-order scheme for
+    -(rho u')' + q rho u, with the analytic midpoint weights in its flux:
 
-        (K u)_i = (rho_{i-1/2} (u_i - u_{i-1}) + rho_{i+1/2} (u_i - u_{i+1}))/h
-                  + q_i rho_i h u_i,        M_ii = rho_i h,
+        d_i = (rho_{i-1/2} + rho_{i+1/2}) / rho_i + q_i h^2,
+        e_i = -rho_{i+1/2} / (sqrt(rho_i) sqrt(rho_{i+1})),
 
-    which is the standard self-adjoint second-order scheme for
-    -(rho u')' + q rho u against the measure rho ds.
+    O(1) at every grid scale; the form's eigenvalues are T's over h^2.  The
+    product of two roots cannot overflow and is its own mirror image, so an
+    even rho and q on discretize's grid give a T that _sectors folds.
     """
-    h = disc.h
+    h2 = disc.h * disc.h
     w = disc.weight[1:-1]
-    q = disc.potential[1:-1]
     wm = disc.weight_mid
-    k_diag = (wm[:-1] + wm[1:]) / h + q * w * h
-    k_off = -wm[1:-1] / h
-    m_diag = w * h
-    return k_diag, k_off, m_diag
+    root = np.sqrt(w)
+    d = (wm[:-1] + wm[1:]) / w + disc.potential[1:-1] * h2
+    e = -wm[1:-1] / (root[:-1] * root[1:])
+    return d, e, h2
 
 
 def default_count_margin(disc: SturmLiouvilleDisc) -> float:
@@ -211,27 +208,28 @@ def count_negative_eigenvalues(
 
     margin defaults to default_count_margin(disc); pass margin = 0.0 for the
     raw discrete count.  By Sylvester inertia the count is the number of
-    negative pivots in the LDL factorization of the tridiagonal K + margin M,
-    made in one pass.  A pivot that is exactly zero is taken as +1e-300: with
-    coupling o to the next row it drives the next pivot to about -o^2/1e-300
-    (or -inf), so the block [[0, o], [o, d]], whose determinant is -o^2 < 0,
-    adds the one negative pivot of its inertia; a trailing zero pivot is a
-    zero eigenvalue, which is not below -margin.
+    negative pivots in the one-pass LDL factorization of (d + margin h^2, e)
+    from _tridiagonal_system, whose O(1) entries keep the count valid at
+    every positive h.  A pivot that is exactly zero is taken as +1e-300:
+    with coupling o to the next row it drives the next pivot to about
+    -o^2/1e-300 (or -inf), so the block [[0, o], [o, d]], whose determinant
+    is -o^2 < 0, adds the one negative pivot of its inertia; a trailing zero
+    pivot is a zero eigenvalue, which is not below -margin.
     """
     if margin is None:
         margin = default_count_margin(disc)
     margin = float(margin)
     if not (math.isfinite(margin) and margin >= 0.0):
         raise ValueError(f"margin must be finite and >= 0, got {margin}")
-    k_diag, k_off, m_diag = _tridiagonal_system(disc)
+    d, e, h2 = _tridiagonal_system(disc)
     # A zero off-diagonal against an infinite pivot ahead of the first row
     # makes the first pivot the first diagonal entry, bit for bit.  The
     # memoryviews yield Python floats without copying the arrays into lists.
-    off = memoryview(np.concatenate(([0.0], k_off)))
+    off = memoryview(np.concatenate(([0.0], e)))
     count = 0
     pivot = math.inf
-    for d, o in zip(memoryview(k_diag + margin * m_diag), off):
-        pivot = d - o * o / pivot
+    for diag, o in zip(memoryview(d + margin * h2), off):
+        pivot = diag - o * o / pivot
         if pivot == 0.0:
             pivot = 1e-300
         elif pivot < 0.0:
@@ -269,14 +267,15 @@ def lowest_eigenvalues(disc: SturmLiouvilleDisc, k: int = 3) -> tuple[float, ...
     """The min(k, N - 1) smallest eigenvalues of the discretized form,
     ascending: a grid of N cells has only N - 1 interior nodes.
 
-    Solves the symmetric standard form T = D^{-1/2} K D^{-1/2} of the pencil
-    (K, M) by LAPACK bisection; the mass matrix is diagonal, so the
-    transformation is exact.  A T equal to its mirror image (an even rho and
-    q on discretize's grid) is solved as its even sector for the ceil(k/2)
-    lowest and its odd sector for the floor(k/2) lowest (see _sectors); any
-    other T whole.  Not certified: the values carry the scheme's O(h^2)
-    error and a bisection tolerance of order eps ||T||_inf, about 4 eps/h^2
-    (1e-9 at R = 10, N = 20000).
+    Solves the scaled tridiagonal T of _tridiagonal_system by LAPACK
+    bisection and divides its eigenvalues by h^2.  A T equal to its mirror
+    image (an even rho and q on discretize's grid) is solved as its even
+    sector for the ceil(k/2) lowest and its odd sector for the floor(k/2)
+    lowest (see _sectors); any other T whole.  Not certified: the values
+    carry the scheme's O(h^2) error and a bisection tolerance of order
+    eps ||T||_inf / h^2, about 4 eps/h^2 (1e-9 at R = 10, N = 20000).
+    Raises OverflowError naming h where h^2 is not a normal float (h below
+    about 1.5e-154) or an eigenvalue divided by h^2 is not a finite float.
     """
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ValueError(f"k must be a positive integer, got {k!r}")
@@ -284,16 +283,16 @@ def lowest_eigenvalues(disc: SturmLiouvilleDisc, k: int = 3) -> tuple[float, ...
     # 0.3 s to every `import hypstab.cli`, and only `index` needs it.
     from scipy.linalg import eigvalsh_tridiagonal
 
-    k_diag, k_off, m_diag = _tridiagonal_system(disc)
-    scale = 1.0 / np.sqrt(m_diag)
-    d = k_diag * scale * scale
-    # scale[i] * scale[i + 1] first: that product is its own mirror image
-    e = k_off * (scale[:-1] * scale[1:])
-    vals = np.sort(np.concatenate([
-        eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
-        for diag, off, count in _sectors(d, e, min(k, d.size)) if count
-    ]))
-    return tuple(float(v) for v in vals)
+    d, e, h2 = _tridiagonal_system(disc)
+    if h2 >= sys.float_info.min:
+        with np.errstate(over="ignore"):
+            vals = np.sort(np.concatenate([
+                eigvalsh_tridiagonal(diag, off, select="i", select_range=(0, count - 1))
+                for diag, off, count in _sectors(d, e, min(k, d.size)) if count
+            ])) / h2
+        if np.all(np.isfinite(vals)):
+            return tuple(float(v) for v in vals)
+    raise OverflowError(f"eigenvalues leave the float range at grid spacing h = {disc.h}")
 
 
 def mode_is_positive_by_bound(cat: SphericalCatenoid, m: int) -> bool:
@@ -366,10 +365,10 @@ def morse_index(
     converged False and a note otherwise (the index is then 0 or 1).  Its
     k_eigs >= 1 lowest eigenvalues, not certified, come from the grid of
     assemble_mode_operator on [-R, R] with N cells, which needs R in
-    (0, 300] and raises OverflowError where its stiffness entries overflow
-    (a past about 7e295 at R = 10, N = 2000); lowest_eigenvalues solves
-    their even and odd sectors, to O(h^2) plus about 4 eps/h^2.  The index
-    weights m >= 1 twice.
+    (0, 300] and raises OverflowError at a cosh(2R) past the float maximum
+    (a past about 7.4e299 at R = 10); lowest_eigenvalues solves their even
+    and odd sectors, to O(h^2) plus about 4 eps/h^2, and names h where h^2
+    is too small.  The index weights m >= 1 twice.
 
     Why the slope decides (the hyperbolic Lindelof criterion; Berard-Sa
     Earp, Proc. AMS 2010; Mori 1981): varying a gives the even mode-0 Jacobi

@@ -1,18 +1,21 @@
 """Command-line interface: output formats, determinism, exit codes, and the
 round trip through the table reader."""
 
+import contextlib
+import io
 import json
 import math
 import os
 import struct
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import hypstab
 import hypstab.cli as cli
@@ -30,6 +33,7 @@ from hypstab.lorentz import on_hyperboloid
 from hypstab.spherical_catenoid import F, SphericalCatenoid
 
 import oracles
+from test_golden import GOLDEN
 
 
 def _strict_json(text):
@@ -42,6 +46,13 @@ def _strict_json(text):
 
 
 _HUGE_N = "1" + "0" * 160  # an int past the float range
+
+
+def _format_of(argv):
+    """The output format main would use for argv."""
+    if "--format" in argv:
+        return argv[argv.index("--format") + 1]
+    return cli._COMMANDS[argv[0]].formats[0]
 
 
 def invoke(tmp_path, name, argv):
@@ -583,7 +594,7 @@ def test_index_screens_mode_one_at_an_unresolved_neck(tmp_path):
     assert mode_one == {"mode": 1, "negative_count": 0, "lowest_eigenvalues": []}
 
 
-@pytest.mark.parametrize("a", ["1e154", "1e200", "1e290", "1e295"])
+@pytest.mark.parametrize("a", ["1e154", "1e200", "1e290", "1e295", "1e296", "7e299"])
 def test_index_at_huge_a_runs(tmp_path, a):
     # |A|^2 = 2 (a^2 - 1/4) / w^2 is tiny although a^2 overflows
     code, out = invoke(tmp_path, "huge.json", ["index", "--a", a, "--radius", "10"])
@@ -593,8 +604,8 @@ def test_index_at_huge_a_runs(tmp_path, a):
     assert doc["converged"] is True
 
 
-# a cosh(20)/h^2 passes the float maximum at a = 7.4e295 (R = 10, N = 2000)
-@pytest.mark.parametrize("a", ["1e296", "1e300"])
+# a cosh(20) passes the float maximum at a = 7.4e299
+@pytest.mark.parametrize("a", ["1e300"])
 def test_index_overflow_is_a_named_numerical_failure(tmp_path, capsys, a):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -606,6 +617,24 @@ def test_index_overflow_is_a_named_numerical_failure(tmp_path, capsys, a):
     assert lines[0].startswith("hypstab index: numerical failure: mode operator overflows")
     assert f"a = {float(a)}" in lines[0]
     assert not out.exists()
+
+
+def test_index_on_a_grid_too_fine_for_h_squared_names_h(tmp_path, capsys):
+    # h = 1e-203: h^2 underflows, and the eigenvalues would pass the float range
+    code, out = invoke(tmp_path, "tiny.json", ["index", "--a", "0.9", "--radius", "1e-200"])
+    assert code == EXIT_NUMERICAL
+    [line] = capsys.readouterr().err.splitlines()
+    assert line.startswith("hypstab index: numerical failure: eigenvalues leave the float "
+                           "range at grid spacing h = 1e-203")
+    assert not out.exists()
+
+
+def test_index_at_a_tiny_radius_runs(tmp_path):
+    # the scaled form keeps every entry O(1): eigenvalues near (pi / 2R)^2
+    code, out = invoke(tmp_path, "small.json", ["index", "--a", "0.9", "--radius", "1e-100"])
+    assert code == EXIT_OK
+    lams = _strict_json(out.read_text())["modes"][0]["lowest_eigenvalues"]
+    assert lams[0] == pytest.approx((math.pi / 2e-100) ** 2, rel=1e-5)
 
 
 def test_index_eigenvalue_count_is_a_usage_error_before_assembly(tmp_path, capsys):
@@ -933,3 +962,127 @@ def test_table_row_bound_counts_grid_products(tmp_path, monkeypatch):
     assert invoke(tmp_path, "fits.csv", argv)[0] == EXIT_OK
     monkeypatch.setattr(cli, "_MAX_GRID_POINTS", 11)
     assert invoke(tmp_path, "over.csv", argv)[0] == EXIT_USAGE
+
+
+# One flag each export family does not read, with a value its own checks
+# would never see: the run rejects it rather than echo it in the header.
+UNREAD_FLAGS = {"spherical": "--t", "helicoid": "--a", "hyperbolic-curve": "--alpha"}
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("family", sorted(UNREAD_FLAGS))
+def test_a_non_finite_unread_flag_is_a_usage_error(tmp_path, capsys, family, value, fmt):
+    flag = UNREAD_FLAGS[family]
+    code, out = invoke(tmp_path, "unread.out", ["embed-export", "--family", family,
+                                                "--format", fmt, f"{flag}={value}"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"hypstab embed-export: invalid parameters: {flag[2:]} must be finite, "
+        f"got {float(value)}"
+    ]
+    assert not out.exists()
+
+
+def test_render_json_rejects_a_non_finite_value():
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        cli._render_json(RunConfig("criteria", {}), {"value": math.nan})
+
+
+@pytest.mark.parametrize("name", sorted(n for n, (argv, _) in GOLDEN.items()
+                                        if _format_of(argv) == "json"))
+def test_json_golden_outputs_are_strict_json(tmp_path, name):
+    code, out = invoke(tmp_path, "golden.json", GOLDEN[name][0])
+    assert code == EXIT_OK
+    _strict_json(out.read_text())
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["sweep-f", "--a-max", "inf"], "grid bounds and step must be finite"),
+        (["sweep-f", "--a-min", "0.6", "--step", "0"], "step must be positive, got 0.0"),
+        (["sweep-f", "--a-min", "0.9", "--a-max", "0.6"], "need hi >= lo, got [0.9, 0.6]"),
+        (["hyperbolic-window", "--t-min", "1"], "t_min must exceed 1, got 1.0"),
+        (["hyperbolic-window", "--t-min", "2", "--t-max", "1.5"],
+         "need t_max >= t_min, got [2.0, 1.5]"),
+    ],
+    ids=["sweep-bound", "sweep-step", "sweep-order", "window-t-min", "window-order"],
+)
+def test_grid_bounds_are_usage_errors(tmp_path, capsys, argv, message):
+    code, out = invoke(tmp_path, "grid.csv", argv)
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"hypstab {argv[0]}: invalid parameters: {message}"
+    ]
+    assert not out.exists()
+
+
+def test_run_rejects_an_unknown_export_family(capsys):
+    params = {"family": "torus", "a": 1.0, "s_max": 3.0, "s_grid": 4, "theta_grid": 4}
+    assert run(RunConfig("embed-export", params)) == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        "hypstab embed-export: invalid parameters: unknown export family 'torus'"
+    ]
+
+
+# Every command with flags drawn from small pools of edge values: each call
+# must end in a clean exit code with valid output or one named error line.
+_FUZZ_FLOATS = [0.0, -1.0, 5e-324, 1e-300, 1e-12, 0.5000000000000001, 0.51, 1.0, 2.0, 9.0,
+                300.0, 301.0, 710.0, 1e154, 1e308, math.inf, math.nan]
+_FUZZ_INTS = [0, 1, 2, 3, 4, 5, 100, 1000, 10**6 + 1]
+_TABLE_SIZE_FLAGS = ("--s-grid", "--theta-grid", "--t-grid", "--samples", "--steps")
+_MAX_ROWS = cli._MAX_GRID_POINTS
+
+
+@st.composite
+def _cli_calls(draw):
+    name = draw(st.sampled_from(sorted(cli._COMMANDS)))
+    command = cli._COMMANDS[name]
+    argv = [name, "--format", draw(st.sampled_from(command.formats))]
+    sizes = []
+    for flag, options in command.arguments.items():
+        if not (options.get("required") or draw(st.booleans())):
+            continue
+        if "choices" in options:
+            value = draw(st.sampled_from(options["choices"]))
+        elif options["type"] is int:
+            value = draw(st.sampled_from(_FUZZ_INTS))
+        else:
+            value = draw(st.sampled_from(_FUZZ_FLOATS))
+        if flag in _TABLE_SIZE_FLAGS and value <= _MAX_ROWS:
+            sizes.append(value)
+        argv.append(f"{flag}={value}")
+    # tables past the row bound are rejected before allocation; cap the rest
+    assume(math.prod(sizes) <= 10**5)
+    return argv
+
+
+@settings(max_examples=800, deadline=None)
+@example(["index", "--a", "0.9", "--radius", "1e-200"])
+@example(["embed-export", "--family", "spherical", "--t", "nan", "--alpha", "inf",
+          "--format", "json"])
+@example(["embed-export", "--family", "spherical", "--t", "nan", "--format", "csv"])
+@given(_cli_calls())
+def test_every_call_exits_cleanly(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            try:
+                code = main(argv + ["--output", str(out)])
+            except SystemExit as exc:
+                assert exc.code == EXIT_USAGE
+                return
+        assert code in (EXIT_OK, EXIT_USAGE, EXIT_NUMERICAL), argv
+        if code != EXIT_OK:
+            assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+            assert not out.exists()
+            return
+        assert err.getvalue() == ""
+        if _format_of(argv) == "json":
+            _strict_json(out.read_text())
+        else:
+            meta, _, rows = read_table(out)
+            assert not {"nan", "inf", "-inf"} & set(meta.values())
+            assert all(math.isfinite(cell) for row in rows for cell in row)

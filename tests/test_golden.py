@@ -19,6 +19,12 @@ even and odd parity sectors: the nodes moved by an ulp, and the mode-0
 eigenvalues by at most 4.4e-11 (index-bench), which is the bisection
 tolerance eps ||T||_inf of the 8000-node grid; every count, total_index,
 converged flag and note is unchanged.
+All four index digests were recorded again when both spectral solvers came
+to read one tridiagonal form scaled by h^2, with no mass matrix: the
+mode-0 eigenvalues moved by at most 3.7e-13 (index), 8.9e-14
+(index-unconverged), 5.8e-13 (index-screened) and 6.2e-11, 2.9e-11
+relative (index-bench), within the bisection tolerance of about 4 eps/h^2;
+every count, total_index, converged flag and note is unchanged.
 Both find-c0 digests were recorded again when the root finder came to
 start from the fixed window [0.55, 1.5] instead of a bracket from a coarse
 scan: the secant steps visit other points, so c0 moved by 2.6e-7 at the
@@ -130,24 +136,24 @@ GOLDEN = {
     ),
     "index": (
         ["index", "--a", "0.6", "--radius", "8", "--nodes", "600", "--m-max", "1"],
-        "4279358bf28cf661a3c66d6b9be82b203aeee21de620bdf4b1e9eb062f2d8575",
+        "5ebbaaea951b1d1d96e8a673b44b18e1a5e906b9ef808539a8a64a8bb3a68b6f",
     ),
     "index-unconverged": (
         ["index", "--a", "0.76", "--radius", "3", "--nodes", "100", "--m-max", "2"],
-        "773751dc8222a58d556ab7df2042b488e4d74d39f8c7a8506e119a8475ea3c3a",
+        "9c15aabfd68f83dc6264d7318d520fb3a5d235e50e4dcc70d9a82e0f1ceb9087",
     ),
     # modes 1-6 are screened, so their lowest_eigenvalues lists are empty;
     # mode 1 was last counted here, every count is unchanged
     "index-screened": (
         ["index", "--a", "0.51", "--radius", "6", "--nodes", "400", "--m-max", "6",
          "--k-eigs", "4"],
-        "9756b79ab20658adde097f2bd3ee8e24dc261bb5f08e57e071252756e944e897",
+        "8cc900ef13e906e16616fbbbf4c2619c5b358a5cd906dcc0e1e39c3a2bf25b30",
     ),
     # the largest morse-index benchmark sizes: 8000 nodes, modes 0..8
     "index-bench": (
         ["index", "--a", "1.7", "--radius", "12", "--nodes", "8000", "--m-max", "8",
          "--k-eigs", "5"],
-        "0317ec140424f6fdd66af5f34bc407c3e4de2bc1701191bd4f50a4543cbb5f9b",
+        "d3ee9786949f49d09bc67c5ab2550e1ed8aeaec1389ba8429fff71649076f7a9",
     ),
     "criteria-all": (
         ["criteria", "--n", "3", "--sup-a-sq", "2.5", "--pinch-a", "0.5",

@@ -142,6 +142,17 @@ def test_first_fundamental_fd_matches():
             assert abs(x - y) <= 1e-6
 
 
+@pytest.mark.parametrize("alpha, s, t", [(0.0, 3.0, 355.0), (2.18, 0.0, 709.9)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_first_fundamental_fd_overflow_is_named(alpha, s, t):
+    # E is finite in closed form (5.58e307 at t = 355) where the squared
+    # differences are not
+    if alpha == 0.0:
+        assert math.isfinite(first_fundamental(Helicoid(alpha), t)[0])
+    with pytest.raises(OverflowError, match="finite-difference metric"):
+        first_fundamental_fd(Helicoid(alpha), s, t)
+
+
 def test_second_fundamental_fd_matches():
     h = Helicoid(1.3)
     for s in (-0.7, 0.0, 1.9):

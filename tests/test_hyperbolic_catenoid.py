@@ -360,6 +360,8 @@ def test_generating_curve_points_validation():
         generating_curve_points(cat, [1.0, 0.5])  # unsorted
     with pytest.raises(ValueError):
         generating_curve_points(cat, [-1.0])
+    with pytest.raises(ValueError, match="must not exceed 300.0"):
+        generating_curve_points(cat, [0.0, hyperbolic_catenoid.S_MAX_CAP * (1.0 + 1e-15)])
     assert generating_curve_points(cat, []).shape == (0, 3)
 
 

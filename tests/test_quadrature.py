@@ -143,6 +143,17 @@ def test_result_rejects_nan_error_estimate():
         QuadratureResult(1.0, math.nan, 15)
     with pytest.raises(ValueError):
         QuadratureResult(1.0, -1.0, 15)
+    with pytest.raises(ValueError, match="evaluations must be nonnegative"):
+        QuadratureResult(1.0, 0.0, -1)
+
+
+def test_running_sums_are_refreshed_past_256_panels():
+    # about 2.5 rad per panel: cos over [0, 2000] needs hundreds of panels,
+    # so the incremental sums are recomputed with fsum along the way
+    r = integrate_adaptive(math.cos, 0.0, 2000.0, 1e-12)
+    assert (r.evaluations - 15) // 30 + 1 >= 256  # panels left after the bisections
+    assert abs(r.value - math.sin(2000.0)) <= 1e-12
+    assert r.error_estimate <= 1e-12
 
 
 PANEL_INTEGRANDS = {
@@ -245,6 +256,15 @@ def test_root_validates_the_bracket_before_evaluating():
         with pytest.raises(ValueError):
             find_root_bracketed(g, lo, hi, tol)
     assert calls == []
+
+
+@pytest.mark.parametrize("lo_value, hi_value", [(math.nan, 1.0), (-1.0, math.nan)])
+def test_root_rejects_a_non_finite_end_value(lo_value, hi_value):
+    def g(x):
+        return lo_value if x == 0.0 else hi_value
+
+    with pytest.raises(QuadratureError, match="non-finite value nan at abscissa"):
+        find_root_bracketed(g, 0.0, 1.0)
 
 
 def test_root_exact_endpoint_zero_returned():

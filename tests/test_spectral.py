@@ -123,6 +123,42 @@ def test_count_is_the_inertia_of_the_pencil(data):
     assert count_negative_eigenvalues(disc, margin=0.0) == int(np.sum(lams < 0.0))
 
 
+@pytest.mark.parametrize("q", [1.0, -1.0])
+@pytest.mark.parametrize("R", [1e-100, 1e-155, 1e-200])
+def test_tiny_box_pencils_have_no_negative_eigenvalue(R, q):
+    # every eigenvalue is near q + (pi / 2R)^2 > 0; where h^2 underflows the
+    # scaled form still holds the stencil's O(1) entries
+    assert count_negative_eigenvalues(flat_disc(q, R, 100)) == 0
+    assert count_negative_eigenvalues(flat_disc(q, R, 100), margin=0.0) == 0
+
+
+def test_zero_potential_eigenvalues_scale_as_the_inverse_square_radius():
+    # with q = 0 the form on [-R, R] is the one on [-1, 1] over R^2
+    unit = np.array(lowest_eigenvalues(flat_disc(0.0, 1.0, 100), 3))
+    for R in (1e-150, 1e-100, 1e-20, 1e3, 1e100):
+        scaled = np.array(lowest_eigenvalues(flat_disc(0.0, R, 100), 3)) * R * R
+        assert np.max(np.abs(scaled - unit) / unit) <= 1e-14, R
+
+
+@pytest.mark.parametrize("R", [1e-160, 1e-200, 1e-300])
+def test_eigenvalues_on_a_grid_too_fine_for_h_squared_name_h(R):
+    disc = flat_disc(0.0, R, 100)
+    with pytest.raises(OverflowError, match=f"grid spacing h = {disc.h}"):
+        lowest_eigenvalues(disc, 1)
+    assert count_negative_eigenvalues(disc) == 0
+
+
+def test_mode_operator_guard_reads_the_weight_alone():
+    # a cosh(20) passes the float maximum between a = 7.4e299 and 7.5e299;
+    # the grid spacing plays no part
+    for N in (100, 20000):
+        assemble_mode_operator(SphericalCatenoid(7.4e299), 0, 10.0, N)
+    with pytest.raises(OverflowError, match=r"a cosh\(2R\) is not finite at a = 7.5e\+299"):
+        assemble_mode_operator(SphericalCatenoid(7.5e299), 0, 10.0, 100)
+    disc = assemble_mode_operator(SphericalCatenoid(0.9), 0, 1e-200, 100)
+    assert disc.interior == 99
+
+
 def test_lowest_eigenvalues_stop_at_the_interior_nodes():
     # N cells leave N - 1 interior unknowns, so k past that returns them all
     disc = flat_disc(0.0, math.pi, 100)
@@ -253,6 +289,9 @@ def test_discretize_validation():
     # the span 2R of [-R, R] is past the float range
     with pytest.raises(ValueError, match="radius R"):
         discretize(lambda s: 1.0, lambda s: 0.0, 1e308, 10)
+    # h = 2e158 has no finite square, which the scaled form needs
+    with pytest.raises(ValueError, match=r"h\^2 a finite float, got h = 2e\+158"):
+        discretize(lambda s: 1.0, lambda s: 0.0, 1e160, 100)
 
 
 def test_disc_field_validation():
@@ -265,6 +304,31 @@ def test_disc_field_validation():
     warped[3] += 0.05
     with pytest.raises(ValueError):
         SturmLiouvilleDisc(warped, ones, mid, ones)  # non-uniform
+    with pytest.raises(ValueError, match="at least 5 nodes"):
+        SturmLiouvilleDisc(grid[:4], ones[:4], mid[:3], ones[:4])
+    with pytest.raises(ValueError, match="weight and potential must match"):
+        SturmLiouvilleDisc(grid, ones, mid, ones[:-1])
+    with pytest.raises(ValueError, match="one entry per grid cell"):
+        SturmLiouvilleDisc(grid, ones, np.ones(11), ones)
+    with pytest.raises(ValueError, match="grid must be increasing"):
+        SturmLiouvilleDisc(grid[::-1], ones, mid, ones)
+    for bad in (0.0, math.inf):
+        with pytest.raises(ValueError, match="weight_mid must be finite and positive"):
+            SturmLiouvilleDisc(grid, ones, np.full(10, bad), ones)
+    with pytest.raises(ValueError, match="potential must be finite"):
+        SturmLiouvilleDisc(grid, ones, mid, np.full(11, math.nan))
+
+
+@pytest.mark.parametrize("margin", [-1.0, math.inf, math.nan])
+def test_count_rejects_a_bad_margin(margin):
+    with pytest.raises(ValueError, match="margin must be finite and >= 0"):
+        count_negative_eigenvalues(flat_disc(0.0, 1.0, 10), margin=margin)
+
+
+@pytest.mark.parametrize("k", [0, -1, True, 2.0])
+def test_lowest_eigenvalues_rejects_a_bad_k(k):
+    with pytest.raises(ValueError, match="k must be a positive integer"):
+        lowest_eigenvalues(flat_disc(0.0, 1.0, 10), k)
 
 
 def test_assemble_mode_operator_validation():

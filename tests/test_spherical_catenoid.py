@@ -108,6 +108,15 @@ def test_grad_norm_A_matches_finite_difference():
         )
         assert grad_norm_A(cat, s) == pytest.approx(fd, abs=1e-6)
     assert grad_norm_A(cat, 0.0) == 0.0
+    # sinh 2s overflows past s = 355; the gradient has long decayed to 0
+    assert grad_norm_A(cat, 400.0) == 0.0
+    assert grad_norm_A(cat, -400.0) == 0.0
+
+
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_phi_rejects_a_non_finite_s(s):
+    with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
+        phi(SphericalCatenoid(0.9), s)
 
 
 @pytest.mark.parametrize("a", [0.5 + 1e-8, 1e154, 1e200, 1e300])
@@ -221,6 +230,12 @@ def test_metric_residual_small_on_sample_points():
     for s in (-2.0, -0.5, 0.0, 1.0, 2.9):
         for theta in (0.1, 2.0, 4.0):
             assert metric_residual(cat, s, theta) < 1e-7
+
+
+def test_metric_residual_overflow_is_named():
+    # the coordinates are finite at s = 355.2, their differences squared are not
+    with pytest.raises(OverflowError, match="finite-difference metric"):
+        metric_residual(SphericalCatenoid(1.0), 355.2, 0.0)
 
 
 def test_total_A_sq_against_oracle():
