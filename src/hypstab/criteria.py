@@ -11,6 +11,7 @@ failed stability certificate is inconclusive, not instability.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 __all__ = [
@@ -50,9 +51,14 @@ class StabilityReport:
             raise ValueError(f"unknown verdict {self.verdict!r}")
 
 
-def _require_dim(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"hypersurface dimension must be an integer >= 2, got {n!r}")
+def _integer(value: int, name: str, least: int) -> int:
+    """The package's one integer rule: value, an integer (numpy's too, not a
+    bool) of at least least, as a Python int, whose arithmetic cannot wrap."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        kind = {0: "a nonnegative integer", 1: "a positive integer"}.get(
+            least, f"an integer >= {least}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return int(value)
 
 
 def lambda1_bounds(n: int) -> tuple[float, float]:
@@ -62,7 +68,7 @@ def lambda1_bounds(n: int) -> tuple[float, float]:
     hyperbolic space; the upper bound additionally assumes stability and
     finite total squared curvature.  Raises OverflowError naming n when n^2
     is not a finite float."""
-    _require_dim(n)
+    n = _integer(n, "hypersurface dimension", 2)
     try:
         return (n - 1) ** 2 / 4.0, float(n * n)
     except OverflowError:
@@ -94,7 +100,7 @@ def pointwise_stability_test(n: int, sup_A_sq: float) -> StabilityReport:
     imply instability).  Raises OverflowError naming n when the threshold
     is not a finite float.
     """
-    _require_dim(n)
+    n = _integer(n, "hypersurface dimension", 2)
     sup_A_sq = float(sup_A_sq)
     if not (math.isfinite(sup_A_sq) and sup_A_sq >= 0.0):
         raise ValueError(f"sup_A_sq must be finite and >= 0, got {sup_A_sq}")
@@ -114,7 +120,7 @@ def sobolev_stability_test(n: int, C_s: float, A_n_norm_to_n: float) -> Stabilit
     and must be supplied by the caller; no default is assumed.  Raises
     OverflowError naming n and C_s when the threshold is not a finite float.
     """
-    _require_dim(n)
+    n = _integer(n, "hypersurface dimension", 2)
     if n < 3:
         raise ValueError(f"the total-curvature test needs dimension n >= 3, got {n}")
     C_s = float(C_s)
@@ -138,7 +144,7 @@ def grad_condition_deficit(n: int, mass_A_sq: float, mass_grad_A_sq: float) -> f
     spherical catenoid functional F equals this deficit for n = 2.  Raises
     OverflowError naming the inputs when n^2 * int |A|^2 dv is not a finite
     float."""
-    _require_dim(n)
+    n = _integer(n, "hypersurface dimension", 2)
     mass_A_sq = float(mass_A_sq)
     mass_grad_A_sq = float(mass_grad_A_sq)
     if not (math.isfinite(mass_A_sq) and mass_A_sq >= 0.0):

@@ -32,6 +32,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .criteria import _integer
+
 __all__ = [
     "ProfileError",
     "HyperbolicCatenoid",
@@ -74,11 +76,6 @@ class ProfileError(RuntimeError):
     """Profile integration failed or produced geometrically invalid state."""
 
 
-def _check_dimension(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"dimension n must be an integer >= 2, got {n!r}")
-
-
 def shape_constant(n: int, t: float) -> float:
     """Conserved flux constant a = t^(n-1) * sqrt(t^2 - 1) of the profile.
 
@@ -86,7 +83,7 @@ def shape_constant(n: int, t: float) -> float:
     degenerate cylinder-free limit) and is strictly increasing in t.
     Raises OverflowError when a is not a finite float.
     """
-    _check_dimension(n)
+    n = _integer(n, "dimension n", 2)
     t = float(t)
     if not (math.isfinite(t) and t >= 1.0):
         raise ValueError(f"neck height t must satisfy t >= 1, got {t}")
@@ -112,7 +109,7 @@ class HyperbolicCatenoid:
         if not (math.isfinite(t) and t > 1.0):
             raise ValueError(f"neck height must satisfy t > 1, got {self.t}")
         object.__setattr__(self, "t", t)
-        _check_dimension(self.n)
+        object.__setattr__(self, "n", _integer(self.n, "dimension n", 2))
         try:
             finite = math.isfinite((t - 1.0) * (t + 1.0)) and math.isfinite(
                 float(self.n * (self.n - 1))
@@ -394,7 +391,7 @@ def principal_curvatures(
 
 def stability_window_max_t(n: int) -> float:
     """Upper endpoint 1 + (n+1)^2 / (4 n (n-1)) of the stable neck range."""
-    _check_dimension(n)
+    n = _integer(n, "dimension n", 2)
     return 1.0 + (n + 1) ** 2 / (4 * n * (n - 1))
 
 

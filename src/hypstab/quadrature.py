@@ -300,8 +300,8 @@ def _root_with_bracket(
     """
     if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
         raise ValueError(f"need a finite bracket with lo < hi, got [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be finite and positive, got {tol}")
 
     fa, fb = _eval_checked(g, lo), _eval_checked(g, hi)
     if fa == 0.0:

@@ -23,6 +23,7 @@ from typing import Callable
 
 import numpy as np
 
+from .criteria import _integer
 from .spherical_catenoid import SphericalCatenoid, _norm_A_sq, boundary_angle_slope
 
 __all__ = [
@@ -113,8 +114,7 @@ def discretize(
         raise ValueError(f"radius must be positive, got {R}")
     if not math.isfinite(2.0 * R):
         raise ValueError(f"radius R must be at most half the float maximum, got {R}")
-    if not isinstance(N, int) or isinstance(N, bool) or N < 4:
-        raise ValueError(f"cell count must be an integer >= 4, got {N!r}")
+    N = _integer(N, "cell count", 4)
     grid = np.linspace(-R, R, N + 1)
     # linspace is not its own mirror image to the last bit; this grid is, so
     # even rho and q give a pencil that lowest_eigenvalues can fold
@@ -150,12 +150,10 @@ def assemble_mode_operator(
     Raises OverflowError naming a and R when the largest weight a cosh(2R)
     is not a finite float; _tridiagonal_system scales out the grid spacing.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"mode must be a nonnegative integer, got {m!r}")
+    m = _integer(m, "mode", 0)
     if not (math.isfinite(R) and 0.0 < R <= _MAX_RADIUS):
         raise ValueError(f"radius must lie in (0, {_MAX_RADIUS:g}], got {R}")
-    if not isinstance(N, int) or isinstance(N, bool) or N < 100:
-        raise ValueError(f"cell count must be an integer >= 100, got {N!r}")
+    N = _integer(N, "cell count", 100)
     if math.isinf(cat.a * math.cosh(2.0 * R)):
         raise OverflowError(f"mode operator overflows: a cosh(2R) is not finite at "
                             f"a = {cat.a}, R = {R}")
@@ -277,8 +275,7 @@ def lowest_eigenvalues(disc: SturmLiouvilleDisc, k: int = 3) -> tuple[float, ...
     Raises OverflowError naming h where h^2 is not a normal float (h below
     about 1.5e-154) or an eigenvalue divided by h^2 is not a finite float.
     """
-    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
-        raise ValueError(f"k must be a positive integer, got {k!r}")
+    k = _integer(k, "k", 1)
     # Imported on first use: at module level scipy.linalg would add about
     # 0.3 s to every `import hypstab.cli`, and only `index` needs it.
     from scipy.linalg import eigvalsh_tridiagonal
@@ -318,8 +315,7 @@ def mode_is_positive_by_bound(cat: SphericalCatenoid, m: int) -> bool:
     Since q_m = q_1 + (m^2 - 1)/w >= q_1, every mode m >= 1 is positive on
     every interval.  The answer does not depend on the member.
     """
-    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-        raise ValueError(f"mode must be a nonnegative integer, got {m!r}")
+    m = _integer(m, "mode", 0)
     return m >= 1
 
 
@@ -380,10 +376,8 @@ def morse_index(
     index.  For phi_inf' < 0, u_e > 0 is a positive Jacobi field and the
     member is stable (Fischer-Colbrie-Schoen 1980).
     """
-    if not isinstance(m_max, int) or isinstance(m_max, bool) or m_max < 0:
-        raise ValueError(f"m_max must be a nonnegative integer, got {m_max!r}")
-    if not isinstance(k_eigs, int) or isinstance(k_eigs, bool) or k_eigs < 1:
-        raise ValueError(f"k_eigs must be a positive integer, got {k_eigs!r}")
+    m_max = _integer(m_max, "m_max", 0)
+    k_eigs = _integer(k_eigs, "k_eigs", 1)
     modes: list[ModeSpectrum] = []
     notes: list[str] = []
     for m in range(m_max + 1):

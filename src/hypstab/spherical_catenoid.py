@@ -306,10 +306,10 @@ def find_c0(tol: float = 1e-4) -> float:
     """Shape parameter at which F changes sign, to bracket width tol.
 
     Refines the window a in [0.55, 1.50], where F changes sign exactly once,
-    with the bracketed root finder, which rejects a tol that is not positive
-    before any F.  Near the root F's error bound is about 1e-13 and its
-    slope about 260, so its sign is right wherever a is more than a few ulps
-    from the root.
+    with the bracketed root finder, which rejects a tol that is not finite
+    and positive before any F.  Near the root F's error bound is about 1e-13
+    and its slope about 260, so its sign is right wherever a is more than a
+    few ulps from the root.
     """
     root, _, _ = _locate_c0(tol)
     return root

@@ -114,6 +114,16 @@ def test_every_private_name_is_read(path):
     assert unread == [], f"{path.name} defines but nothing reads {unread}"
 
 
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda path: path.name)
+def test_the_integer_rule_is_written_once(path):
+    """criteria._integer is the package's one integer check: an inline
+    isinstance(x, int) would again reject numpy integers."""
+    inline = [node.lineno for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+              if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance"
+              and any(getattr(kind, "id", None) == "int" for kind in ast.walk(node.args[1]))]
+    assert inline == [], f"{path.name} checks isinstance(..., int) on lines {inline}"
+
+
 @pytest.mark.parametrize(
     "maker",
     [maker for makers in workloads.WORKLOADS.values() for maker, _ in makers],

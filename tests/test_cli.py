@@ -676,7 +676,7 @@ def test_find_c0_rejects_a_nan_tolerance_before_any_F(tmp_path, capsys, monkeypa
     monkeypatch.setattr(spherical_catenoid, "F", counted)
     code, out = invoke(tmp_path, "c0.json", ["find-c0", flag, "nan"])
     assert code == EXIT_USAGE
-    assert f"invalid parameters: {name} must be positive, got nan" in capsys.readouterr().err
+    assert f"invalid parameters: {name} must be finite, got nan" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -694,7 +694,7 @@ def test_find_c0_rejects_an_infinite_tolerance_before_any_F(tmp_path, capsys, mo
     monkeypatch.setattr(spherical_catenoid, "F", counted)
     code, out = invoke(tmp_path, "c0.json", ["find-c0", flag, "inf"])
     assert code == EXIT_USAGE
-    assert f"invalid parameters: {name} must be positive, got inf" in capsys.readouterr().err
+    assert f"invalid parameters: {name} must be finite, got inf" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -711,7 +711,8 @@ def test_sweep_f_rejects_a_bad_tolerance(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setattr(cli, "F", counted)
     code, out = invoke(tmp_path, "sweep.csv", ["sweep-f", "--tol", value])
     assert code == EXIT_USAGE
-    assert f"invalid parameters: tol must be positive, got {float(value)}" in (
+    rule = "positive" if value == "-1" else "finite"
+    assert f"invalid parameters: tol must be {rule}, got {float(value)}" in (
         capsys.readouterr().err
     )
     assert calls == []
@@ -984,6 +985,44 @@ def test_a_non_finite_unread_flag_is_a_usage_error(tmp_path, capsys, family, val
     assert not out.exists()
 
 
+# Each command's numeric entry point, and the float flags that reach it
+# (the first ones) or that it never reads (the last one of an export family).
+WORK = {
+    ("embed-export", "spherical"): ("catenoid_embed_grid", ["--a", "--s-max", "--alpha"]),
+    ("embed-export", "helicoid"): ("helicoid_embed_grid", ["--alpha", "--s-max", "--t-max", "--a"]),
+    ("embed-export", "hyperbolic-curve"): ("generating_curve_points", ["--t", "--s-max", "--a"]),
+    ("index", None): ("morse_index", ["--a", "--radius"]),
+}
+
+
+@pytest.mark.parametrize("value", ["nan", "-inf"])
+@pytest.mark.parametrize("command, family, flag", [
+    (command, family, flag) for (command, family), (_, flags) in WORK.items() for flag in flags
+])
+def test_a_non_finite_flag_is_rejected_before_any_work(tmp_path, capsys, monkeypatch,
+                                                       command, family, flag, value):
+    calls = []
+
+    def counted(work):
+        def call(*args, **kwargs):
+            calls.append(work.__name__)
+            return work(*args, **kwargs)
+        return call
+
+    for name, _ in WORK.values():
+        monkeypatch.setattr(cli, name, counted(getattr(cli, name)))
+    argv = [command] + (["--family", family, "--s-grid", "1000", "--theta-grid", "1000"]
+                        if family else ["--a", "0.9", "--nodes", "20000"])
+    code, out = invoke(tmp_path, "work.out", argv + [f"{flag}={value}"])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err.splitlines() == [
+        f"hypstab {command}: invalid parameters: {flag[2:].replace('-', '_')} must be "
+        f"finite, got {float(value)}"
+    ]
+    assert calls == []
+    assert not out.exists()
+
+
 def test_render_json_rejects_a_non_finite_value():
     with pytest.raises(ValueError, match="not JSON compliant"):
         cli._render_json(RunConfig("criteria", {}), {"value": math.nan})
@@ -1000,7 +1039,7 @@ def test_json_golden_outputs_are_strict_json(tmp_path, name):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["sweep-f", "--a-max", "inf"], "grid bounds and step must be finite"),
+        (["sweep-f", "--a-max", "inf"], "a_max must be finite, got inf"),
         (["sweep-f", "--a-min", "0.6", "--step", "0"], "step must be positive, got 0.0"),
         (["sweep-f", "--a-min", "0.9", "--a-max", "0.6"], "need hi >= lo, got [0.9, 0.6]"),
         (["hyperbolic-window", "--t-min", "1"], "t_min must exceed 1, got 1.0"),

@@ -2,7 +2,9 @@
 Sobolev-constant smallness, and the gradient deficit."""
 
 import math
+import re
 
+import numpy as np
 import pytest
 
 from hypstab.criteria import (
@@ -145,3 +147,24 @@ def test_report_validation():
         StabilityReport("maybe", "pointwise-curvature-bound", 1.0, 2.0)
     rep = StabilityReport(INCONCLUSIVE, "custom", 0.0, 0.0)
     assert rep.verdict == "inconclusive"
+
+
+def test_numpy_integer_dimensions_match_python_ints():
+    for n in (np.int64(3), np.int32(3), np.uint8(3)):
+        assert lambda1_bounds(n) == lambda1_bounds(3)
+        assert pointwise_stability_test(n, 3.5) == pointwise_stability_test(3, 3.5)
+        assert sobolev_stability_test(n, 2.0, 0.1) == sobolev_stability_test(3, 2.0, 0.1)
+        assert grad_condition_deficit(n, 1.2, 2.0) == grad_condition_deficit(3, 1.2, 2.0)
+    # an np.int64 n * n wraps past n of about 3.04e9; a Python int does not
+    assert lambda1_bounds(np.int64(10**10)) == lambda1_bounds(10**10)
+    assert grad_condition_deficit(np.int64(10**10), 1.0, 0.0) == 1e20
+
+
+@pytest.mark.parametrize("n", [True, np.True_, 3.0, "3", 1], ids=repr)
+def test_a_dimension_must_be_an_integer_of_at_least_2(n):
+    message = f"^hypersurface dimension must be an integer >= 2, got {re.escape(repr(n))}$"
+    for call in (lambda1_bounds, lambda n: pointwise_stability_test(n, 1.0),
+                 lambda n: sobolev_stability_test(n, 2.0, 0.1),
+                 lambda n: grad_condition_deficit(n, 1.0, 1.0)):
+        with pytest.raises(ValueError, match=message):
+            call(n)

@@ -81,9 +81,23 @@ def test_catenoid_constructor():
         HyperbolicCatenoid(3, 1.0)  # neck height must be strictly above 1
     with pytest.raises(ValueError):
         HyperbolicCatenoid(3, math.inf)
-    for n in (1, 2.0, True):
-        with pytest.raises(ValueError, match=re.escape(f"got {n!r}")):
-            HyperbolicCatenoid(n, 1.5)
+    for n in (1, 2.0, True, np.True_, "3"):
+        message = f"^dimension n must be an integer >= 2, got {re.escape(repr(n))}$"
+        for call in (lambda n: HyperbolicCatenoid(n, 1.5), lambda n: shape_constant(n, 1.5),
+                     stability_window_max_t):
+            with pytest.raises(ValueError, match=message):
+                call(n)
+
+
+def test_numpy_integer_dimensions_match_python_ints():
+    for n in (np.int64(3), np.int16(3)):
+        cat = HyperbolicCatenoid(n, 2.0)
+        assert cat == HyperbolicCatenoid(3, 2.0) and type(cat.n) is int
+        assert shape_constant(n, 2.0) == shape_constant(3, 2.0)
+        assert stability_window_max_t(n) == stability_window_max_t(3)
+    # an np.int64 n(n - 1) wraps at n = 2^40; the stored Python int does not
+    big = HyperbolicCatenoid(np.int64(2**40), 1.5)
+    assert big == HyperbolicCatenoid(2**40, 1.5) and type(big.n) is int
 
 
 def test_profile_endpoints_are_exact():

@@ -252,7 +252,8 @@ def test_root_validates_the_bracket_before_evaluating():
         calls.append(x)
         return x
 
-    for lo, hi, tol in ((1.0, -1.0, 1e-12), (-1.0, math.inf, 1e-12), (-1.0, 1.0, 0.0)):
+    for lo, hi, tol in ((1.0, -1.0, 1e-12), (-1.0, math.inf, 1e-12), (-1.0, 1.0, 0.0),
+                        (-1.0, 1.0, math.inf)):
         with pytest.raises(ValueError):
             find_root_bracketed(g, lo, hi, tol)
     assert calls == []

@@ -3,6 +3,7 @@ spherical catenoids.  Constant-coefficient and exponential-weight problems
 with known spectra anchor the machinery before it touches the catenoid."""
 
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -329,6 +330,43 @@ def test_count_rejects_a_bad_margin(margin):
 def test_lowest_eigenvalues_rejects_a_bad_k(k):
     with pytest.raises(ValueError, match="k must be a positive integer"):
         lowest_eigenvalues(flat_disc(0.0, 1.0, 10), k)
+
+
+def test_numpy_integer_counts_match_python_ints():
+    i = np.int64
+    cat = SphericalCatenoid(0.9)
+    pairs = [(discretize(np.cosh, np.cosh, 2.0, i(8)), discretize(np.cosh, np.cosh, 2.0, 8)),
+             (assemble_mode_operator(cat, i(1), 6.0, i(200)),
+              assemble_mode_operator(cat, 1, 6.0, 200))]
+    for got, want in pairs:
+        for name in ("grid", "weight", "weight_mid", "potential"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+    disc = pairs[1][1]
+    assert lowest_eigenvalues(disc, i(3)) == lowest_eigenvalues(disc, 3)
+    assert mode_is_positive_by_bound(cat, i(0)) is False
+    assert mode_is_positive_by_bound(cat, i(2)) is True
+    got = morse_index(cat, R=6.0, N=i(400), m_max=i(2), k_eigs=i(2))
+    assert got == morse_index(cat, R=6.0, N=400, m_max=2, k_eigs=2)
+    assert type(got.nodes) is int and [type(spec.mode) for spec in got.modes] == [int] * 3
+
+
+@pytest.mark.parametrize("value", [True, np.True_, 3.0, "3"], ids=repr)
+def test_non_integer_counts_keep_their_messages(value):
+    cat = SphericalCatenoid(0.9)
+    disc = flat_disc(0.0, 1.0, 10)
+    cases = [
+        (lambda v: discretize(np.cosh, np.cosh, 2.0, v), "cell count must be an integer >= 4"),
+        (lambda v: assemble_mode_operator(cat, v, 6.0, 200),
+         "mode must be a nonnegative integer"),
+        (lambda v: assemble_mode_operator(cat, 0, 6.0, v), "cell count must be an integer >= 100"),
+        (lambda v: lowest_eigenvalues(disc, v), "k must be a positive integer"),
+        (lambda v: mode_is_positive_by_bound(cat, v), "mode must be a nonnegative integer"),
+        (lambda v: morse_index(cat, m_max=v), "m_max must be a nonnegative integer"),
+        (lambda v: morse_index(cat, k_eigs=v), "k_eigs must be a positive integer"),
+    ]
+    for call, rule in cases:
+        with pytest.raises(ValueError, match=f"^{rule}, got {re.escape(repr(value))}$"):
+            call(value)
 
 
 def test_assemble_mode_operator_validation():

@@ -314,6 +314,8 @@ def test_find_c0_validation():
         find_c0(0.0)
     with pytest.raises(ValueError):
         find_c0(-1e-4)
+    with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
+        find_c0(math.inf)
 
 
 def test_find_c0_needs_resolvable_sign():
