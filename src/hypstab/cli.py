@@ -12,6 +12,12 @@ infinite float flag among them, read by the command or not, rejected
 before the command does any work), 3 numerical failure (a root bracket
 stalled above its tol, profile blow-up, constraint violation, overflow, a
 grid too fine for h^2).
+
+`main(argv)` is the one entrance, for the `hypstab` script and for Python
+callers alike: it takes the script's argument list (`--output` names a
+file, '-' is stdout) and returns the exit code.  The parser types and
+restricts every flag, and the finiteness rule runs inside `main` before
+any work.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict
 from pathlib import Path
 from typing import Any, Callable, Mapping, NamedTuple, Sequence
 
@@ -71,8 +77,6 @@ __all__ = [
     "EXIT_USAGE",
     "EXIT_NUMERICAL",
     "ExportError",
-    "RunConfig",
-    "run",
     "read_table",
     "main",
 ]
@@ -88,16 +92,6 @@ _UNUSED_TOL = "must be positive; changes nothing, F is a closed form"
 
 class ExportError(RuntimeError):
     """An emitted point failed its geometric validity check."""
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One fully resolved command invocation."""
-
-    command: str
-    parameters: Mapping[str, Any] = field(default_factory=dict)
-    output: str = "-"
-    fmt: str = "json"
 
 
 def _param_str(value: Any) -> str:
@@ -132,7 +126,7 @@ def _bounded_rows(rows: int, what: str) -> None:
 
 
 def _positive(params: Mapping[str, Any], key: str) -> float:
-    value = float(params[key])
+    value = params[key]
     if not value > 0.0:
         raise ValueError(f"{key} must be positive, got {value}")
     return value
@@ -147,21 +141,21 @@ def _half_width(params: Mapping[str, Any], key: str) -> float:
 
 
 def _count(params: Mapping[str, Any], key: str, least: int) -> int:
-    value = int(params[key])
+    value = params[key]
     if value < least:
         raise ValueError(f"{key} must be >= {least}, got {value}")
     return value
 
 
 def _together(params: Mapping[str, Any], *keys: str) -> list[float] | None:
-    """The float values of flags that go together: None when none is given."""
+    """The values of flags that go together: None when none is given."""
     values = [params.get(key) for key in keys]
     if values.count(None) == len(values):
         return None
     if None in values:
         flags = " and ".join("--" + key.replace("_", "-") for key in keys)
         raise ValueError(f"{flags} must be given together")
-    return [float(value) for value in values]
+    return values
 
 
 # ---------------------------------------------------------------------------
@@ -170,9 +164,9 @@ def _together(params: Mapping[str, Any], *keys: str) -> list[float] | None:
 
 
 def _cmd_sweep_f(params: Mapping[str, Any]) -> dict[str, Any]:
-    a_min = float(params["a_min"])
-    a_max = float(params["a_max"])
-    step = float(params["step"])
+    a_min = params["a_min"]
+    a_max = params["a_max"]
+    step = params["step"]
     if a_min <= 0.5:
         raise ValueError(f"a_min must exceed 1/2, got {a_min}")
     grid = _float_grid(a_min, a_max, step)
@@ -192,24 +186,24 @@ def _cmd_find_c0(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _cmd_index(params: Mapping[str, Any]) -> dict[str, Any]:
-    nodes = int(params["nodes"])
-    m_max = int(params["m_max"])
+    nodes = params["nodes"]
+    m_max = params["m_max"]
     _bounded_rows(nodes, f"nodes {nodes}")
     _bounded_rows(m_max + 1, f"m_max {m_max}")
     report = morse_index(
-        SphericalCatenoid(float(params["a"])),
-        R=float(params["radius"]),
+        SphericalCatenoid(params["a"]),
+        R=params["radius"],
         N=nodes,
         m_max=m_max,
-        k_eigs=int(params["k_eigs"]),
+        k_eigs=params["k_eigs"],
     )
     return asdict(report)
 
 
 def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
-    n = int(params["n"])
-    t_min = float(params["t_min"])
-    t_max = float(params["t_max"])
+    n = params["n"]
+    t_min = params["t_min"]
+    t_max = params["t_max"]
     steps = _count(params, "steps", 2)
     _bounded_rows(steps, f"steps {steps}")
     if not t_min > 1.0:
@@ -233,7 +227,7 @@ def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _cmd_helicoid(params: Mapping[str, Any]) -> dict[str, Any]:
-    h = Helicoid(float(params["alpha"]))
+    h = Helicoid(params["alpha"])
     t_grid = _count(params, "t_grid", 2)
     _bounded_rows(t_grid, f"t_grid {t_grid}")
     t_max = _half_width(params, "t_max")
@@ -258,7 +252,7 @@ def _outer_grid(s: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _spherical_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
-    cat = SphericalCatenoid(float(params["a"]))
+    cat = SphericalCatenoid(params["a"])
     s_grid = _count(params, "s_grid", 2)
     theta_grid = _count(params, "theta_grid", 1)
     _bounded_rows(s_grid * theta_grid, f"s_grid {s_grid} x theta_grid {theta_grid}")
@@ -269,7 +263,7 @@ def _spherical_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray
 
 
 def _helicoid_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
-    h = Helicoid(float(params["alpha"]))
+    h = Helicoid(params["alpha"])
     s_grid = _count(params, "s_grid", 2)
     t_grid = _count(params, "t_grid", 2)
     _bounded_rows(s_grid * t_grid, f"s_grid {s_grid} x t_grid {t_grid}")
@@ -281,7 +275,7 @@ def _helicoid_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]
 
 
 def _hyperbolic_curve_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]:
-    cat = HyperbolicCatenoid(int(params["n"]), float(params["t"]))
+    cat = HyperbolicCatenoid(params["n"], params["t"])
     samples = _count(params, "samples", 2)
     _bounded_rows(samples, f"samples {samples}")
     s = np.linspace(0.0, _positive(params, "s_max"), samples)
@@ -314,10 +308,7 @@ _EXPORT_FAMILIES: dict[str, _ExportFamily] = {
 
 
 def _cmd_embed_export(params: Mapping[str, Any]) -> dict[str, Any]:
-    family = str(params["family"])
-    if family not in _EXPORT_FAMILIES:
-        raise ValueError(f"unknown export family {family!r}")
-    spec = _EXPORT_FAMILIES[family]
+    spec = _EXPORT_FAMILIES[params["family"]]
     grid, points = spec.points(params)
     bad = np.flatnonzero(~on_hyperboloid_rows(points, _EXPORT_TOL))
     if bad.size:
@@ -326,7 +317,7 @@ def _cmd_embed_export(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _cmd_criteria(params: Mapping[str, Any]) -> dict[str, Any]:
-    n = int(params["n"])
+    n = params["n"]
     out: dict[str, Any] = {"lambda1": list(lambda1_bounds(n))}
     if pinch := _together(params, "pinch_a", "pinch_b"):
         out["lambda1_pinched"] = list(lambda1_bounds_pinched(*pinch))
@@ -347,8 +338,9 @@ class _Command(NamedTuple):
 
 
 # The one place a command is declared: `_build_parser` builds each subcommand
-# from it and `run` dispatches through it.  Commands whose payload is a single
-# object rather than a table list only "json".
+# from it and `main` dispatches through it.  Every flag declares a `type` or
+# `choices`, so a handler reads each value as the parser gave it.  Commands
+# whose payload is a single object rather than a table list only "json".
 _COMMANDS: dict[str, _Command] = {
     "sweep-f": _Command(
         _cmd_sweep_f, "tabulate the instability functional F(a)", ("csv", "json"), {
@@ -411,7 +403,7 @@ _COMMANDS: dict[str, _Command] = {
 }
 
 
-def _render_csv(config: RunConfig, payload: dict[str, Any]) -> str:
+def _render_csv(command: str, params: Mapping[str, Any], payload: dict[str, Any]) -> str:
     """CSV document: header lines, then one row per table row with every
     value printed by "%.15g".
 
@@ -422,9 +414,9 @@ def _render_csv(config: RunConfig, payload: dict[str, Any]) -> str:
     stay "0" and "-0" and every NaN is formatted.  Tables with no such
     column go through one "%.15g" template over the flat values.
     """
-    lines = [f"# hypstab {__version__}", f"# command={config.command}"]
-    for key in sorted(config.parameters):
-        lines.append(f"# {key}={_param_str(config.parameters[key])}")
+    lines = [f"# hypstab {__version__}", f"# command={command}"]
+    for key, value in sorted(params.items()):
+        lines.append(f"# {key}={_param_str(value)}")
     for key in sorted(payload):
         if key in ("columns", "rows"):
             continue
@@ -457,11 +449,11 @@ def _render_rows(table: np.ndarray) -> str:
     return "\n".join([row] * nrows) % tuple(values)
 
 
-def _render_json(config: RunConfig, payload: dict[str, Any]) -> str:
+def _render_json(command: str, params: Mapping[str, Any], payload: dict[str, Any]) -> str:
     document = {
         "version": __version__,
-        "command": config.command,
-        "parameters": {k: config.parameters[k] for k in sorted(config.parameters)},
+        "command": command,
+        "parameters": {k: params[k] for k in sorted(params)},
     }
     document.update(payload)
     if isinstance(document.get("rows"), np.ndarray):
@@ -474,39 +466,6 @@ def _emit(output: str, text: str) -> None:
         sys.stdout.write(text)
     else:
         Path(output).write_text(text, encoding="utf-8")
-
-
-def run(config: RunConfig) -> int:
-    """Execute one resolved invocation; returns the process exit code."""
-    try:
-        command = _COMMANDS.get(config.command)
-        if command is None:
-            raise ValueError(f"unknown command {config.command!r}")
-        if config.fmt not in ("csv", "json"):
-            raise ValueError(f"unknown format {config.fmt!r}")
-        if config.fmt not in command.formats:
-            raise ValueError(f"command {config.command} only supports JSON output")
-        # every float flag, read by the command or not, before any work
-        for key in sorted(config.parameters):
-            value = config.parameters[key]
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
-        payload = command.handler(config.parameters)
-        render = _render_csv if config.fmt == "csv" else _render_json
-        text = render(config, payload)
-        try:
-            _emit(config.output, text)
-        except OSError as exc:
-            raise ValueError(
-                f"cannot write --output {config.output}: {exc.strerror or exc}"
-            ) from exc
-        return EXIT_OK
-    except ValueError as exc:
-        print(f"hypstab {config.command}: invalid parameters: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (QuadratureError, ProfileError, ExportError, OverflowError) as exc:
-        print(f"hypstab {config.command}: numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERICAL
 
 
 def read_table(path: str | Path) -> tuple[dict[str, str], list[str], list[list[float]]]:
@@ -559,19 +518,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    params = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("command", "output", "fmt")
-    }
-    config = RunConfig(
-        command=args.command,
-        parameters=params,
-        output=args.output,
-        fmt=args.fmt,
-    )
-    return run(config)
+    """Run one command from its argument list; returns the process exit code."""
+    params = vars(_build_parser().parse_args(argv))
+    command = params.pop("command")
+    output = params.pop("output")
+    fmt = params.pop("fmt")
+    try:
+        # every float flag, read by the command or not, before any work
+        for key, value in sorted(params.items()):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value}")
+        payload = _COMMANDS[command].handler(params)
+        render = _render_csv if fmt == "csv" else _render_json
+        try:
+            _emit(output, render(command, params, payload))
+        except OSError as exc:
+            raise ValueError(f"cannot write --output {output}: {exc.strerror or exc}") from exc
+        return EXIT_OK
+    except ValueError as exc:
+        print(f"hypstab {command}: invalid parameters: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except (QuadratureError, ProfileError, ExportError, OverflowError) as exc:
+        print(f"hypstab {command}: numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

@@ -132,7 +132,9 @@ def sobolev_stability_test(n: int, C_s: float, A_n_norm_to_n: float) -> Stabilit
     try:
         threshold = C_s ** (-0.5 * n)
     except OverflowError:
-        raise OverflowError(f"Sobolev threshold C_s^(-n/2) overflows at n = {n}, C_s = {C_s}")
+        raise OverflowError(
+            f"Sobolev threshold C_s^(-n/2) overflows at n = {n}, C_s = {C_s}"
+        ) from None
     verdict = STABLE if A_n_norm_to_n <= threshold else INCONCLUSIVE
     return StabilityReport(verdict, "total-curvature-smallness", A_n_norm_to_n, threshold)
 

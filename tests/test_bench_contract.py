@@ -124,6 +124,16 @@ def test_the_integer_rule_is_written_once(path):
     assert inline == [], f"{path.name} checks isinstance(..., int) on lines {inline}"
 
 
+@pytest.mark.parametrize("command", sorted(cli._COMMANDS))
+def test_every_flag_is_typed_by_the_parser(command):
+    """The handlers read each value as the parser gave it and convert
+    nothing, so a flag declared without a type would reach its handler as a
+    str and crash with a TypeError instead of exiting 2."""
+    untyped = [flag for flag, options in cli._COMMANDS[command].arguments.items()
+               if "type" not in options and "choices" not in options]
+    assert untyped == [], f"{command} declares {untyped} with neither type nor choices"
+
+
 @pytest.mark.parametrize(
     "maker",
     [maker for makers in workloads.WORKLOADS.values() for maker, _ in makers],

@@ -24,10 +24,8 @@ from hypstab.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
     EXIT_USAGE,
-    RunConfig,
     main,
     read_table,
-    run,
 )
 from hypstab.lorentz import on_hyperboloid
 from hypstab.spherical_catenoid import F, SphericalCatenoid
@@ -663,6 +661,15 @@ def test_argparse_rejections():
     with pytest.raises(SystemExit) as exc:
         main(["find-c0", "--format", "csv"])  # JSON-only command
     assert exc.value.code == 2
+    for argv in (
+        ["embed-export", "--family", "torus"],  # unknown export family
+        ["sweep-f", "--format", "xml"],  # unknown format
+        ["index", "--format", "csv"],  # JSON-only commands
+        ["criteria", "--format", "csv"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("flag, name", [("--tol", "tol"), ("--quad-tol", "quad_tol")])
@@ -804,25 +811,6 @@ def test_numerical_failure_exit_code(tmp_path):
     assert code == EXIT_NUMERICAL
 
 
-def test_run_with_unknown_command(capsys):
-    assert run(RunConfig(command="bogus")) == EXIT_USAGE
-    assert run(RunConfig(command="find-c0", parameters={"tol": 1e-4,
-               "quad_tol": 1e-9}, fmt="csv")) == EXIT_USAGE
-    # the format is checked before the handler reads any parameter
-    for command in ("index", "criteria"):
-        assert run(RunConfig(command=command, fmt="csv")) == EXIT_USAGE
-    for command in ("sweep-f", "index"):
-        assert run(RunConfig(command=command, fmt="xml")) == EXIT_USAGE
-    assert capsys.readouterr().err.splitlines() == [
-        "hypstab bogus: invalid parameters: unknown command 'bogus'",
-        "hypstab find-c0: invalid parameters: command find-c0 only supports JSON output",
-        "hypstab index: invalid parameters: command index only supports JSON output",
-        "hypstab criteria: invalid parameters: command criteria only supports JSON output",
-        "hypstab sweep-f: invalid parameters: unknown format 'xml'",
-        "hypstab index: invalid parameters: unknown format 'xml'",
-    ]
-
-
 def test_stdout_output(capsys):
     code = main(["criteria", "--n", "2"])
     assert code == EXIT_OK
@@ -842,7 +830,7 @@ _CELL = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_inf
 
 
 def _rows_body(columns, rows):
-    text = cli._render_csv(RunConfig("embed-export", {}), {"columns": columns, "rows": rows})
+    text = cli._render_csv("embed-export", {}, {"columns": columns, "rows": rows})
     _, marker, body = text.partition("# columns=" + ",".join(columns) + "\n")
     assert marker
     return body
@@ -1025,7 +1013,7 @@ def test_a_non_finite_flag_is_rejected_before_any_work(tmp_path, capsys, monkeyp
 
 def test_render_json_rejects_a_non_finite_value():
     with pytest.raises(ValueError, match="not JSON compliant"):
-        cli._render_json(RunConfig("criteria", {}), {"value": math.nan})
+        cli._render_json("criteria", {}, {"value": math.nan})
 
 
 @pytest.mark.parametrize("name", sorted(n for n, (argv, _) in GOLDEN.items()
@@ -1055,14 +1043,6 @@ def test_grid_bounds_are_usage_errors(tmp_path, capsys, argv, message):
         f"hypstab {argv[0]}: invalid parameters: {message}"
     ]
     assert not out.exists()
-
-
-def test_run_rejects_an_unknown_export_family(capsys):
-    params = {"family": "torus", "a": 1.0, "s_max": 3.0, "s_grid": 4, "theta_grid": 4}
-    assert run(RunConfig("embed-export", params)) == EXIT_USAGE
-    assert capsys.readouterr().err.splitlines() == [
-        "hypstab embed-export: invalid parameters: unknown export family 'torus'"
-    ]
 
 
 # Every command with flags drawn from small pools of edge values: each call

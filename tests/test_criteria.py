@@ -101,6 +101,14 @@ def test_sobolev_report():
         sobolev_stability_test(3, 1.0, -1.0)
 
 
+def test_sobolev_threshold_overflow_is_named_without_a_chained_cause():
+    message = "^Sobolev threshold C_s\\^\\(-n/2\\) overflows at n = 3, C_s = 1e-300$"
+    with pytest.raises(OverflowError, match=message) as exc:
+        sobolev_stability_test(3, 1e-300, 1.0)
+    assert exc.value.__suppress_context__
+    assert exc.value.__cause__ is None
+
+
 def test_grad_deficit_value():
     assert grad_condition_deficit(2, 10.0, 30.0) == pytest.approx(10.0, rel=1e-15)
     assert grad_condition_deficit(3, 1.0, 9.0) == 0.0
