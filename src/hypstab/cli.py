@@ -15,9 +15,11 @@ grid too fine for h^2).
 
 `main(argv)` is the one entrance, for the `hypstab` script and for Python
 callers alike: it takes the script's argument list (`--output` names a
-file, '-' is stdout) and returns the exit code.  The parser types and
-restricts every flag, and the finiteness rule runs inside `main` before
-any work.
+file, '-' is stdout) and returns the exit code.  The parser types every
+flag and restricts only --family and --format to their choices; each
+handler checks its own counts, half-widths, positive values and row bound
+before any work, and the finiteness rule runs inside `main` before the
+handler.
 """
 
 from __future__ import annotations

@@ -148,7 +148,9 @@ def first_fundamental(h: Helicoid, t: float) -> tuple[float, float, float]:
         ch, sh = math.cosh(t), math.sinh(t)
     except OverflowError:
         ch = sh = math.inf
-    e_coef = ch * ch + h.alpha * h.alpha * sh * sh
+    e_coef = ch * ch
+    if sh:  # alpha^2 may be inf, and inf * 0 is NaN where E = 1
+        e_coef += h.alpha * h.alpha * sh * sh
     if not math.isfinite(e_coef):
         raise OverflowError(f"helicoid metric E overflows at alpha = {h.alpha}, t = {t}")
     return e_coef, 0.0, 1.0
@@ -201,9 +203,14 @@ def normal(h: Helicoid, s: float, t: float) -> tuple[float, float, float, float]
     The closed form (alpha sinh t sinh s, alpha sinh t cosh s,
     cosh t sin(alpha s), -cosh t cos(alpha s)) / sqrt(E), orthogonal to X,
     X_s and X_t with det[X, X_s, X_t, N] < 0, the orientation of
-    `second_fundamental`'s sign.  Raises OverflowError when E does.
+    `second_fundamental`'s sign.  Raises OverflowError when E does, or by
+    `_overflow` at t = 0 when cosh s or alpha * s does; being bounded by
+    cosh s, the normal stays finite where cosh s * cosh t overflows.
     """
     e_coef, _, _ = first_fundamental(h, t)
+    error = _overflow(h, s, 0.0)
+    if error is not None:
+        raise error
     inv = 1.0 / math.sqrt(e_coef)
     al_sh_t = h.alpha * inv * math.sinh(t)
     ch_t = inv * math.cosh(t)
@@ -230,7 +237,8 @@ def second_fundamental_fd(h: Helicoid, s: float, t: float) -> tuple[float, float
     """(e, f, g) from second differences of the embedding with step 3e-4,
     read from one 3 x 3 `embed_grid` block about (s, t) and paired with
     `normal`; agreement with the closed form certifies the shape operator
-    sign convention."""
+    sign convention.  Raises OverflowError when e, f or g is not a finite
+    float, which can happen where the closed form is still finite."""
     step = _SECOND_FD_STEP
     nrm = normal(h, s, t)
     x = embed_grid(h, [s - step, s, s + step], [t - step, t, t + step]).reshape(3, 3, 4)
@@ -238,4 +246,10 @@ def second_fundamental_fd(h: Helicoid, s: float, t: float) -> tuple[float, float
     x_ss = (x[2, 1] - 2.0 * x[1, 1] + x[0, 1]) * inv_sq
     x_tt = (x[1, 2] - 2.0 * x[1, 1] + x[1, 0]) * inv_sq
     x_st = (x[2, 2] - x[2, 0] - x[0, 2] + x[0, 0]) * (0.25 * inv_sq)
-    return tuple(minkowski_inner([x_ss, x_st, x_tt], nrm).tolist())
+    efg = tuple(minkowski_inner([x_ss, x_st, x_tt], nrm).tolist())
+    if not all(map(math.isfinite, efg)):
+        raise OverflowError(
+            f"helicoid finite-difference (e, f, g) = {efg} is not finite"
+            f" at alpha = {h.alpha}, s = {s}, t = {t}"
+        )
+    return efg

@@ -112,6 +112,8 @@ def grad_norm_A(cat: SphericalCatenoid, s: float) -> float:
         sh = math.sinh(2.0 * s)
     except OverflowError:
         return 0.0
+    if math.isinf(sh):  # 2s itself overflowed, and sinh(inf) does not raise
+        return 0.0
     inv_w = 1.0 / _warp_sq(cat, s)
     return math.sqrt(_norm_A_sq(cat.a, inv_w)) * 2.0 * (cat.a * inv_w) * abs(sh)
 

@@ -43,13 +43,19 @@ def _unused_imports(path: Path) -> list[str]:
             isinstance(node, ast.ImportFrom) and node.module != "__future__"
         ):
             imported.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)} | _dunder_all(tree)
+    return sorted(name for name in imported if name not in used)
+
+
+def _dunder_all(tree: ast.Module) -> set[str]:
+    """The names a module lists in its top-level __all__."""
+    listed = set()
     for node in tree.body:
         if isinstance(node, ast.Assign) and any(
             isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
         ):
-            used.update(ast.literal_eval(node.value))
-    return sorted(name for name in imported if name not in used)
+            listed.update(ast.literal_eval(node.value))
+    return listed
 
 
 _PACKAGE = sorted((ROOT / "src" / "hypstab").glob("*.py"))
@@ -77,9 +83,8 @@ def test_star_import_binds_all_of_dunder_all(path):
     assert missing == [], f"{module} lists {missing} in __all__ but does not bind them"
 
 
-def _private_definitions(tree: ast.Module) -> set[str]:
-    """Single-underscore names a module binds at its top level: functions,
-    classes and assignment targets, but not the throwaway `_`."""
+def _definitions(tree: ast.Module) -> set[str]:
+    """Names a module binds at its top level by def, class or assignment."""
     names = set()
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
@@ -88,7 +93,27 @@ def _private_definitions(tree: ast.Module) -> set[str]:
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
                 names.update(n.id for n in ast.walk(target) if isinstance(n, ast.Name))
-    return {name for name in names if name.startswith("_") and not name.startswith("__") and name != "_"}
+    return names
+
+
+def _private_definitions(tree: ast.Module) -> set[str]:
+    """Single-underscore names of `_definitions`, but not the throwaway `_`."""
+    return {name for name in _definitions(tree)
+            if name.startswith("_") and not name.startswith("__") and name != "_"}
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda path: path.name)
+def test_every_public_name_has_one_home(path):
+    """A name in a module's __all__ is defined in that module, so its one
+    import path is its module; a re-export would give it a second.  The
+    package __init__ lists only __version__ and the submodules."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    if path.stem == "__init__":
+        home = {"__version__"} | {p.stem for p in _PACKAGE if p.stem != "__init__"}
+    else:
+        home = _definitions(tree)
+    homeless = sorted(_dunder_all(tree) - home)
+    assert homeless == [], f"{path.name} lists {homeless} in __all__ but does not define them"
 
 
 def _names_read(tree: ast.Module) -> set[str]:

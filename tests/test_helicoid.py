@@ -62,6 +62,15 @@ def test_first_fundamental_closed_form():
         assert g == 1.0
 
 
+def test_forms_on_the_axis_of_a_huge_pitch():
+    # alpha^2 is inf past alpha ~ 1.3e154, but sinh t = 0 on the axis
+    h = Helicoid(1e200)
+    for t in (0.0, -0.0):
+        assert first_fundamental(h, t) == (1.0, 0.0, 1.0)
+        assert second_fundamental(h, t) == (0.0, -1e200, 0.0)
+        assert normal(h, 0.0, t) == (0.0, 0.0, 0.0, -1.0)
+
+
 def test_second_fundamental_sign_and_value():
     h = Helicoid(1.5)
     for t in (-1.0, 0.0, 1.0):
@@ -153,6 +162,16 @@ def test_first_fundamental_fd_overflow_is_named(alpha, s, t):
         first_fundamental_fd(Helicoid(alpha), s, t)
 
 
+@pytest.mark.parametrize("alpha", [1.0, 1e10])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_second_fundamental_fd_overflow_is_named(alpha):
+    # the coordinates (~1e260) are finite, their second differences paired
+    # with the normal are not
+    message = f"(e, f, g) = (nan, nan, nan) is not finite at alpha = {alpha}, s = 300.0, t = 300.0"
+    with pytest.raises(OverflowError, match=re.escape(message)):
+        second_fundamental_fd(Helicoid(alpha), 300.0, 300.0)
+
+
 def test_second_fundamental_fd_matches():
     h = Helicoid(1.3)
     for s in (-0.7, 0.0, 1.9):
@@ -207,10 +226,14 @@ def test_coordinate_overflow_names_the_coordinate():
         # cosh s and cosh t are finite, their product is not
         (lambda: embed(h, 400.0, -400.0), "s = 400.0, t = -400.0"),
         (lambda: embed_grid(h, [0.0, -400.0, 400.0], [400.0, 1.0]), "s = -400.0, t = 400.0"),
+        (lambda: normal(h, -800.0, 0.5), "s = -800.0"),
+        (lambda: second_fundamental_fd(h, 800.0, 0.0), "s = 800.0"),
     ]
     for call, name in cases:
         with pytest.raises(OverflowError, match=re.escape(f"alpha = 1.0, {name}")):
             call()
+    # the normal is bounded by cosh s, so it stays finite where cosh s cosh t is not
+    assert all(map(math.isfinite, normal(h, 500.0, 300.0)))
 
 
 def test_overflow_names_the_pitch():
@@ -219,6 +242,8 @@ def test_overflow_names_the_pitch():
         embed(Helicoid(1e308), 10.0, 1.0)
     with pytest.raises(OverflowError, match=re.escape(rotation.format(-10.0))):
         embed_grid(Helicoid(1e308), [0.0, -10.0, 10.0], [1.0])
+    with pytest.raises(OverflowError, match=re.escape(rotation.format(10.0))):
+        normal(Helicoid(1e308), 10.0, 0.0)
     for alpha in (1e160, 1e200):
         with pytest.raises(OverflowError, match=re.escape(f"alpha = {alpha}")):
             normal(Helicoid(alpha), 0.3, 1.0)

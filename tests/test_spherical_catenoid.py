@@ -111,6 +111,9 @@ def test_grad_norm_A_matches_finite_difference():
     # sinh 2s overflows past s = 355; the gradient has long decayed to 0
     assert grad_norm_A(cat, 400.0) == 0.0
     assert grad_norm_A(cat, -400.0) == 0.0
+    # past |s| ~ 9e307, 2s is inf and sinh(inf) returns inf without raising
+    assert grad_norm_A(cat, 1.7e308) == 0.0
+    assert grad_norm_A(cat, -1.7e308) == 0.0
 
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
