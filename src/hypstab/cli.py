@@ -18,8 +18,9 @@ callers alike: it takes the script's argument list (`--output` names a
 file, '-' is stdout) and returns the exit code.  The parser types every
 flag and restricts only --family and --format to their choices; each
 handler checks its own counts, half-widths, positive values and row bound
-before any work, and the finiteness rule runs inside `main` before the
-handler.
+before any work, every real value by the package's one real-number rule,
+`criteria._real`.  The finiteness rule, that same rule on every float
+flag, runs inside `main` before the handler.
 """
 
 from __future__ import annotations
@@ -37,6 +38,8 @@ import numpy as np
 from . import __version__
 from .criteria import (
     STABLE,
+    _HALF_WIDTH_MAX,
+    _real,
     grad_condition_report,
     lambda1_bounds,
     lambda1_bounds_pinched,
@@ -105,8 +108,7 @@ def _param_str(value: Any) -> str:
 
 
 def _float_grid(lo: float, hi: float, step: float) -> list[float]:
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
+    step = _real(step, "step", above=0)
     if hi < lo:
         raise ValueError(f"need hi >= lo, got [{lo}, {hi}]")
     span = (hi - lo) / step
@@ -125,21 +127,6 @@ def _bounded_rows(rows: int, what: str) -> None:
     """Reject a table of more than _MAX_GRID_POINTS rows before it is built."""
     if rows > _MAX_GRID_POINTS:
         raise ValueError(f"{what} gives {rows} table rows, more than {_MAX_GRID_POINTS}")
-
-
-def _positive(params: Mapping[str, Any], key: str) -> float:
-    value = params[key]
-    if not value > 0.0:
-        raise ValueError(f"{key} must be positive, got {value}")
-    return value
-
-
-def _half_width(params: Mapping[str, Any], key: str) -> float:
-    """A positive half-width x whose grid span [-x, x] of width 2x is finite."""
-    value = _positive(params, key)
-    if not math.isfinite(2.0 * value):
-        raise ValueError(f"{key} must be at most half the float maximum, got {value}")
-    return value
 
 
 def _count(params: Mapping[str, Any], key: str, least: int) -> int:
@@ -166,13 +153,9 @@ def _together(params: Mapping[str, Any], *keys: str) -> list[float] | None:
 
 
 def _cmd_sweep_f(params: Mapping[str, Any]) -> dict[str, Any]:
-    a_min = params["a_min"]
-    a_max = params["a_max"]
-    step = params["step"]
-    if a_min <= 0.5:
-        raise ValueError(f"a_min must exceed 1/2, got {a_min}")
-    grid = _float_grid(a_min, a_max, step)
-    _positive(params, "tol")  # validated, though the closed-form F does not use it
+    a_min = _real(params["a_min"], "a_min", above=0.5)
+    grid = _float_grid(a_min, params["a_max"], params["step"])
+    _real(params["tol"], "tol", above=0)  # validated, though the closed-form F does not use it
     rows = []
     for a in grid:
         res = F(SphericalCatenoid(a))
@@ -181,8 +164,8 @@ def _cmd_sweep_f(params: Mapping[str, Any]) -> dict[str, Any]:
 
 
 def _cmd_find_c0(params: Mapping[str, Any]) -> dict[str, Any]:
-    tol = _positive(params, "tol")
-    _positive(params, "quad_tol")  # validated, though the closed-form F does not use it
+    tol = _real(params["tol"], "tol", above=0)
+    _real(params["quad_tol"], "quad_tol", above=0)  # validated, though F does not use it
     root, lo, hi = _locate_c0(tol)
     return {"c0": root, "bracket": [lo, hi]}
 
@@ -204,12 +187,10 @@ def _cmd_index(params: Mapping[str, Any]) -> dict[str, Any]:
 
 def _cmd_hyperbolic_window(params: Mapping[str, Any]) -> dict[str, Any]:
     n = params["n"]
-    t_min = params["t_min"]
     t_max = params["t_max"]
     steps = _count(params, "steps", 2)
     _bounded_rows(steps, f"steps {steps}")
-    if not t_min > 1.0:
-        raise ValueError(f"t_min must exceed 1, got {t_min}")
+    t_min = _real(params["t_min"], "t_min", above=1)
     if not t_max >= t_min:
         raise ValueError(f"need t_max >= t_min, got [{t_min}, {t_max}]")
     max_t = stability_window_max_t(n)
@@ -232,7 +213,7 @@ def _cmd_helicoid(params: Mapping[str, Any]) -> dict[str, Any]:
     h = Helicoid(params["alpha"])
     t_grid = _count(params, "t_grid", 2)
     _bounded_rows(t_grid, f"t_grid {t_grid}")
-    t_max = _half_width(params, "t_max")
+    t_max = _real(params["t_max"], "t_max", above=0, most=_HALF_WIDTH_MAX)
     rows = []
     for t in np.linspace(-t_max, t_max, t_grid):
         e_coef, _, _ = first_fundamental(h, float(t))
@@ -258,7 +239,7 @@ def _spherical_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray
     s_grid = _count(params, "s_grid", 2)
     theta_grid = _count(params, "theta_grid", 1)
     _bounded_rows(s_grid * theta_grid, f"s_grid {s_grid} x theta_grid {theta_grid}")
-    s_max = _half_width(params, "s_max")
+    s_max = _real(params["s_max"], "s_max", above=0, most=_HALF_WIDTH_MAX)
     s = np.linspace(-s_max, s_max, s_grid)
     theta = np.linspace(0.0, 2.0 * math.pi, theta_grid, endpoint=False)
     return _outer_grid(s, theta), catenoid_embed_grid(cat, s, theta)
@@ -269,8 +250,8 @@ def _helicoid_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.ndarray]
     s_grid = _count(params, "s_grid", 2)
     t_grid = _count(params, "t_grid", 2)
     _bounded_rows(s_grid * t_grid, f"s_grid {s_grid} x t_grid {t_grid}")
-    s_max = _half_width(params, "s_max")
-    t_max = _half_width(params, "t_max")
+    s_max = _real(params["s_max"], "s_max", above=0, most=_HALF_WIDTH_MAX)
+    t_max = _real(params["t_max"], "t_max", above=0, most=_HALF_WIDTH_MAX)
     s = np.linspace(-s_max, s_max, s_grid)
     t = np.linspace(-t_max, t_max, t_grid)
     return _outer_grid(s, t), helicoid_embed_grid(h, s, t)
@@ -280,7 +261,7 @@ def _hyperbolic_curve_points(params: Mapping[str, Any]) -> tuple[np.ndarray, np.
     cat = HyperbolicCatenoid(params["n"], params["t"])
     samples = _count(params, "samples", 2)
     _bounded_rows(samples, f"samples {samples}")
-    s = np.linspace(0.0, _positive(params, "s_max"), samples)
+    s = np.linspace(0.0, _real(params["s_max"], "s_max", above=0), samples)
     return s[:, None], generating_curve_points(cat, s)
 
 
@@ -528,8 +509,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         # every float flag, read by the command or not, before any work
         for key, value in sorted(params.items()):
-            if isinstance(value, float) and not math.isfinite(value):
-                raise ValueError(f"{key} must be finite, got {value}")
+            if isinstance(value, float):
+                _real(value, key)
         payload = _COMMANDS[command].handler(params)
         render = _render_csv if fmt == "csv" else _render_json
         try:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 __all__ = [
@@ -61,6 +62,34 @@ def _integer(value: int, name: str, least: int) -> int:
     return int(value)
 
 
+_HALF_WIDTH_MAX = sys.float_info.max / 2  # the largest x whose span [-x, x] is finite
+
+
+def _real(value: float, name: str, *, above: float | None = None,
+          least: float | None = None, most: float | None = None) -> float:
+    """The package's one real-number rule: value, a real number (numpy's and
+    ints too, not a bool) that is a finite float with value > above,
+    value >= least and value <= most for each bound given, as a Python
+    float.  Anything else, an int past the float range among them, raises
+    ValueError naming name and the bounds."""
+    shown = None
+    if isinstance(value, float):  # numpy's float64 too: the common case, tested first
+        x = float(value)
+    elif isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except OverflowError:
+            x, shown = math.inf, "a number past the float range"
+    else:
+        x, shown = math.nan, repr(value)
+    if (math.isfinite(x) and (above is None or x > above) and (least is None or x >= least)
+            and (most is None or x <= most)):
+        return x
+    bounds = " and".join(f" {op} {bound!r}" for op, bound in ((">", above), (">=", least),
+                                                                ("<=", most)) if bound is not None)
+    raise ValueError(f"{name} must be a finite real number{bounds}, got {shown or repr(x)}")
+
+
 def lambda1_bounds(n: int) -> tuple[float, float]:
     """Bracket ((n-1)^2/4, n^2) for the bottom of the Laplace spectrum.
 
@@ -80,10 +109,8 @@ def lambda1_bounds_pinched(a: float, b: float) -> tuple[float, float]:
     of the ambient space, 0 < a <= b, with 4 (b^2 / 3) where (4 b) b alone
     overflows.  Raises OverflowError naming a and b when 4*b^2/3, the larger
     bound, is not a finite float."""
-    a = float(a)
-    b = float(b)
-    if not (math.isfinite(a) and math.isfinite(b) and 0.0 < a <= b):
-        raise ValueError(f"pinching constants need 0 < a <= b, got a={a}, b={b}")
+    a = _real(a, "pinching constant a", above=0)
+    b = _real(b, "pinching constant b", least=a)
     upper = 4.0 * b * b / 3.0
     if math.isinf(upper):
         upper = 4.0 * (b * b / 3.0)
@@ -101,9 +128,7 @@ def pointwise_stability_test(n: int, sup_A_sq: float) -> StabilityReport:
     is not a finite float.
     """
     n = _integer(n, "hypersurface dimension", 2)
-    sup_A_sq = float(sup_A_sq)
-    if not (math.isfinite(sup_A_sq) and sup_A_sq >= 0.0):
-        raise ValueError(f"sup_A_sq must be finite and >= 0, got {sup_A_sq}")
+    sup_A_sq = _real(sup_A_sq, "sup_A_sq", least=0)
     try:  # int true division: one rounding, and no overflow while the quotient fits
         threshold = (n + 1) ** 2 / 4
     except OverflowError:
@@ -123,12 +148,8 @@ def sobolev_stability_test(n: int, C_s: float, A_n_norm_to_n: float) -> Stabilit
     n = _integer(n, "hypersurface dimension", 2)
     if n < 3:
         raise ValueError(f"the total-curvature test needs dimension n >= 3, got {n}")
-    C_s = float(C_s)
-    A_n_norm_to_n = float(A_n_norm_to_n)
-    if not (math.isfinite(C_s) and C_s > 0.0):
-        raise ValueError(f"Sobolev constant must be positive, got {C_s}")
-    if not (math.isfinite(A_n_norm_to_n) and A_n_norm_to_n >= 0.0):
-        raise ValueError(f"curvature mass must be finite and >= 0, got {A_n_norm_to_n}")
+    C_s = _real(C_s, "Sobolev constant C_s", above=0)
+    A_n_norm_to_n = _real(A_n_norm_to_n, "curvature mass A_n_norm_to_n", least=0)
     try:
         threshold = C_s ** (-0.5 * n)
     except OverflowError:
@@ -147,12 +168,8 @@ def grad_condition_deficit(n: int, mass_A_sq: float, mass_grad_A_sq: float) -> f
     OverflowError naming the inputs when n^2 * int |A|^2 dv is not a finite
     float."""
     n = _integer(n, "hypersurface dimension", 2)
-    mass_A_sq = float(mass_A_sq)
-    mass_grad_A_sq = float(mass_grad_A_sq)
-    if not (math.isfinite(mass_A_sq) and mass_A_sq >= 0.0):
-        raise ValueError(f"mass_A_sq must be finite and >= 0, got {mass_A_sq}")
-    if not (math.isfinite(mass_grad_A_sq) and mass_grad_A_sq >= 0.0):
-        raise ValueError(f"mass_grad_A_sq must be finite and >= 0, got {mass_grad_A_sq}")
+    mass_A_sq = _real(mass_A_sq, "mass_A_sq", least=0)
+    mass_grad_A_sq = _real(mass_grad_A_sq, "mass_grad_A_sq", least=0)
     try:
         weighted = n * n * mass_A_sq
     except OverflowError:  # the int n^2 is past the float range; n may not be

@@ -40,6 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lorentz
+from .criteria import _real
 from .lorentz import minkowski_inner
 
 __all__ = [
@@ -74,10 +75,7 @@ class Helicoid:
     alpha: float
 
     def __post_init__(self) -> None:
-        alpha = float(self.alpha)
-        if not (math.isfinite(alpha) and alpha >= 0.0):
-            raise ValueError(f"pitch must be finite and >= 0, got {self.alpha}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _real(self.alpha, "pitch alpha", least=0))
 
 
 def _overflow(h: Helicoid, s: float, t: float) -> OverflowError | None:
@@ -141,16 +139,21 @@ def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]
 def first_fundamental(h: Helicoid, t: float) -> tuple[float, float, float]:
     """Coefficients (E, F, G) of the induced metric; independent of s.
 
-    E = cosh^2 t + alpha^2 sinh^2 t, F = 0, G = 1.  Raises OverflowError
-    when E is not a finite float.
+    E = cosh^2 t + alpha^2 sinh^2 t, F = 0, G = 1, the twist term
+    alpha^2 sinh^2 t formed as (alpha sinh t)^2 where alpha^2 alone
+    overflows.  Raises OverflowError when E is not a finite float.
     """
+    t = _real(t, "t")
     try:
         ch, sh = math.cosh(t), math.sinh(t)
     except OverflowError:
         ch = sh = math.inf
     e_coef = ch * ch
     if sh:  # alpha^2 may be inf, and inf * 0 is NaN where E = 1
-        e_coef += h.alpha * h.alpha * sh * sh
+        twist = h.alpha * h.alpha * sh * sh
+        if math.isinf(twist):
+            twist = (h.alpha * sh) * (h.alpha * sh)
+        e_coef += twist
     if not math.isfinite(e_coef):
         raise OverflowError(f"helicoid metric E overflows at alpha = {h.alpha}, t = {t}")
     return e_coef, 0.0, 1.0
@@ -207,6 +210,7 @@ def normal(h: Helicoid, s: float, t: float) -> tuple[float, float, float, float]
     `_overflow` at t = 0 when cosh s or alpha * s does; being bounded by
     cosh s, the normal stays finite where cosh s * cosh t overflows.
     """
+    s = _real(s, "s")
     e_coef, _, _ = first_fundamental(h, t)
     error = _overflow(h, s, 0.0)
     if error is not None:

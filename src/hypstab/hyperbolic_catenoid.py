@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .criteria import _integer
+from .criteria import _integer, _real
 
 __all__ = [
     "ProfileError",
@@ -84,9 +84,7 @@ def shape_constant(n: int, t: float) -> float:
     Raises OverflowError when a is not a finite float.
     """
     n = _integer(n, "dimension n", 2)
-    t = float(t)
-    if not (math.isfinite(t) and t >= 1.0):
-        raise ValueError(f"neck height t must satisfy t >= 1, got {t}")
+    t = _real(t, "neck height t", least=1)
     try:
         a = t ** (n - 1) * math.sqrt((t - 1.0) * (t + 1.0))
     except OverflowError:
@@ -105,9 +103,7 @@ class HyperbolicCatenoid:
     t: float
 
     def __post_init__(self) -> None:
-        t = float(self.t)
-        if not (math.isfinite(t) and t > 1.0):
-            raise ValueError(f"neck height must satisfy t > 1, got {self.t}")
+        t = _real(self.t, "neck height t", above=1)
         object.__setattr__(self, "t", t)
         object.__setattr__(self, "n", _integer(self.n, "dimension n", 2))
         try:
@@ -343,9 +339,7 @@ def integrate_profile(
     an error estimate within 1e-10.  s_max is capped at S_MAX_CAP because
     the height grows exponentially.
     """
-    s_max = float(s_max)
-    if not (math.isfinite(s_max) and 0.0 < s_max <= S_MAX_CAP):
-        raise ValueError(f"s_max must lie in (0, {S_MAX_CAP}], got {s_max}")
+    s_max = _real(s_max, "s_max", above=0, most=S_MAX_CAP)
     pas = _profile_pass(cat, s_max)
     s = np.append(pas.s0[pas.s0 < s_max], s_max)
     x, slope, _, _ = _profile_rows(cat, s, pas)
@@ -380,9 +374,7 @@ def principal_curvatures(
     profile raises ProfileError; |x'| admits the mirrored branch s < 0.
     """
     t, _, eps = _neck(cat)
-    x = sample.x
-    if not (math.isfinite(x) and x >= 1.0):
-        raise ValueError(f"sample height must satisfy x >= 1, got {x}")
+    x = _real(sample.x, "sample height x", least=1)
     state = np.array([[x], [abs(sample.x_prime)], [0.0]])
     _check_rows(cat, np.array([sample.s]), state, np.zeros(1))
     kappa = eps * (t / x) ** cat.n

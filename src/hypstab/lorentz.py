@@ -19,6 +19,8 @@ import sys
 import numpy as np
 from numpy.typing import ArrayLike
 
+from .criteria import _real
+
 __all__ = [
     "FD_STEP",
     "ROUNDING_SLACK",
@@ -44,12 +46,13 @@ FD_STEP = 1e-5
 def minkowski_inner(x: ArrayLike, y: ArrayLike) -> float | np.ndarray:
     """Indefinite product -x1*y1 + sum_{i>=2} xi*yi over the last axis,
     summed left to right: a float for two vectors, n products for (n, d) row
-    arrays (leading axes broadcast).  The last axes must have equal length;
-    a mismatch raises ValueError.  Overflow gives inf or nan, as in floats.
+    arrays (leading axes broadcast).  The last axes must have equal, nonzero
+    length; otherwise ValueError names both shapes.  Overflow gives inf or
+    nan, as in floats.
     """
     xa = np.asarray(x, dtype=float)
     ya = np.asarray(y, dtype=float)
-    if xa.ndim == 0 or ya.ndim == 0 or xa.shape[-1] != ya.shape[-1]:
+    if xa.ndim == 0 or ya.ndim == 0 or xa.shape[-1] != ya.shape[-1] or xa.shape[-1] == 0:
         raise ValueError(f"dimension mismatch: {xa.shape} vs {ya.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
         acc = -xa[..., 0] * ya[..., 0]
@@ -84,12 +87,12 @@ def on_hyperboloid_rows(points: ArrayLike, tol: float) -> np.ndarray:
     hyperboloid; returns n booleans.
 
     A row passes when |<x, x> + 1| <= max(tol, ROUNDING_SLACK * eps *
-    sum(x_i^2)) and x1 >= 1 - tol.  The second bound is the rounding scale
-    of the Minkowski square, so correct points far out on the sheet pass
-    while their coordinates grow.  Non-finite rows fail.
+    sum(x_i^2)) and x1 >= 1 - tol, for a finite positive tol.  The second
+    bound is the rounding scale of the Minkowski square, so correct points
+    far out on the sheet pass while their coordinates grow.  Non-finite rows
+    fail.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = _real(tol, "tol", above=0)
     x = np.asarray(points, dtype=float)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError(f"points must be an (n, d) array with d >= 2, got shape {x.shape}")

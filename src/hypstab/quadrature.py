@@ -22,6 +22,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
+from .criteria import _real
+
 __all__ = [
     "DEFAULT_TOL",
     "PANEL_BUDGET",
@@ -189,12 +191,11 @@ def integrate_adaptive(
     on a non-finite integrand value or when max_evals is exhausted; in the
     latter case the exception carries the partial result.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise ValueError(f"integration limits must be finite, got [{lo}, {hi}]")
+    lo = _real(lo, "integration limit lo")
+    hi = _real(hi, "integration limit hi")
     if not lo < hi:
         raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
+    tol = _real(tol, "tol", above=0)
 
     value, err = _kronrod_panel(f, lo, hi)
     evals = _EVALS_PER_PANEL
@@ -251,10 +252,8 @@ def integrate_semi_infinite(
     which is the symptom of a decay_hint that overstates the true decay
     rate, or when the budget runs out.
     """
-    if not tol > 0.0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    if not (math.isfinite(decay_hint) and decay_hint > 0.0):
-        raise ValueError(f"decay_hint must be positive, got {decay_hint}")
+    tol = _real(tol, "tol", above=0)
+    decay_hint = _real(decay_hint, "decay_hint", above=0)
 
     lam = decay_hint
     cut = max(1.0, 6.0 / lam)
@@ -298,10 +297,11 @@ def _root_with_bracket(
 
     g is evaluated at both ends only after the bracket and tol are validated.
     """
-    if not (math.isfinite(lo) and math.isfinite(hi)) or not lo < hi:
-        raise ValueError(f"need a finite bracket with lo < hi, got [{lo}, {hi}]")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError(f"tol must be finite and positive, got {tol}")
+    lo = _real(lo, "bracket end lo")
+    hi = _real(hi, "bracket end hi")
+    if not lo < hi:
+        raise ValueError(f"need lo < hi, got [{lo}, {hi}]")
+    tol = _real(tol, "tol", above=0)
 
     fa, fb = _eval_checked(g, lo), _eval_checked(g, hi)
     if fa == 0.0:

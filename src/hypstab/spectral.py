@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .criteria import _integer
+from .criteria import _HALF_WIDTH_MAX, _integer, _real
 from .spherical_catenoid import SphericalCatenoid, _norm_A_sq, boundary_angle_slope
 
 __all__ = [
@@ -110,10 +110,7 @@ def discretize(
     the cell midpoints.  assemble_mode_operator specializes this to the
     catenoid mode potentials.
     """
-    if not (math.isfinite(R) and R > 0.0):
-        raise ValueError(f"radius must be positive, got {R}")
-    if not math.isfinite(2.0 * R):
-        raise ValueError(f"radius R must be at most half the float maximum, got {R}")
+    R = _real(R, "radius R", above=0, most=_HALF_WIDTH_MAX)
     N = _integer(N, "cell count", 4)
     grid = np.linspace(-R, R, N + 1)
     # linspace is not its own mirror image to the last bit; this grid is, so
@@ -151,14 +148,13 @@ def assemble_mode_operator(
     is not a finite float; _tridiagonal_system scales out the grid spacing.
     """
     m = _integer(m, "mode", 0)
-    if not (math.isfinite(R) and 0.0 < R <= _MAX_RADIUS):
-        raise ValueError(f"radius must lie in (0, {_MAX_RADIUS:g}], got {R}")
+    R = _real(R, "radius R", above=0, most=_MAX_RADIUS)
     N = _integer(N, "cell count", 100)
     if math.isinf(cat.a * math.cosh(2.0 * R)):
         raise OverflowError(f"mode operator overflows: a cosh(2R) is not finite at "
                             f"a = {cat.a}, R = {R}")
     rho, q = _catenoid_profiles(cat, m)
-    return discretize(rho, q, float(R), N)
+    return discretize(rho, q, R, N)
 
 
 def _tridiagonal_system(disc: SturmLiouvilleDisc) -> tuple[np.ndarray, np.ndarray, float]:
@@ -216,9 +212,7 @@ def count_negative_eigenvalues(
     """
     if margin is None:
         margin = default_count_margin(disc)
-    margin = float(margin)
-    if not (math.isfinite(margin) and margin >= 0.0):
-        raise ValueError(f"margin must be finite and >= 0, got {margin}")
+    margin = _real(margin, "margin", least=0)
     d, e, h2 = _tridiagonal_system(disc)
     # A zero off-diagonal against an infinite pivot ahead of the first row
     # makes the first pivot the first diagonal entry, bit for bit.  The
@@ -378,6 +372,7 @@ def morse_index(
     """
     m_max = _integer(m_max, "m_max", 0)
     k_eigs = _integer(k_eigs, "k_eigs", 1)
+    R = _real(R, "radius R", above=0, most=_MAX_RADIUS)
     modes: list[ModeSpectrum] = []
     notes: list[str] = []
     for m in range(m_max + 1):
@@ -392,5 +387,5 @@ def morse_index(
         count = int(slope.value > slope.error_estimate)
         modes.append(ModeSpectrum(m, count, lowest_eigenvalues(disc, k_eigs)))
     total = sum((1 if spec.mode == 0 else 2) * spec.negative_count for spec in modes)
-    return IndexReport(a=cat.a, radius=float(R), nodes=int(N), modes=tuple(modes),
+    return IndexReport(a=cat.a, radius=R, nodes=int(N), modes=tuple(modes),
                        total_index=total, converged=not notes, notes=tuple(notes))

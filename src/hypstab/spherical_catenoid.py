@@ -30,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .criteria import _real
 from .lorentz import FD_STEP, first_fundamental_fd
 from .quadrature import (
     QuadratureResult,
@@ -70,14 +71,12 @@ class SphericalCatenoid:
     a: float
 
     def __post_init__(self) -> None:
-        a = float(self.a)
-        if not (math.isfinite(a) and a > 0.5):
-            raise ValueError(f"shape parameter must satisfy a > 1/2, got {self.a}")
-        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "a", _real(self.a, "shape parameter a", above=0.5))
 
 
 def _warp_sq(cat: SphericalCatenoid, s: float) -> float:
-    """w(s) = a*cosh(2s) - 1/2 with overflow mapped to +inf."""
+    """w(s) = a*cosh(2s) - 1/2 at a finite s, with overflow mapped to +inf."""
+    s = _real(s, "s")
     try:
         return cat.a * math.cosh(2.0 * s) - 0.5
     except OverflowError:
@@ -108,6 +107,7 @@ def grad_norm_A(cat: SphericalCatenoid, s: float) -> float:
     = |A| * 2a*|sinh 2s| / w(s), computed from `_norm_A_sq` and a/w so that
     no a^2 and no w^2 is formed; even in s and decaying like exp(-2s).
     """
+    s = _real(s, "s")
     try:
         sh = math.sinh(2.0 * s)
     except OverflowError:
@@ -142,8 +142,7 @@ def phi(cat: SphericalCatenoid, s: float) -> float:
     s = 0 or a = 1/2, and no argument grows with a or s (scipy's elliprj
     returns nan once its arguments pass about 1e103).
     """
-    if not math.isfinite(s):
-        raise ValueError(f"s must be finite, got {s}")
+    s = _real(s, "s")
     if s == 0.0:
         return 0.0
     # Imported on first use: at module level scipy.special would add about

@@ -149,6 +149,37 @@ def test_the_integer_rule_is_written_once(path):
     assert inline == [], f"{path.name} checks isinstance(..., int) on lines {inline}"
 
 
+def _hand_written_real_checks(tree: ast.Module) -> list[str]:
+    """'function:line' of each float(x) or math.isfinite(x) whose x is a
+    parameter of its function, or a self.<field> in a __post_init__."""
+    sites = []
+    for func in ast.walk(tree):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "_real":
+            continue
+        params = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
+        for call in ast.walk(func):
+            if not (isinstance(call, ast.Call) and len(call.args) == 1 and (
+                    getattr(call.func, "id", None) == "float"
+                    or ast.unparse(call.func) == "math.isfinite")):
+                continue
+            arg = call.args[0]
+            if (isinstance(arg, ast.Name) and arg.id in params) or (
+                    func.name == "__post_init__" and isinstance(arg, ast.Attribute)
+                    and getattr(arg.value, "id", None) == "self"):
+                sites.append(f"{func.name}:{call.lineno}")
+    return sites
+
+
+@pytest.mark.parametrize("path", _PACKAGE, ids=lambda path: path.name)
+def test_the_real_rule_is_written_once(path):
+    """criteria._real is the package's one real-number check: a hand-written
+    float(x) or math.isfinite(x) on an argument would again let one function
+    take a string or a bool that the next one rejects.  Loop variables and
+    computed locals are not arguments and stay free."""
+    sites = _hand_written_real_checks(ast.parse(path.read_text(encoding="utf-8")))
+    assert sites == [], f"{path.name} checks a real argument by hand at {sites}"
+
+
 @pytest.mark.parametrize("command", sorted(cli._COMMANDS))
 def test_every_flag_is_typed_by_the_parser(command):
     """The handlers read each value as the parser gave it and convert

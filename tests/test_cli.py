@@ -145,7 +145,7 @@ def test_hyperbolic_window_rejects_an_infinite_t_max(tmp_path, capsys, t_max):
                                              "--t-max", t_max])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "invalid parameters: t_max must be finite, got inf" in err
+    assert "invalid parameters: t_max must be a finite real number, got inf" in err
     assert "Warning" not in err
     assert not out.exists()
 
@@ -435,6 +435,17 @@ def test_helicoid_metric_overflow_is_a_numerical_failure(tmp_path, capsys, alpha
     assert not out.exists()
 
 
+def test_helicoid_of_a_huge_pitch_overflows_only_on_the_axis(tmp_path, capsys):
+    # E is finite at t = -1e-150; 2 alpha^2 = |A|^2 on the axis t = 0 is not
+    code, out = invoke(tmp_path, "big.csv", ["helicoid", "--alpha", "1e200", "--t-max", "1e-150",
+                                             "--t-grid", "3"])
+    assert code == EXIT_NUMERICAL
+    assert capsys.readouterr().err.splitlines() == [
+        "hypstab helicoid: numerical failure: helicoid |A|^2 overflows at alpha = 1e+200, t = 0.0"
+    ]
+    assert not out.exists()
+
+
 def test_sweep_step_without_finite_grid_count_is_a_usage_error(tmp_path, capsys):
     code, out = invoke(tmp_path, "tiny.csv", ["sweep-f", "--step", "1e-320"])
     assert code == EXIT_USAGE
@@ -648,7 +659,7 @@ def test_index_radius_error_names_the_given_radius(tmp_path, capsys):
     code, _ = invoke(tmp_path, "r.json", ["index", "--a", "0.6", "--radius", "301"])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert "radius must lie in (0, 300], got 301.0" in err
+    assert "radius R must be a finite real number > 0 and <= 300.0, got 301.0" in err
 
 
 def test_argparse_rejections():
@@ -683,7 +694,7 @@ def test_find_c0_rejects_a_nan_tolerance_before_any_F(tmp_path, capsys, monkeypa
     monkeypatch.setattr(spherical_catenoid, "F", counted)
     code, out = invoke(tmp_path, "c0.json", ["find-c0", flag, "nan"])
     assert code == EXIT_USAGE
-    assert f"invalid parameters: {name} must be finite, got nan" in capsys.readouterr().err
+    assert f"invalid parameters: {name} must be a finite real number, got nan" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -701,7 +712,7 @@ def test_find_c0_rejects_an_infinite_tolerance_before_any_F(tmp_path, capsys, mo
     monkeypatch.setattr(spherical_catenoid, "F", counted)
     code, out = invoke(tmp_path, "c0.json", ["find-c0", flag, "inf"])
     assert code == EXIT_USAGE
-    assert f"invalid parameters: {name} must be finite, got inf" in capsys.readouterr().err
+    assert f"invalid parameters: {name} must be a finite real number, got inf" in capsys.readouterr().err
     assert calls == []
     assert not out.exists()
 
@@ -718,7 +729,7 @@ def test_sweep_f_rejects_a_bad_tolerance(tmp_path, capsys, monkeypatch, value):
     monkeypatch.setattr(cli, "F", counted)
     code, out = invoke(tmp_path, "sweep.csv", ["sweep-f", "--tol", value])
     assert code == EXIT_USAGE
-    rule = "positive" if value == "-1" else "finite"
+    rule = "a finite real number > 0" if value == "-1" else "a finite real number"
     assert f"invalid parameters: tol must be {rule}, got {float(value)}" in (
         capsys.readouterr().err
     )
@@ -907,7 +918,7 @@ def test_a_half_width_whose_span_overflows_is_a_usage_error(tmp_path, capsys, ar
     code, out = invoke(tmp_path, "wide.csv", argv + [value])
     assert code == EXIT_USAGE
     err = capsys.readouterr().err
-    assert f"{key} must be at most half the float maximum, got {float(value)}" in err
+    assert f"{key} must be a finite real number > 0 and <= {sys.float_info.max / 2!r}, got {float(value)}" in err
     assert "Warning" not in err
     assert not out.exists()
 
@@ -967,7 +978,7 @@ def test_a_non_finite_unread_flag_is_a_usage_error(tmp_path, capsys, family, val
                                                 "--format", fmt, f"{flag}={value}"])
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [
-        f"hypstab embed-export: invalid parameters: {flag[2:]} must be finite, "
+        f"hypstab embed-export: invalid parameters: {flag[2:]} must be a finite real number, "
         f"got {float(value)}"
     ]
     assert not out.exists()
@@ -1005,7 +1016,7 @@ def test_a_non_finite_flag_is_rejected_before_any_work(tmp_path, capsys, monkeyp
     assert code == EXIT_USAGE
     assert capsys.readouterr().err.splitlines() == [
         f"hypstab {command}: invalid parameters: {flag[2:].replace('-', '_')} must be "
-        f"finite, got {float(value)}"
+        f"a finite real number, got {float(value)}"
     ]
     assert calls == []
     assert not out.exists()
@@ -1027,10 +1038,10 @@ def test_json_golden_outputs_are_strict_json(tmp_path, name):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (["sweep-f", "--a-max", "inf"], "a_max must be finite, got inf"),
-        (["sweep-f", "--a-min", "0.6", "--step", "0"], "step must be positive, got 0.0"),
+        (["sweep-f", "--a-max", "inf"], "a_max must be a finite real number, got inf"),
+        (["sweep-f", "--a-min", "0.6", "--step", "0"], "step must be a finite real number > 0, got 0.0"),
         (["sweep-f", "--a-min", "0.9", "--a-max", "0.6"], "need hi >= lo, got [0.9, 0.6]"),
-        (["hyperbolic-window", "--t-min", "1"], "t_min must exceed 1, got 1.0"),
+        (["hyperbolic-window", "--t-min", "1"], "t_min must be a finite real number > 1, got 1.0"),
         (["hyperbolic-window", "--t-min", "2", "--t-max", "1.5"],
          "need t_max >= t_min, got [2.0, 1.5]"),
     ],

@@ -71,6 +71,16 @@ def test_forms_on_the_axis_of_a_huge_pitch():
         assert normal(h, 0.0, t) == (0.0, 0.0, 0.0, -1.0)
 
 
+@pytest.mark.parametrize("alpha, t, e_coef", [(1e200, 1e-200, 2.0), (1e200, 1e-150, 1e100),
+                                              (1e160, 1e-10, 1e300)])
+def test_metric_of_a_huge_pitch_off_the_axis(alpha, t, e_coef):
+    # alpha^2 is inf past alpha ~ 1.3e154, but (alpha sinh t)^2 and E are finite
+    for sign in (1.0, -1.0):
+        e, f, g = first_fundamental(Helicoid(alpha), sign * t)
+        assert e == pytest.approx(e_coef, rel=1e-14)
+        assert (f, g) == (0.0, 1.0)
+
+
 def test_second_fundamental_sign_and_value():
     h = Helicoid(1.5)
     for t in (-1.0, 0.0, 1.0):

@@ -1,6 +1,7 @@
 """Minkowski product and hyperboloid membership."""
 
 import math
+import re
 import sys
 
 import numpy as np
@@ -33,6 +34,14 @@ def test_inner_accepts_vectors_and_sequences():
 def test_inner_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
         minkowski_inner((1.0, 0.0), (1.0, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("x, y", [([], []), (np.zeros((3, 0)), np.zeros((3, 0))),
+                                  (np.zeros((3, 0)), [])])
+def test_inner_of_empty_vectors_rejected(x, y):
+    shapes = f"{np.shape(x)} vs {np.shape(y)}"
+    with pytest.raises(ValueError, match=re.escape(f"dimension mismatch: {shapes}")):
+        minkowski_inner(x, y)
 
 
 def test_on_hyperboloid_basepoint_and_sheets():

@@ -118,7 +118,7 @@ def test_grad_norm_A_matches_finite_difference():
 
 @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
 def test_phi_rejects_a_non_finite_s(s):
-    with pytest.raises(ValueError, match=f"s must be finite, got {s}"):
+    with pytest.raises(ValueError, match=f"s must be a finite real number, got {s}"):
         phi(SphericalCatenoid(0.9), s)
 
 
@@ -317,7 +317,7 @@ def test_find_c0_validation():
         find_c0(0.0)
     with pytest.raises(ValueError):
         find_c0(-1e-4)
-    with pytest.raises(ValueError, match="tol must be finite and positive, got inf"):
+    with pytest.raises(ValueError, match="tol must be a finite real number > 0, got inf"):
         find_c0(math.inf)
 
 
