@@ -73,7 +73,8 @@ def _real(value: float, name: str, *, above: float | None = None,
     float.  Anything else, an int past the float range among them, raises
     ValueError naming name and the bounds."""
     shown = None
-    if isinstance(value, float):  # numpy's float64 too: the common case, tested first
+    # float (numpy's float64 too) first: numbers.Real's check costs 5x as much
+    if isinstance(value, float):
         x = float(value)
     elif isinstance(value, numbers.Real) and not isinstance(value, bool):
         try:

@@ -139,21 +139,16 @@ def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]
 def first_fundamental(h: Helicoid, t: float) -> tuple[float, float, float]:
     """Coefficients (E, F, G) of the induced metric; independent of s.
 
-    E = cosh^2 t + alpha^2 sinh^2 t, F = 0, G = 1, the twist term
-    alpha^2 sinh^2 t formed as (alpha sinh t)^2 where alpha^2 alone
-    overflows.  Raises OverflowError when E is not a finite float.
+    E = cosh^2 t + (alpha sinh t)^2, F = 0, G = 1; no alpha^2 is formed,
+    so E stays finite for a huge pitch near the axis.  Raises OverflowError
+    when E is not a finite float.
     """
     t = _real(t, "t")
     try:
         ch, sh = math.cosh(t), math.sinh(t)
     except OverflowError:
         ch = sh = math.inf
-    e_coef = ch * ch
-    if sh:  # alpha^2 may be inf, and inf * 0 is NaN where E = 1
-        twist = h.alpha * h.alpha * sh * sh
-        if math.isinf(twist):
-            twist = (h.alpha * sh) * (h.alpha * sh)
-        e_coef += twist
+    e_coef = ch * ch + (h.alpha * sh) * (h.alpha * sh)
     if not math.isfinite(e_coef):
         raise OverflowError(f"helicoid metric E overflows at alpha = {h.alpha}, t = {t}")
     return e_coef, 0.0, 1.0

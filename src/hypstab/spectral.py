@@ -372,7 +372,6 @@ def morse_index(
     """
     m_max = _integer(m_max, "m_max", 0)
     k_eigs = _integer(k_eigs, "k_eigs", 1)
-    R = _real(R, "radius R", above=0, most=_MAX_RADIUS)
     modes: list[ModeSpectrum] = []
     notes: list[str] = []
     for m in range(m_max + 1):
@@ -387,5 +386,7 @@ def morse_index(
         count = int(slope.value > slope.error_estimate)
         modes.append(ModeSpectrum(m, count, lowest_eigenvalues(disc, k_eigs)))
     total = sum((1 if spec.mode == 0 else 2) * spec.negative_count for spec in modes)
-    return IndexReport(a=cat.a, radius=R, nodes=int(N), modes=tuple(modes),
-                       total_index=total, converged=not notes, notes=tuple(notes))
+    # mode 0 is never screened out, so disc is its grid, which ends at R
+    return IndexReport(a=cat.a, radius=float(disc.grid[-1]), nodes=int(N),
+                       modes=tuple(modes), total_index=total, converged=not notes,
+                       notes=tuple(notes))

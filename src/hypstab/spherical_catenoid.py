@@ -75,8 +75,7 @@ class SphericalCatenoid:
 
 
 def _warp_sq(cat: SphericalCatenoid, s: float) -> float:
-    """w(s) = a*cosh(2s) - 1/2 at a finite s, with overflow mapped to +inf."""
-    s = _real(s, "s")
+    """w(s) = a*cosh(2s) - 1/2 with overflow mapped to +inf."""
     try:
         return cat.a * math.cosh(2.0 * s) - 0.5
     except OverflowError:
@@ -85,7 +84,7 @@ def _warp_sq(cat: SphericalCatenoid, s: float) -> float:
 
 def warp_rho(cat: SphericalCatenoid, s: float) -> float:
     """Profile radius rho(s) = sqrt(a*cosh(2s) - 1/2); positive everywhere."""
-    return math.sqrt(_warp_sq(cat, s))
+    return math.sqrt(_warp_sq(cat, _real(s, "s")))
 
 
 def _norm_A_sq(a: float, inv_w: float | np.ndarray) -> float | np.ndarray:
@@ -97,7 +96,7 @@ def _norm_A_sq(a: float, inv_w: float | np.ndarray) -> float | np.ndarray:
 
 def norm_A_sq(cat: SphericalCatenoid, s: float) -> float:
     """Squared norm of the second fundamental form, 2*(a^2 - 1/4)/w(s)^2."""
-    return _norm_A_sq(cat.a, 1.0 / _warp_sq(cat, s))
+    return _norm_A_sq(cat.a, 1.0 / _warp_sq(cat, _real(s, "s")))
 
 
 def grad_norm_A(cat: SphericalCatenoid, s: float) -> float:

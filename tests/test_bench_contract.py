@@ -149,33 +149,71 @@ def test_the_integer_rule_is_written_once(path):
     assert inline == [], f"{path.name} checks isinstance(..., int) on lines {inline}"
 
 
+# A record the package fills from its own results, not from arguments: the
+# error estimate of a QuadratureResult may be +inf, which _real refuses.
+_RESULT_RECORDS = {"QuadratureResult"}
+
+
+def _is_number(node: ast.AST) -> bool:
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+
 def _hand_written_real_checks(tree: ast.Module) -> list[str]:
-    """'function:line' of each float(x) or math.isfinite(x) whose x is a
-    parameter of its function, or a self.<field> in a __post_init__."""
+    """'function:line' of each float(x) or math.isfinite(x), and of each
+    comparison of x with a number in an `if` that raises ValueError, where x
+    is a real argument: a parameter of its function not annotated int, a
+    value read out of one (the CLI's params[key]), or a field of a class
+    other than a result record, read as self.<field> in its __post_init__.
+    Joint checks such as lo < hi compare two arguments and stay free."""
+    owner = {id(func): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+             for func in cls.body}
     sites = []
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)) or func.name == "_real":
             continue
-        params = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)}
-        for call in ast.walk(func):
-            if not (isinstance(call, ast.Call) and len(call.args) == 1 and (
-                    getattr(call.func, "id", None) == "float"
-                    or ast.unparse(call.func) == "math.isfinite")):
-                continue
-            arg = call.args[0]
-            if (isinstance(arg, ast.Name) and arg.id in params) or (
-                    func.name == "__post_init__" and isinstance(arg, ast.Attribute)
-                    and getattr(arg.value, "id", None) == "self"):
-                sites.append(f"{func.name}:{call.lineno}")
+        reals = {arg.arg for arg in ast.walk(func.args) if isinstance(arg, ast.arg)
+                 and not (arg.annotation and ast.unparse(arg.annotation) == "int")}
+        reals |= {target.id for node in ast.walk(func) if isinstance(node, ast.Assign)
+                  and isinstance(node.value, ast.Subscript)
+                  and getattr(node.value.value, "id", None) in reals
+                  for target in node.targets if isinstance(target, ast.Name)}
+        cls = owner.get(id(func))
+        fields = set()
+        if func.name == "__post_init__" and cls is not None and cls.name not in _RESULT_RECORDS:
+            fields = {stmt.target.id for stmt in cls.body if isinstance(stmt, ast.AnnAssign)
+                      and ast.unparse(stmt.annotation) != "int"}
+
+        def is_real(node: ast.AST) -> bool:
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "self":
+                return node.attr in fields
+            return isinstance(node, ast.Name) and node.id in reals
+
+        for node in ast.walk(func):
+            if (isinstance(node, ast.Call) and len(node.args) == 1 and is_real(node.args[0])
+                    and (getattr(node.func, "id", None) == "float"
+                         or ast.unparse(node.func) == "math.isfinite")):
+                sites.append(f"{func.name}:{node.lineno}")
+            elif isinstance(node, ast.If) and any(
+                    isinstance(r, ast.Raise) and ast.unparse(r).startswith("raise ValueError")
+                    for stmt in node.body for r in ast.walk(stmt)):
+                for cmp in ast.walk(node.test):
+                    if isinstance(cmp, ast.Compare):
+                        terms = [cmp.left, *cmp.comparators]
+                        terms = [t.value if isinstance(t, ast.Subscript) else t for t in terms]
+                        if any(map(is_real, terms)) and any(map(_is_number, terms)):
+                            sites.append(f"{func.name}:{cmp.lineno}")
     return sites
 
 
 @pytest.mark.parametrize("path", _PACKAGE, ids=lambda path: path.name)
 def test_the_real_rule_is_written_once(path):
     """criteria._real is the package's one real-number check: a hand-written
-    float(x) or math.isfinite(x) on an argument would again let one function
-    take a string or a bool that the next one rejects.  Loop variables and
-    computed locals are not arguments and stay free."""
+    float(x), math.isfinite(x) or bound on an argument would again let one
+    function take a string, a bool or an infinity that the next one rejects
+    (`if not tol > 0.0` let on_hyperboloid_rows take tol = inf).  Loop
+    variables and computed locals are not arguments and stay free."""
     sites = _hand_written_real_checks(ast.parse(path.read_text(encoding="utf-8")))
     assert sites == [], f"{path.name} checks a real argument by hand at {sites}"
 
