@@ -14,6 +14,9 @@ import math
 import numbers
 import sys
 from dataclasses import dataclass
+from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "STABLE",
@@ -89,6 +92,20 @@ def _real(value: float, name: str, *, above: float | None = None,
     bounds = " and".join(f" {op} {bound!r}" for op, bound in ((">", above), (">=", least),
                                                                 ("<=", most)) if bound is not None)
     raise ValueError(f"{name} must be a finite real number{bounds}, got {shown or repr(x)}")
+
+
+def _reals(values: Iterable[float], name: str, **bounds: float) -> np.ndarray:
+    """`_real` with bounds on each value, as a 1-D float64 array; the message
+    names name[k], the first value that fails.  A 1-D float64 array passes
+    on its extremes alone (a NaN spoils both)."""
+    if isinstance(values, np.ndarray) and values.dtype == np.float64 and values.ndim == 1:
+        try:  # an empty array's min raises too, and the loop below takes it
+            _real(values.min(), name, **bounds)
+            _real(values.max(), name, **bounds)
+            return values
+        except ValueError:
+            pass
+    return np.array([_real(v, f"{name}[{k}]", **bounds) for k, v in enumerate(values)])
 
 
 def lambda1_bounds(n: int) -> tuple[float, float]:

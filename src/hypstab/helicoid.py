@@ -40,7 +40,7 @@ from typing import Sequence
 import numpy as np
 
 from . import lorentz
-from .criteria import _real
+from .criteria import _real, _reals
 from .lorentz import minkowski_inner
 
 __all__ = [
@@ -114,13 +114,14 @@ def embed_grid(h: Helicoid, s_values: Sequence[float], t_values: Sequence[float]
 
     Every coordinate is a function of s times a function of t, so each
     transcendental is evaluated once per axis value, with `math`, and the
-    grid is formed by outer products.  Raises OverflowError through
-    `_overflow` at the point of largest |s| and |t|, where a coordinate or
-    the rotation angle alpha * s is not a finite float.
+    grid is formed by outer products.  A ValueError names the first axis
+    value that is not a finite real number, as s[k] or t[k], and
+    `_overflow` raises OverflowError at the point of largest |s| and |t|,
+    where a coordinate or the rotation angle alpha * s is not a finite float.
     """
     al = h.alpha
-    s_axis = [float(s) for s in s_values]
-    t_axis = [float(t) for t in t_values]
+    s_axis = _reals(s_values, "s").tolist()
+    t_axis = _reals(t_values, "t").tolist()
     # Every coordinate and angle is largest in modulus where |s| and |t|
     # are, so that one point decides overflow for the whole grid.
     error = _overflow(h, max(s_axis, key=abs, default=0.0), max(t_axis, key=abs, default=0.0))
@@ -227,6 +228,7 @@ def first_fundamental_fd(h: Helicoid, s: float, t: float) -> tuple[float, float,
     `lorentz.FD_STEP` (1e-5), read from one 3 x 3 `embed_grid` block about
     (s, t); agreement with the closed form certifies the embedding against
     the metric."""
+    s, t = _real(s, "s"), _real(t, "t")
     step = lorentz.FD_STEP
     block = embed_grid(h, [s - step, s, s + step], [t - step, t, t + step])
     return lorentz.first_fundamental_fd(block)
@@ -238,6 +240,7 @@ def second_fundamental_fd(h: Helicoid, s: float, t: float) -> tuple[float, float
     `normal`; agreement with the closed form certifies the shape operator
     sign convention.  Raises OverflowError when e, f or g is not a finite
     float, which can happen where the closed form is still finite."""
+    s, t = _real(s, "s"), _real(t, "t")
     step = _SECOND_FD_STEP
     nrm = normal(h, s, t)
     x = embed_grid(h, [s - step, s, s + step], [t - step, t, t + step]).reshape(3, 3, 4)

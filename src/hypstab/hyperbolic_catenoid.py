@@ -32,7 +32,7 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
-from .criteria import _integer, _real
+from .criteria import _integer, _real, _reals
 
 __all__ = [
     "ProfileError",
@@ -409,22 +409,20 @@ def generating_curve_points(
     (len(s_values), 3) float64 array whose row k is the point (x, y, z) at
     the k-th arclength.
 
-    s_values must be sorted ascending.  One quadrature pass runs to the last
-    arclength, the pass `integrate_profile` makes, with the same panels
-    however many samples there are; each sample is then interpolated on the
-    nodes of its panel, all samples in one array evaluation.  The row at
-    s = 0 is exactly (t, 0, sqrt((t - 1)(t + 1))).  Every row is checked
-    once, all together, by `_check_rows`: its error estimate must stay within
-    1e-10 and its state must keep the first integral and the slope brackets,
-    or ProfileError names the first failing arclength.
+    s_values, any iterable of finite reals in [0, S_MAX_CAP] (ValueError
+    names the first other, as arclength s[k]), must be sorted ascending.  One
+    quadrature pass runs to the last arclength, the pass `integrate_profile`
+    makes, with the same panels however many samples there are; each sample
+    is then interpolated on the nodes of its panel, all samples in one array
+    evaluation.  The row at s = 0 is exactly (t, 0, sqrt((t - 1)(t + 1))).
+    Every row is checked once, all together, by `_check_rows`: its error
+    estimate must stay within 1e-10 and its state must keep the first
+    integral and the slope brackets, or ProfileError names the first failing
+    arclength.
     """
-    targets = np.fromiter(s_values, dtype=np.float64)
-    if not (np.isfinite(targets).all() and (targets >= 0.0).all()):
-        raise ValueError("arclength targets must be finite and nonnegative")
+    targets = _reals(s_values, "arclength s", least=0, most=S_MAX_CAP)
     if (np.diff(targets) < 0.0).any():
         raise ValueError("arclength targets must be sorted ascending")
-    if targets.size and targets[-1] > S_MAX_CAP:
-        raise ValueError(f"arclength targets must not exceed {S_MAX_CAP}")
 
     pas = None
     if targets.size and targets[-1] > 0.0:

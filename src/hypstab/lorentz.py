@@ -4,7 +4,8 @@ Vectors live in Minkowski space with signature (-, +, ..., +), timelike
 coordinate first.  Hyperbolic space of dimension d is realized as the upper
 sheet of the unit timelike hyperboloid <x, x> = -1, x1 >= 1, inside the
 (d+1)-dimensional Minkowski space.  Dimension is carried by the last axis
-of the coordinates; mixing dimensions is rejected, not broadcast.
+of the coordinates; mixing dimensions is rejected, not broadcast, and so
+are coordinates that are not integers or floats, such as strings or bools.
 
 `minkowski_inner` is the one Minkowski product, for points and (n, d) row
 arrays alike.  The finite-difference first fundamental form reads one 3 x 3
@@ -43,6 +44,15 @@ ROUNDING_SLACK = 16.0
 FD_STEP = 1e-5
 
 
+def _coordinates(x: ArrayLike) -> np.ndarray:
+    """x as a float array; only integer and float dtypes hold coordinates, so
+    strings and bools are a ValueError naming the dtype."""
+    a = np.asarray(x)
+    if a.dtype.kind not in "iuf":
+        raise ValueError(f"coordinates must be integers or floats, got dtype {a.dtype}")
+    return a.astype(float, copy=False)
+
+
 def minkowski_inner(x: ArrayLike, y: ArrayLike) -> float | np.ndarray:
     """Indefinite product -x1*y1 + sum_{i>=2} xi*yi over the last axis,
     summed left to right: a float for two vectors, n products for (n, d) row
@@ -50,8 +60,8 @@ def minkowski_inner(x: ArrayLike, y: ArrayLike) -> float | np.ndarray:
     length; otherwise ValueError names both shapes.  Overflow gives inf or
     nan, as in floats.
     """
-    xa = np.asarray(x, dtype=float)
-    ya = np.asarray(y, dtype=float)
+    xa = _coordinates(x)
+    ya = _coordinates(y)
     if xa.ndim == 0 or ya.ndim == 0 or xa.shape[-1] != ya.shape[-1] or xa.shape[-1] == 0:
         raise ValueError(f"dimension mismatch: {xa.shape} vs {ya.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
@@ -71,7 +81,7 @@ def first_fundamental_fd(block: ArrayLike) -> tuple[float, float, float]:
     agreement floor.  Raises OverflowError when E, F or G is not a finite
     float, which can happen where the closed form is still finite.
     """
-    x = np.asarray(block, dtype=float).reshape(3, 3, -1)
+    x = _coordinates(block).reshape(3, 3, -1)
     inv = 0.5 / FD_STEP
     with np.errstate(over="ignore", invalid="ignore"):
         d_u = (x[2, 1] - x[0, 1]) * inv
@@ -89,17 +99,17 @@ def on_hyperboloid_rows(points: ArrayLike, tol: float) -> np.ndarray:
     A row passes when |<x, x> + 1| <= max(tol, ROUNDING_SLACK * eps *
     sum(x_i^2)) and x1 >= 1 - tol, for a finite positive tol.  The second
     bound is the rounding scale of the Minkowski square, so correct points
-    far out on the sheet pass while their coordinates grow.  Non-finite rows
-    fail.
+    far out on the sheet pass while their coordinates grow.  A row whose
+    Minkowski square is not a finite float fails, non-finite rows among them.
     """
     tol = _real(tol, "tol", above=0)
-    x = np.asarray(points, dtype=float)
+    x = _coordinates(points)
     if x.ndim != 2 or x.shape[1] < 2:
         raise ValueError(f"points must be an (n, d) array with d >= 2, got shape {x.shape}")
     square = minkowski_inner(x, x)
     with np.errstate(over="ignore", invalid="ignore"):
         bound = np.maximum(tol, ROUNDING_SLACK * sys.float_info.epsilon * (x * x).sum(axis=1))
-        return (np.abs(square + 1.0) <= bound) & (x[:, 0] >= 1.0 - tol)
+        return (np.abs(square + 1.0) <= bound) & (x[:, 0] >= 1.0 - tol) & np.isfinite(square)
 
 
 def on_hyperboloid(x: ArrayLike, tol: float) -> bool:

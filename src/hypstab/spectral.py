@@ -23,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .criteria import _HALF_WIDTH_MAX, _integer, _real
+from .criteria import _HALF_WIDTH_MAX, _integer, _real, _reals
 from .spherical_catenoid import SphericalCatenoid, _norm_A_sq, boundary_angle_slope
 
 __all__ = [
@@ -49,7 +49,8 @@ class SturmLiouvilleDisc:
     grid holds the N+1 nodes of [-R, R]; weight and potential are the radial
     measure rho and the potential q at the nodes, and weight_mid holds
     rho at the N midpoints (evaluated analytically, not interpolated, so the
-    flux stencil keeps second-order accuracy).
+    flux stencil keeps second-order accuracy).  Every value is a finite real,
+    the weights' positive; ValueError names the first other, as weight[k].
     """
 
     grid: np.ndarray
@@ -58,12 +59,12 @@ class SturmLiouvilleDisc:
     potential: np.ndarray
 
     def __post_init__(self) -> None:
-        grid = np.asarray(self.grid, dtype=float)
-        weight = np.asarray(self.weight, dtype=float)
-        weight_mid = np.asarray(self.weight_mid, dtype=float)
-        potential = np.asarray(self.potential, dtype=float)
-        if grid.ndim != 1 or grid.size < 5:
-            raise ValueError("grid must be one-dimensional with at least 5 nodes")
+        grid = _reals(self.grid, "grid")
+        weight = _reals(self.weight, "weight", above=0)
+        weight_mid = _reals(self.weight_mid, "weight_mid", above=0)
+        potential = _reals(self.potential, "potential")
+        if grid.size < 5:
+            raise ValueError("grid must have at least 5 nodes")
         if weight.shape != grid.shape or potential.shape != grid.shape:
             raise ValueError("weight and potential must match the grid size")
         if weight_mid.shape != (grid.size - 1,):
@@ -73,12 +74,6 @@ class SturmLiouvilleDisc:
             raise ValueError(f"grid must be increasing, with h^2 a finite float, got h = {h}")
         if np.max(np.abs(np.diff(grid) - h)) > 1e-12 * max(1.0, abs(h)):
             raise ValueError("grid must be uniform")
-        if not (np.all(np.isfinite(weight)) and np.all(weight > 0.0)):
-            raise ValueError("weight must be finite and positive")
-        if not np.all(np.isfinite(weight_mid)) or not np.all(weight_mid > 0.0):
-            raise ValueError("weight_mid must be finite and positive")
-        if not np.all(np.isfinite(potential)):
-            raise ValueError("potential must be finite")
         for name, arr in (
             ("grid", grid),
             ("weight", weight),

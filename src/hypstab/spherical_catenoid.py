@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .criteria import _real
+from .criteria import _real, _reals
 from .lorentz import FD_STEP, first_fundamental_fd
 from .quadrature import (
     QuadratureResult,
@@ -210,11 +210,14 @@ def embed_grid(
 
     The first two coordinates depend on s alone and the last two are
     rho(s) times cos or sin theta, so each transcendental is evaluated once
-    per axis value, with `math`.  B cosh phi bounds every coordinate, so one
-    check of that column finds any overflow: raises OverflowError naming a
-    and the first s whose coordinates are not finite floats.
+    per axis value, with `math`.  A ValueError names the first axis value
+    that is not a finite real number, as s[k] or theta[k].  B cosh phi bounds
+    every coordinate, so one check of that column finds any overflow: raises
+    OverflowError naming a and the first s whose coordinates are not finite
+    floats.
     """
-    s_axis = [float(s) for s in s_values]
+    s_axis = _reals(s_values, "s").tolist()
+    theta_axis = _reals(theta_values, "theta").tolist()
     rows = []
     for s in s_axis:
         w = _warp_sq(cat, s)
@@ -227,8 +230,8 @@ def embed_grid(
         raise OverflowError(
             f"spherical catenoid embedding overflows at a = {cat.a}, s = {s_axis[bad[0]]}"
         )
-    cos_t = np.array([math.cos(float(t)) for t in theta_values])
-    sin_t = np.array([math.sin(float(t)) for t in theta_values])
+    cos_t = np.array([math.cos(t) for t in theta_axis])
+    sin_t = np.array([math.sin(t) for t in theta_axis])
     out = np.empty((len(terms), len(cos_t), 4))
     out[:, :, :2] = terms[:, None, :2]
     out[:, :, 2] = np.multiply.outer(terms[:, 2], cos_t)
@@ -246,6 +249,7 @@ def metric_residual(cat: SphericalCatenoid, s: float, theta: float) -> float:
     error of the differences.  Small values certify that the embedding, the
     profile radius, and the rotation angle are mutually consistent.
     """
+    s, theta = _real(s, "s"), _real(theta, "theta")
     axes = [s - FD_STEP, s, s + FD_STEP], [theta - FD_STEP, theta, theta + FD_STEP]
     e_fd, f_fd, g_fd = first_fundamental_fd(embed_grid(cat, *axes))
     return max(abs(e_fd - 1.0), abs(f_fd), abs(g_fd - _warp_sq(cat, s)))

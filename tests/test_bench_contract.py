@@ -160,13 +160,25 @@ def _is_number(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and type(node.value) in (int, float)
 
 
+def _converts(call: ast.Call) -> bool:
+    """float(x), math.isfinite(x), np.fromiter(x, ...) or, of a field,
+    np.asarray(self.<field>, dtype=...): a conversion or check of x."""
+    func = ast.unparse(call.func)
+    if func in ("float", "math.isfinite"):
+        return len(call.args) == 1
+    return func == "np.fromiter" or (
+        func == "np.asarray" and isinstance(call.args[0], ast.Attribute)
+        and any(keyword.arg == "dtype" for keyword in call.keywords))
+
+
 def _hand_written_real_checks(tree: ast.Module) -> list[str]:
-    """'function:line' of each float(x) or math.isfinite(x), and of each
-    comparison of x with a number in an `if` that raises ValueError, where x
-    is a real argument: a parameter of its function not annotated int, a
-    value read out of one (the CLI's params[key]), or a field of a class
-    other than a result record, read as self.<field> in its __post_init__.
-    Joint checks such as lo < hi compare two arguments and stay free."""
+    """'function:line' of each `_converts` call of x, and of each comparison
+    of x with a number in an `if` that raises ValueError, where x is a real
+    argument: a parameter of its function not annotated int, a value read
+    out of one (the CLI's params[key], or the target of a loop or
+    comprehension over one), or a field of a class other than a result
+    record, read as self.<field> in its __post_init__.  Joint checks such
+    as lo < hi compare two arguments and stay free."""
     owner = {id(func): cls for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
              for func in cls.body}
     sites = []
@@ -190,10 +202,12 @@ def _hand_written_real_checks(tree: ast.Module) -> list[str]:
                 return node.attr in fields
             return isinstance(node, ast.Name) and node.id in reals
 
+        reals |= {name.id for loop in ast.walk(func)
+                  if isinstance(loop, (ast.For, ast.comprehension)) and is_real(loop.iter)
+                  for name in ast.walk(loop.target) if isinstance(name, ast.Name)}
         for node in ast.walk(func):
-            if (isinstance(node, ast.Call) and len(node.args) == 1 and is_real(node.args[0])
-                    and (getattr(node.func, "id", None) == "float"
-                         or ast.unparse(node.func) == "math.isfinite")):
+            if (isinstance(node, ast.Call) and node.args and is_real(node.args[0])
+                    and _converts(node)):
                 sites.append(f"{func.name}:{node.lineno}")
             elif isinstance(node, ast.If) and any(
                     isinstance(r, ast.Raise) and ast.unparse(r).startswith("raise ValueError")
@@ -209,11 +223,13 @@ def _hand_written_real_checks(tree: ast.Module) -> list[str]:
 
 @pytest.mark.parametrize("path", _PACKAGE, ids=lambda path: path.name)
 def test_the_real_rule_is_written_once(path):
-    """criteria._real is the package's one real-number check: a hand-written
-    float(x), math.isfinite(x) or bound on an argument would again let one
-    function take a string, a bool or an infinity that the next one rejects
-    (`if not tol > 0.0` let on_hyperboloid_rows take tol = inf).  Loop
-    variables and computed locals are not arguments and stay free."""
+    """criteria._real, and _reals for an axis or a sampled field, is the
+    package's one real-number check: a hand-written float(x),
+    math.isfinite(x), np.fromiter(x) or bound on an argument would again let
+    one function take a string, a bool or an infinity that the next one
+    rejects (`if not tol > 0.0` let on_hyperboloid_rows take tol = inf, and
+    `[float(s) for s in s_values]` let embed_grid take '0.5' and True).
+    Computed locals, and loops over them, are not arguments and stay free."""
     sites = _hand_written_real_checks(ast.parse(path.read_text(encoding="utf-8")))
     assert sites == [], f"{path.name} checks a real argument by hand at {sites}"
 

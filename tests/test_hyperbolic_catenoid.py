@@ -374,8 +374,10 @@ def test_generating_curve_points_validation():
         generating_curve_points(cat, [1.0, 0.5])  # unsorted
     with pytest.raises(ValueError):
         generating_curve_points(cat, [-1.0])
-    with pytest.raises(ValueError, match="must not exceed 300.0"):
-        generating_curve_points(cat, [0.0, hyperbolic_catenoid.S_MAX_CAP * (1.0 + 1e-15)])
+    past_cap = hyperbolic_catenoid.S_MAX_CAP * (1.0 + 1e-15)
+    with pytest.raises(ValueError, match=re.escape(
+            f"arclength s[1] must be a finite real number >= 0 and <= 300.0, got {past_cap!r}")):
+        generating_curve_points(cat, [0.0, past_cap])
     assert generating_curve_points(cat, []).shape == (0, 3)
 
 

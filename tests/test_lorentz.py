@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 
 from hypstab.lorentz import (
     ROUNDING_SLACK,
+    first_fundamental_fd,
     minkowski_inner,
     on_hyperboloid,
     on_hyperboloid_rows,
@@ -42,6 +43,37 @@ def test_inner_of_empty_vectors_rejected(x, y):
     shapes = f"{np.shape(x)} vs {np.shape(y)}"
     with pytest.raises(ValueError, match=re.escape(f"dimension mismatch: {shapes}")):
         minkowski_inner(x, y)
+
+
+@pytest.mark.parametrize("call", [
+    lambda x: minkowski_inner(x, [2.0, 1.0, 0.0, 0.0]),
+    lambda x: minkowski_inner([2.0, 1.0, 0.0, 0.0], x),
+    lambda x: on_hyperboloid(x, 1e-8),
+    lambda x: on_hyperboloid_rows([x, x], 1e-8),
+    lambda x: first_fundamental_fd([x] * 9),
+], ids=["inner-x", "inner-y", "on_hyperboloid", "rows", "first_fundamental_fd"])
+@pytest.mark.parametrize("coords, dtype", [(["1", "0", "0", "0"], "<U1"),
+                                           ([True, False, False, False], "bool")])
+def test_coordinates_that_are_not_numbers_rejected(call, coords, dtype):
+    # read as 1.0, '1' and True would put these points on the hyperboloid
+    with pytest.raises(ValueError, match=re.escape(
+            f"coordinates must be integers or floats, got dtype {dtype}")):
+        call(coords)
+
+
+def test_integer_and_float32_coordinates_match_floats():
+    x = [2.0, 1.0, 1.0, 1.0]
+    for same in ([2, 1, 1, 1], np.array(x, dtype=np.float32), np.array([2, 1, 1, 1], np.uint8)):
+        assert minkowski_inner(same, same) == minkowski_inner(x, x) == -1.0
+        assert on_hyperboloid(same, 1e-12)
+
+
+@pytest.mark.parametrize("x", [(math.nan, 0.0), (math.inf, 0.0), (math.inf, 1.0), (1e200, 0.0),
+                               (1e160, 1e3)])
+def test_a_row_without_a_finite_square_is_off_the_sheet(x):
+    # a failed membership, not an input error; the rounding bound overflows
+    # with the square, so |<x, x> + 1| <= bound alone reads inf <= inf
+    assert not on_hyperboloid(x, 1e-8)
 
 
 def test_on_hyperboloid_basepoint_and_sheets():

@@ -6,6 +6,11 @@ handler.  A NaN, an infinity, a bool, a string or an int past the float
 range is a ValueError naming the argument; a Python float, numpy's float64
 and float32 and an int with the same value give the same result, bit for
 bit and type for type.
+
+Each array site passes an axis or a sampled field, which goes through
+`criteria._reals`: the same values are rejected at any position k, and the
+message names name[k]; a float64 array, a list or tuple of Python floats,
+a list of ints and a float32 array give the same result, bit for bit.
 """
 
 import dataclasses
@@ -15,9 +20,10 @@ import struct
 import numpy as np
 import pytest
 
-from hypstab import cli
+from hypstab import cli, helicoid, spherical_catenoid
 from hypstab.criteria import (
     _real,
+    _reals,
     grad_condition_deficit,
     lambda1_bounds_pinched,
     pointwise_stability_test,
@@ -27,6 +33,7 @@ from hypstab.helicoid import Helicoid, first_fundamental, normal
 from hypstab.hyperbolic_catenoid import (
     HyperbolicCatenoid,
     ProfileSample,
+    generating_curve_points,
     integrate_profile,
     principal_curvatures,
     shape_constant,
@@ -34,6 +41,7 @@ from hypstab.hyperbolic_catenoid import (
 from hypstab.lorentz import on_hyperboloid, on_hyperboloid_rows
 from hypstab.quadrature import find_root_bracketed, integrate_adaptive, integrate_semi_infinite
 from hypstab.spectral import (
+    SturmLiouvilleDisc,
     assemble_mode_operator,
     count_negative_eigenvalues,
     discretize,
@@ -78,6 +86,17 @@ SITES = {
     "Helicoid": (Helicoid, "pitch alpha", 1.0),
     "helicoid.first_fundamental": (lambda v: first_fundamental(HEL, v), "t", 1.0),
     "helicoid.normal": (lambda v: normal(HEL, v, 0.5), "s", 1.0),
+    "helicoid.first_fundamental_fd-s": (lambda v: helicoid.first_fundamental_fd(HEL, v, 0.5),
+                                        "s", 1.0),
+    "helicoid.first_fundamental_fd-t": (lambda v: helicoid.first_fundamental_fd(HEL, 0.5, v),
+                                        "t", 1.0),
+    "helicoid.second_fundamental_fd-s": (lambda v: helicoid.second_fundamental_fd(HEL, v, 0.5),
+                                         "s", 1.0),
+    "helicoid.second_fundamental_fd-t": (lambda v: helicoid.second_fundamental_fd(HEL, 0.5, v),
+                                         "t", 1.0),
+    "metric_residual-s": (lambda v: spherical_catenoid.metric_residual(CAT, v, 0.5), "s", 1.0),
+    "metric_residual-theta": (lambda v: spherical_catenoid.metric_residual(CAT, 0.5, v),
+                              "theta", 1.0),
     "SphericalCatenoid": (SphericalCatenoid, "shape parameter a", 1.0),
     "phi": (lambda v: phi(CAT, v), "s", 1.0),
     "warp_rho": (lambda v: warp_rho(CAT, v), "s", 1.0),
@@ -175,6 +194,60 @@ def test_every_real_type_gives_the_float_result(site):
         assert _bits(call(value)) == expected, type(value)
 
 
+AXIS = [0.0, 1.0, 2.0, 3.0]
+# the good fields of a disc: 11 uniform nodes and positive weights
+FIELDS = {"grid": [k - 5.0 for k in range(11)], "weight": [k + 1.0 for k in range(11)],
+          "weight_mid": [k + 1.0 for k in range(10)], "potential": [k - 3.0 for k in range(11)]}
+
+
+def _disc(field, values):
+    return SturmLiouvilleDisc(**{**{key: np.array(good) for key, good in FIELDS.items()},
+                                 field: values})
+
+
+# site id -> (call with the axis or field, name in the message, a good axis
+# of whole numbers, exact in float32 so that all types carry it)
+ARRAY_SITES = {
+    "spherical.embed_grid-s": (lambda v: spherical_catenoid.embed_grid(CAT, v, AXIS), "s", AXIS),
+    "spherical.embed_grid-theta": (lambda v: spherical_catenoid.embed_grid(CAT, AXIS, v),
+                                   "theta", AXIS),
+    "helicoid.embed_grid-s": (lambda v: helicoid.embed_grid(HEL, v, AXIS), "s", AXIS),
+    "helicoid.embed_grid-t": (lambda v: helicoid.embed_grid(HEL, AXIS, v), "t", AXIS),
+    "generating_curve_points": (lambda v: generating_curve_points(NECK, v), "arclength s", AXIS),
+    **{f"SturmLiouvilleDisc-{field}": (lambda v, field=field: _disc(field, v), field, good)
+       for field, good in FIELDS.items()},
+}
+
+BAD_AT = 2  # the position of the rejected value in its axis
+
+
+@pytest.mark.parametrize("bad", sorted(REJECTED))
+@pytest.mark.parametrize("site", sorted(ARRAY_SITES))
+def test_every_array_value_rejects_what_is_not_a_finite_real(site, bad):
+    call, name, good = ARRAY_SITES[site]
+    value, shown = REJECTED[bad]
+    axis = list(good)
+    axis[BAD_AT] = value
+    # a float value also comes in a float64 array, which takes the fast path
+    for values in [axis, np.array(axis)] if isinstance(value, float) else [axis]:
+        with pytest.raises(ValueError) as exc:
+            call(values)
+        message = str(exc.value)
+        assert message.startswith(f"{name}[{BAD_AT}] must be a finite real number"), message
+        assert message.endswith(f", got {shown}"), message
+
+
+@pytest.mark.parametrize("site", sorted(ARRAY_SITES))
+def test_every_array_type_gives_the_float_result(site):
+    call, _, good = ARRAY_SITES[site]
+    expected = _bits(call(np.array(good)))
+    same = [list(good), tuple(good), [int(v) for v in good], np.array(good, dtype=np.float32)]
+    if site == "generating_curve_points":  # any iterable, not only a sequence
+        same.append(v for v in good)
+    for values in same:
+        assert _bits(call(values)) == expected, type(values)
+
+
 @pytest.mark.parametrize(
     "bounds, value, message",
     [
@@ -198,3 +271,10 @@ def test_bounds_are_inclusive_as_named():
     with pytest.raises(ValueError):
         _real(0.5, "a", above=0.5)
     assert type(_real(np.float64(0.7), "a")) is float
+
+
+@pytest.mark.parametrize("values", [[], (), np.array([]), np.array([], dtype=np.float32)],
+                         ids=["list", "tuple", "float64", "float32"])
+def test_an_empty_axis_is_an_empty_float64_array(values):
+    out = _reals(values, "s", above=0)
+    assert out.dtype == np.float64 and out.shape == (0,)

@@ -314,10 +314,19 @@ def test_disc_field_validation():
     with pytest.raises(ValueError, match="grid must be increasing"):
         SturmLiouvilleDisc(grid[::-1], ones, mid, ones)
     for bad in (0.0, math.inf):
-        with pytest.raises(ValueError, match="weight_mid must be finite and positive"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"weight_mid[0] must be a finite real number > 0, got {bad!r}")):
             SturmLiouvilleDisc(grid, ones, np.full(10, bad), ones)
-    with pytest.raises(ValueError, match="potential must be finite"):
+    with pytest.raises(ValueError, match=re.escape(
+            "potential[0] must be a finite real number, got nan")):
         SturmLiouvilleDisc(grid, ones, mid, np.full(11, math.nan))
+    # a NaN interior node defeats the uniformity comparison, so the real
+    # rule is what rejects it
+    holed = grid.copy()
+    holed[3] = math.nan
+    with pytest.raises(ValueError, match=re.escape(
+            "grid[3] must be a finite real number, got nan")):
+        SturmLiouvilleDisc(holed, ones, mid, ones)
 
 
 @pytest.mark.parametrize("margin", [-1.0, math.inf, math.nan])
