@@ -51,6 +51,7 @@ class SturmLiouvilleDisc:
     rho at the N midpoints (evaluated analytically, not interpolated, so the
     flux stencil keeps second-order accuracy).  Every value is a finite real,
     the weights' positive; ValueError names the first other, as weight[k].
+    The disc holds read-only copies, so the caller's arrays stay writable.
     """
 
     grid: np.ndarray
@@ -80,6 +81,7 @@ class SturmLiouvilleDisc:
             ("weight_mid", weight_mid),
             ("potential", potential),
         ):
+            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 

@@ -2,6 +2,7 @@
 round trip through the table reader."""
 
 import contextlib
+import decimal
 import io
 import json
 import math
@@ -840,6 +841,63 @@ _SPECIAL = [
 _CELL = st.one_of(st.sampled_from(_SPECIAL), st.floats(allow_nan=True, allow_infinity=True))
 
 
+def _around(x, count=3):
+    """x and the `count` floats on either side of it."""
+    below, above = [x], [x]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return below[::-1] + above[1:]
+
+
+def _ties():
+    """Values whose 16th significant digit is an exact 5 with nothing after
+    it, for every exponent that prints in fixed notation: m / 2**(k+1) with
+    m odd and m * 5**k / 2 between 1e14 and 1e15, so that |v| * 10**k ends
+    in .5 exactly.  Neighbouring m give both parities of the 15th digit."""
+    ties = []
+    for k in range(19):
+        first = -(-2 * 10**14 // 5**k) | 1
+        last = (2 * 10**15 - 1) // 5**k
+        last -= 1 - last % 2
+        for m in (first, first + 2, (first + last) // 2 | 1, last - 2, last):
+            ties.append(m / 2.0 ** (k + 1))
+    return ties
+
+
+# The values the fixed-notation cells are hardest on.
+_POOLS = {
+    # round half to even at the 15th digit
+    "ties": _ties(),
+    # both sides of where fixed notation starts and ends; 999999999999999.5
+    # rounds up to 1e+15
+    "edges": [v for x in (1e-4, 9.9999999999999995e-5, 1e15, 999999999999999.5)
+              for v in _around(x, 4)],
+    # a few ulps either side of every power of ten, where log10 rounds
+    "powers": [v for j in range(-5, 17) for v in _around(10.0**j, 6)],
+    # integer parts that end in zeros, with and without a fraction
+    "round": [120000000000000.0, 100000000000000.0, 300000000000000.0, 1200.0, 1200.5,
+              10.0, 100.25, 3000000.0, 1e5, 12345678901230.0, 560.0, 20000000000000.5,
+              90000000.000001],
+    # a carry out of the 15th digit, at several exponents
+    "carries": [999999999999999.5, 999999999999999.4, 99999.99999999999, 9.999999999999999,
+                0.0009999999999999999, 9999999999999.999, 0.9999999999999999,
+                99.99999999999999, 0.00099999999999999995],
+}
+
+
+def test_the_pools_hold_what_they_name():
+    for v in _POOLS["ties"]:
+        digits = decimal.Decimal(v).as_tuple().digits
+        assert len(digits) == 16 and digits[-1] == 5, v
+        assert 1e-4 <= v < 1e15, v
+    printed = {"%.15g" % v for v in _POOLS["edges"]}
+    assert {"0.0001", "9.99999999999999e-05", "1e+15", "999999999999999"} <= printed
+    assert all(("%.15g" % v).split(".")[0].endswith("0") for v in _POOLS["round"])
+    printed = {"%.15g" % v for v in _POOLS["carries"]}
+    assert {"1e+15", "10000000000000", "100000", "100", "10", "1", "0.001"} <= printed
+
+
 def _rows_body(columns, rows):
     text = cli._render_csv("embed-export", {}, {"columns": columns, "rows": rows})
     _, marker, body = text.partition("# columns=" + ",".join(columns) + "\n")
@@ -847,27 +905,101 @@ def _rows_body(columns, rows):
     return body
 
 
+def _column(kind, nrows, rng):
+    """nrows values of one kind: None, fresh values at one scale; "decades",
+    fresh values whose scales span fixed notation and past it; "bits",
+    uniformly random 64-bit patterns; a name in _POOLS or a list, draws from
+    that pool."""
+    if kind is None:
+        return rng.standard_normal(nrows) * 10.0 ** rng.integers(-300, 300)
+    if kind == "decades":
+        return rng.standard_normal(nrows) * 10.0 ** rng.integers(-6, 17, nrows)
+    if kind == "bits":
+        return rng.integers(0, 2**64, nrows, dtype=np.uint64).view(np.float64)
+    pool = np.array(_POOLS[kind] if isinstance(kind, str) else kind)
+    return pool[rng.integers(0, pool.size, nrows)]
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     st.integers(1, 6),
-    st.integers(1, 400),
-    st.lists(st.none() | st.lists(_CELL, min_size=1, max_size=12), min_size=6, max_size=6),
+    st.integers(1, 600),
+    st.lists(st.none() | st.sampled_from(["decades", "bits", *_POOLS])
+             | st.lists(_CELL, min_size=1, max_size=12), min_size=6, max_size=6),
     st.lists(st.integers(0, 2**32 - 1), min_size=6, max_size=6),
 )
 def test_render_csv_matches_oracle(ncols, nrows, pools, seeds):
-    # a pool of None is a column of fresh values, so most of its cells differ
+    # tables of up to 3600 cells fall on both sides of the renderer's size rule
     table = np.empty((nrows, ncols))
     for j in range(ncols):
-        rng = np.random.default_rng(seeds[j])
-        if pools[j] is None:
-            table[:, j] = rng.standard_normal(nrows) * 10.0 ** rng.integers(-300, 300)
-        else:
-            pool = np.array(pools[j])
-            table[:, j] = pool[rng.integers(0, pool.size, nrows)]
+        table[:, j] = _column(pools[j], nrows, np.random.default_rng(seeds[j]))
     columns = [f"c{j}" for j in range(ncols)]
     expected = oracles.csv_rows_oracle(table.tolist(), ncols) + "\n"
     assert _rows_body(columns, table) == expected
     assert _rows_body(columns, table.tolist()) == expected
+
+
+@pytest.mark.parametrize("kind", ["decades", "bits", *_POOLS])
+@pytest.mark.parametrize("shape", [(1, 5), (100, 5), (300, 5), (7001, 5), (2, 600)])
+def test_render_csv_matches_oracle_at_every_size(kind, shape):
+    # from one row to several of the renderer's blocks, every pool in every
+    # column and both signs
+    rng = np.random.default_rng(sum(map(ord, kind)))
+    table = _column(kind, shape[0] * shape[1], rng).reshape(shape)
+    table.view(np.uint64)[::2] ^= np.uint64(1 << 63)
+    columns = [f"c{j}" for j in range(shape[1])]
+    assert _rows_body(columns, table) == oracles.csv_rows_oracle(table.tolist(), shape[1]) + "\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["--family", "spherical", "--a", "0.9", "--s-max", "6", "--s-grid", "140",
+     "--theta-grid", "140"],
+    ["--family", "helicoid", "--alpha", "1.3", "--s-max", "5", "--t-max", "3.5",
+     "--s-grid", "140", "--t-grid", "140"],
+    ["--family", "hyperbolic-curve", "--n", "3", "--t", "2", "--s-max", "7.5",
+     "--samples", "1500"],
+], ids=["spherical", "helicoid", "hyperbolic-curve"])
+def test_exports_at_workload_size_match_the_oracle(tmp_path, argv):
+    argv = ["embed-export", *argv]
+    code, out = invoke(tmp_path, "export.csv", argv)
+    assert code == EXIT_OK
+    params = vars(cli._build_parser().parse_args(argv))
+    for key in ("command", "output", "fmt"):
+        del params[key]
+    payload = cli._cmd_embed_export(params)
+    columns = payload["columns"]
+    _, marker, body = out.read_text(encoding="utf-8").partition(
+        "# columns=" + ",".join(columns) + "\n")
+    assert marker
+    assert body == oracles.csv_rows_oracle(payload["rows"].tolist(), len(columns)) + "\n"
+
+
+def test_csv_cells_do_not_depend_on_numpy_simd_dispatch():
+    # numpy's AVX-512 log10 may differ from its other loops in the last bit;
+    # no byte of a cell may follow it
+    code = (
+        "import sys, math\n"
+        "import numpy as np\n"
+        "from numpy._core._multiarray_umath import __cpu_features__\n"
+        "import hypstab.cli as cli\n"
+        "sys.path.insert(0, sys.argv[1])\n"
+        "import oracles\n"
+        "rng = np.random.default_rng(37)\n"
+        "powers = [math.nextafter(10.0**j, d) for j in range(-5, 17) for d in (0, math.inf)]\n"
+        "table = np.concatenate([\n"
+        "    rng.standard_normal(30000) * 10.0 ** rng.integers(-6, 17, 30000),\n"
+        "    rng.integers(0, 2**64, 6000, dtype=np.uint64).view(np.float64),\n"
+        "    np.repeat(powers, 20), np.zeros(60)]).reshape(-1, 4)\n"
+        "print(cli._render_rows(table) == oracles.csv_rows_oracle(table.tolist(), 4), "
+        "__cpu_features__['X86_V4'])\n"
+    )
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}
+    src = str(Path(hypstab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code, str(Path(oracles.__file__).parent)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "True False\n"
 
 
 def test_render_csv_keeps_the_sign_of_zero():

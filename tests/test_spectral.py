@@ -329,6 +329,18 @@ def test_disc_field_validation():
         SturmLiouvilleDisc(holed, ones, mid, ones)
 
 
+def test_disc_freezes_copies_and_leaves_the_callers_arrays_writable():
+    fields = {"grid": np.linspace(-1.0, 1.0, 11), "weight": np.ones(11),
+              "weight_mid": np.ones(10), "potential": np.zeros(11)}
+    disc = SturmLiouvilleDisc(**fields)
+    for name, given in fields.items():
+        given[0] = 5.0  # the caller's array stays its own
+        held = getattr(disc, name)
+        assert held[0] != 5.0, name
+        with pytest.raises(ValueError, match="read-only"):
+            held[0] = 5.0
+
+
 @pytest.mark.parametrize("margin", [-1.0, math.inf, math.nan])
 def test_count_rejects_a_bad_margin(margin):
     with pytest.raises(ValueError, match="margin must be a finite real number >= 0"):
